@@ -30,7 +30,7 @@ use dpml_core::{
 };
 use dpml_engine::report::RunStats;
 use dpml_fabric::presets::Preset;
-use dpml_faults::FaultPlan;
+use dpml_faults::{fnv1a64, FaultPlan};
 use serde::{Deserialize, Serialize};
 
 /// The geometry half of a chaos case.
@@ -89,16 +89,6 @@ pub struct CaseOutcome {
     /// End-to-end latency of whatever completed, microseconds (0 on
     /// error outcomes).
     pub latency_us: f64,
-}
-
-/// FNV-1a 64-bit, the digest hash (stable, dependency-free).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Everything the classifier needs from one executed case.

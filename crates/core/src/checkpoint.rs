@@ -24,25 +24,13 @@
 
 use crate::run::{AllreduceReport, RunError};
 use dpml_fabric::Preset;
-use dpml_faults::splitmix64;
+use dpml_faults::{fnv1a64, splitmix64};
 use dpml_topology::ClusterSpec;
 use serde::{Deserialize, Serialize};
 
 /// Version stamp for the checkpoint wire format. Bump on any field
 /// change; loaders reject other schemas (falling back to cold start).
 pub const CHECKPOINT_SCHEMA: u32 = 1;
-
-/// FNV-1a 64-bit over raw bytes — the same mixing primitive the serve
-/// job digest uses, kept private there; checkpoints need their own copy
-/// so `dpml-core` stays independent of the daemon crate.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// The completed outcome of one scenario, as captured at a chunk
 /// boundary. This is the unit of resumable progress: enough to rebuild

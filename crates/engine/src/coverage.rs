@@ -10,43 +10,58 @@
 //! double-reduced segment — surface as verification failures rather than
 //! silently producing plausible timings.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::sync::Arc;
 
-/// A set of ranks, as a bitset.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// A set of ranks, as an immutable bitset shared copy-on-write.
+///
+/// The words live in one reference-counted allocation, so a clone — every
+/// buffer snapshot, message payload and SHArP fan-out — bumps a count
+/// instead of copying `p / 64` words, and a set computed once is held by
+/// every buffer it reaches. Operations that change the set install a new
+/// allocation (or an operand's existing one, see [`RankSet::union_with`]).
+/// The word-vector length is part of the value: `==`, `Hash` and the
+/// serialized `{"words":[...]}` form all see it, while [`RankSet::set_eq`]
+/// ignores trailing zero words. `Arc`'s `==` returns early on a shared
+/// allocation.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RankSet {
-    words: Vec<u64>,
+    words: Arc<[u64]>,
 }
 
 impl RankSet {
     /// The empty set.
     pub fn empty() -> Self {
-        RankSet { words: Vec::new() }
+        RankSet {
+            words: Arc::new([]),
+        }
     }
 
     /// A singleton set.
     pub fn singleton(rank: u32) -> Self {
-        let mut s = RankSet::empty();
-        s.insert(rank);
-        s
+        let w = (rank / 64) as usize;
+        RankSet {
+            words: (0..=w)
+                .map(|i| if i == w { 1u64 << (rank % 64) } else { 0 })
+                .collect(),
+        }
     }
 
     /// The full set `{0, ..., p-1}`.
     pub fn full(p: u32) -> Self {
-        let mut s = RankSet::empty();
-        for r in 0..p {
-            s.insert(r);
+        RankSet {
+            words: (0..p.div_ceil(64))
+                .map(|i| match p - i * 64 {
+                    left if left >= 64 => u64::MAX,
+                    left => (1u64 << left) - 1,
+                })
+                .collect(),
         }
-        s
     }
 
     /// Insert a rank.
     pub fn insert(&mut self, rank: u32) {
-        let w = (rank / 64) as usize;
-        if self.words.len() <= w {
-            self.words.resize(w + 1, 0);
-        }
-        self.words[w] |= 1u64 << (rank % 64);
+        self.union_with(&RankSet::singleton(rank));
     }
 
     /// Membership test.
@@ -57,14 +72,24 @@ impl RankSet {
             .is_some_and(|&word| word & (1u64 << (rank % 64)) != 0)
     }
 
-    /// In-place union.
+    /// Union `other` into this set. The result is `self`'s or `other`'s
+    /// existing allocation when that operand already contains the other
+    /// one and is at least as wide; a fresh set is allocated only when
+    /// neither does. The result is as wide as the wider operand.
     pub fn union_with(&mut self, other: &RankSet) {
-        if self.words.len() < other.words.len() {
-            self.words.resize(other.words.len(), 0);
+        let (a, b) = (&*self.words, &*other.words);
+        if Arc::ptr_eq(&self.words, &other.words) || (a.len() >= b.len() && contains_words(a, b)) {
+            return;
         }
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a |= b;
+        if b.len() >= a.len() && contains_words(b, a) {
+            self.words = Arc::clone(&other.words);
+            return;
         }
+        let word = |s: &[u64], i: usize| s.get(i).copied().unwrap_or(0);
+        let words = (0..a.len().max(b.len()))
+            .map(|i| word(a, i) | word(b, i))
+            .collect();
+        self.words = words;
     }
 
     /// Set cardinality.
@@ -90,6 +115,9 @@ impl RankSet {
     /// to be all zero — this sits inside every coalesce step on the
     /// simulator's delivery hot path.
     pub fn set_eq(&self, other: &RankSet) -> bool {
+        if Arc::ptr_eq(&self.words, &other.words) {
+            return true;
+        }
         let n = self.words.len().min(other.words.len());
         self.words[..n] == other.words[..n]
             && self.words[n..].iter().all(|&w| w == 0)
@@ -102,6 +130,33 @@ impl RankSet {
             (0..64)
                 .filter(move |b| w & (1u64 << b) != 0)
                 .map(move |b| (wi as u32) * 64 + b)
+        })
+    }
+}
+
+/// True when every bit of `sub` is set in `sup` (`sup` at least as wide).
+fn contains_words(sup: &[u64], sub: &[u64]) -> bool {
+    sub.iter().zip(sup).all(|(s, p)| s & !p == 0)
+}
+
+impl Serialize for RankSet {
+    fn to_value(&self) -> Value {
+        let mut m = serde::Map::new();
+        m.insert("words", self.words.to_value());
+        Value::Object(m)
+    }
+}
+
+impl Deserialize for RankSet {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let m = v
+            .as_object()
+            .ok_or_else(|| serde::Error::expected("object", "RankSet"))?;
+        let words = m
+            .get("words")
+            .ok_or_else(|| serde::Error::missing_field("RankSet", "words"))?;
+        Ok(RankSet {
+            words: Vec::<u64>::from_value(words)?.into(),
         })
     }
 }
@@ -246,35 +301,49 @@ impl CoverageMap {
     /// of a plain copy or a received message: payload *replaces* buffer
     /// content.
     pub fn overwrite(&mut self, src: &CoverageMap, start: u64, end: u64) {
+        self.overwrite_owned(src.restrict(start, end), start, end);
+    }
+
+    /// [`CoverageMap::overwrite`] with the source taken by value: when
+    /// `src` already lies inside `[start, end)` — as every engine payload
+    /// does — its segments move in without a `restrict` copy.
+    pub(crate) fn overwrite_owned(&mut self, src: CoverageMap, start: u64, end: u64) {
         if start >= end {
             return;
         }
-        let add = src.restrict(start, end);
-        self.splice_window(start, end, add.segs);
+        let inside = src.segs.first().is_none_or(|f| f.0 >= start)
+            && src.segs.last().is_none_or(|l| l.1 <= end);
+        let mid = if inside {
+            src.segs
+        } else {
+            src.restrict(start, end).segs
+        };
+        self.splice_window(start, end, mid);
     }
 
     /// Pointwise-union `src`'s contents over `[start, end)` into this map —
     /// the semantics of a reduction: contributions combine.
     pub fn union_merge(&mut self, src: &CoverageMap, start: u64, end: u64) {
-        let add = src.restrict(start, end);
-        if add.is_empty() {
+        if start >= end {
             return;
         }
+        // `src`'s segments overlapping the window, read in place and
+        // clamped to it on the fly rather than through a `restrict` copy.
+        let add = &src.segs[src.lower(start)..src.upper(end)];
+        let (Some(first), Some(last)) = (add.first(), add.last()) else {
+            return;
+        };
         // Sweep the cut points of both maps across the window `add` spans
         // (outside it the union changes nothing), advancing a cursor into
         // each segment list — O(window), no per-cut linear scans.
-        let lo = add.segs.first().unwrap().0;
-        let hi = add.segs.last().unwrap().1;
+        let lo = first.0.max(start);
+        let hi = last.1.min(end);
         let (i0, j0) = (self.lower(lo), self.upper(hi));
         let mine = &self.segs[i0..j0];
-        let mut cuts: Vec<u64> = Vec::with_capacity((mine.len() + add.segs.len()) * 2);
-        for (s, e, _) in mine {
+        let mut cuts: Vec<u64> = Vec::with_capacity((mine.len() + add.len()) * 2);
+        for (s, e, _) in mine.iter().chain(add) {
             cuts.push((*s).max(lo));
             cuts.push((*e).min(hi));
-        }
-        for (s, e, _) in &add.segs {
-            cuts.push(*s);
-            cuts.push(*e);
         }
         cuts.sort_unstable();
         cuts.dedup();
@@ -285,18 +354,14 @@ impl CoverageMap {
             while ai < mine.len() && mine[ai].1 <= s {
                 ai += 1;
             }
-            while bi < add.segs.len() && add.segs[bi].1 <= s {
+            while bi < add.len() && add[bi].1 <= s {
                 bi += 1;
             }
             let a = mine
                 .get(ai)
                 .filter(|(ms, _, _)| *ms <= s)
                 .map(|(_, _, r)| r);
-            let b = add
-                .segs
-                .get(bi)
-                .filter(|(bs, _, _)| *bs <= s)
-                .map(|(_, _, r)| r);
+            let b = add.get(bi).filter(|(bs, _, _)| *bs <= s).map(|(_, _, r)| r);
             let set = match (a, b) {
                 (None, None) => continue,
                 (Some(x), None) => x.clone(),
@@ -532,7 +597,7 @@ mod tests {
         fn union_merge(&mut self, src: &NaiveMap, start: u64, end: u64) {
             for b in start..end.min(self.bytes.len() as u64) {
                 match (&mut self.bytes[b as usize], &src.bytes[b as usize]) {
-                    (Some(a), Some(x)) => a.union_with(x),
+                    (Some(a), Some(x)) => *a = naive_union(a, x),
                     (slot @ None, Some(x)) => *slot = Some(x.clone()),
                     _ => {}
                 }
@@ -550,12 +615,83 @@ mod tests {
         }
     }
 
+    /// The plain-vector union the shared representation replaced: widen
+    /// to the wider operand, then OR word by word into a fresh set.
+    fn naive_union(a: &RankSet, b: &RankSet) -> RankSet {
+        let mut words = a.words.to_vec();
+        if words.len() < b.words.len() {
+            words.resize(b.words.len(), 0);
+        }
+        for (x, y) in words.iter_mut().zip(b.words.iter()) {
+            *x |= y;
+        }
+        RankSet {
+            words: words.into(),
+        }
+    }
+
+    /// `set` with `extra` trailing zero words (same members, wider).
+    fn padded(set: &RankSet, extra: usize) -> RankSet {
+        let mut words = set.words.to_vec();
+        words.resize(words.len() + extra, 0);
+        RankSet {
+            words: words.into(),
+        }
+    }
+
+    #[test]
+    fn serde_bytes_are_pinned() {
+        // A trailing zero word is part of the value: it round-trips, and
+        // `==` (unlike `set_eq`) sees it.
+        let wide: RankSet = serde_json::from_str(r#"{"words":[5,0]}"#).unwrap();
+        assert_eq!(serde_json::to_string(&wide).unwrap(), r#"{"words":[5,0]}"#);
+        let mut narrow = RankSet::singleton(0);
+        narrow.insert(2);
+        assert_eq!(serde_json::to_string(&narrow).unwrap(), r#"{"words":[5]}"#);
+        assert!(wide.set_eq(&narrow));
+        assert_ne!(wide, narrow);
+        assert_eq!(
+            serde_json::to_string(&RankSet::full(66)).unwrap(),
+            r#"{"words":[18446744073709551615,3]}"#
+        );
+
+        let mut m = CoverageMap::singleton(0, 0, 40);
+        m.union_merge(&CoverageMap::singleton(65, 20, 60), 0, 100);
+        let json = serde_json::to_string(&m).unwrap();
+        assert_eq!(
+            json,
+            r#"{"segs":[[0,20,{"words":[1]}],[20,40,{"words":[1,2]}],[40,60,{"words":[0,2]}]]}"#
+        );
+        assert_eq!(serde_json::from_str::<CoverageMap>(&json).unwrap(), m);
+        assert!(serde_json::from_str::<RankSet>("[5]").is_err());
+        assert!(serde_json::from_str::<RankSet>("{}").is_err());
+    }
+
+    #[test]
+    fn union_reuses_the_containing_operand() {
+        let big = RankSet::full(130);
+        let small = RankSet::singleton(7);
+        let mut u = small.clone();
+        u.union_with(&big);
+        assert!(Arc::ptr_eq(&u.words, &big.words), "superset adopted");
+        let mut u = big.clone();
+        u.union_with(&small);
+        assert!(Arc::ptr_eq(&u.words, &big.words), "subset absorbed");
+        // A narrower superset cannot stand in for a wider operand.
+        let mut u = padded(&small, 3);
+        u.union_with(&RankSet::full(64));
+        assert_eq!(u, naive_union(&padded(&small, 3), &RankSet::full(64)));
+        assert_eq!(u.words.len(), 4);
+    }
+
     use proptest::prelude::*;
 
     const N: u64 = 48;
 
-    fn arb_map() -> impl Strategy<Value = CoverageMap> {
-        proptest::collection::vec((0u32..6, 0u64..N, 0u64..N), 0..6).prop_map(|ops| {
+    /// Maps built from up to six singleton contributions drawn from
+    /// `0..ranks` (ranks past 63 make multi-word sets).
+    fn arb_map_over(ranks: u32) -> impl Strategy<Value = CoverageMap> {
+        proptest::collection::vec((0u32..ranks, 0u64..N, 0u64..N), 0..6).prop_map(|ops| {
             let mut m = CoverageMap::empty();
             for (r, a, b) in ops {
                 let (s, e) = if a <= b { (a, b) } else { (b, a) };
@@ -563,6 +699,36 @@ mod tests {
             }
             m
         })
+    }
+
+    fn arb_map() -> impl Strategy<Value = CoverageMap> {
+        arb_map_over(6)
+    }
+
+    /// A `(sup, sub)` pair with `sub` a subset of `sup`, each padded with
+    /// up to two trailing zero words, in either order.
+    fn arb_nested_sets() -> impl Strategy<Value = (RankSet, RankSet)> {
+        (
+            proptest::collection::vec((0u32..200, proptest::bool::ANY), 0..8),
+            0usize..3,
+            0usize..3,
+            proptest::bool::ANY,
+        )
+            .prop_map(|(ranks, pad_sup, pad_sub, swap)| {
+                let (mut sup, mut sub) = (RankSet::empty(), RankSet::empty());
+                for (r, keep) in ranks {
+                    sup.insert(r);
+                    if keep {
+                        sub.insert(r);
+                    }
+                }
+                let (sup, sub) = (padded(&sup, pad_sup), padded(&sub, pad_sub));
+                if swap {
+                    (sub, sup)
+                } else {
+                    (sup, sub)
+                }
+            })
     }
 
     proptest! {
@@ -574,6 +740,9 @@ mod tests {
             let mut slow = NaiveMap::from_cov(&a, N);
             slow.overwrite(&NaiveMap::from_cov(&b, N), s, e);
             prop_assert!(NaiveMap::from_cov(&fast, N).semantically_eq(&slow));
+            let mut owned = a.clone();
+            owned.overwrite_owned(b.clone(), s, e);
+            prop_assert_eq!(owned, fast);
         }
 
         #[test]
@@ -606,6 +775,61 @@ mod tests {
             let mut ba = b.clone();
             ba.union_merge(&a, 0, N);
             prop_assert!(NaiveMap::from_cov(&ab, N).semantically_eq(&NaiveMap::from_cov(&ba, N)));
+        }
+
+        #[test]
+        fn prop_subset_reuse_union_matches_naive(pair in arb_nested_sets()) {
+            let (a, b) = &pair;
+            let mut u = a.clone();
+            u.union_with(b);
+            prop_assert_eq!(&u, &naive_union(a, b));
+            let mut v = b.clone();
+            v.union_with(a);
+            prop_assert_eq!(&v, &naive_union(b, a));
+        }
+
+        #[test]
+        fn prop_multiword_union_matches_naive_exactly(
+            a in arb_map_over(200),
+            b in arb_map_over(200),
+            x in 0u64..N,
+            y in 0u64..N,
+        ) {
+            // Structural `==` per byte: word-vector widths must match the
+            // naive model too, not just membership.
+            let (s, e) = if x <= y { (x, y) } else { (y, x) };
+            let mut fast = a.clone();
+            fast.union_merge(&b, s, e);
+            let mut slow = NaiveMap::from_cov(&a, N);
+            slow.union_merge(&NaiveMap::from_cov(&b, N), s, e);
+            prop_assert_eq!(NaiveMap::from_cov(&fast, N), slow);
+        }
+
+        #[test]
+        fn prop_mutating_a_clone_leaves_the_original(
+            a in arb_map_over(200),
+            b in arb_map_over(200),
+            r in 0u32..200,
+            x in 0u64..N,
+            y in 0u64..N,
+        ) {
+            // JSON bytes are a deep snapshot; a clone would share sets.
+            let (a0, b0) = (serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+            let (s, e) = if x <= y { (x, y) } else { (y, x) };
+            let mut copy = a.clone();
+            copy.union_merge(&b, 0, N);
+            copy.overwrite(&b, s, e);
+            copy.union_merge(&a, s, N);
+            copy.clear_range(s / 2, e);
+            copy.overwrite_owned(b.clone(), 0, s);
+            for (_, _, set) in a.segments().chain(b.segments()) {
+                let mut c = set.clone();
+                c.insert(r);
+                c.union_with(&RankSet::full(r));
+                prop_assert!(c.contains(r));
+            }
+            prop_assert_eq!(serde_json::to_string(&a).unwrap(), a0);
+            prop_assert_eq!(serde_json::to_string(&b).unwrap(), b0);
         }
     }
 }

@@ -381,19 +381,24 @@ impl ScatterJob<'_> {
             ScatterJob::Restrict(src, range) => src
                 .map(|b| b.restrict(range.start, range.end))
                 .unwrap_or_default(),
-            ScatterJob::Union(srcs, range) => {
-                let mut acc = CoverageMap::empty();
-                for s in srcs {
-                    let p = s
-                        .map(|b| b.restrict(range.start, range.end))
-                        .unwrap_or_default();
-                    acc.union_merge(&p, range.start, range.end);
-                }
-                acc
-            }
+            ScatterJob::Union(srcs, range) => union_of(srcs.iter().copied(), *range),
             ScatterJob::CloneFull(payload) => (*payload).clone(),
         }
     }
+}
+
+/// The Reduce payload: the union of `srcs` over `range`, in order (an
+/// absent buffer contributes nothing). `union_merge` reads each source in
+/// place, so no per-source snapshot is taken.
+fn union_of<'a>(
+    srcs: impl IntoIterator<Item = Option<&'a CoverageMap>>,
+    range: ByteRange,
+) -> CoverageMap {
+    let mut acc = CoverageMap::empty();
+    for b in srcs.into_iter().flatten() {
+        acc.union_merge(b, range.start, range.end);
+    }
+    acc
 }
 
 struct BarrierState {
@@ -1361,7 +1366,7 @@ impl<'a> SimState<'a> {
         r: u32,
         key: BufKey,
         range: ByteRange,
-        payload: &CoverageMap,
+        payload: CoverageMap,
         kind: &ApplyKind,
     ) {
         // Every buffer mutation funnels through here; bumping the epoch
@@ -1380,8 +1385,8 @@ impl<'a> SimState<'a> {
             }
         };
         match kind {
-            ApplyKind::Overwrite => buf.overwrite(payload, range.start, range.end),
-            ApplyKind::Union => buf.union_merge(payload, range.start, range.end),
+            ApplyKind::Overwrite => buf.overwrite_owned(payload, range.start, range.end),
+            ApplyKind::Union => buf.union_merge(&payload, range.start, range.end),
         }
     }
 
@@ -1556,19 +1561,15 @@ impl<'a> SimState<'a> {
 
     fn deliver(&mut self, m: usize, r: u32, req_idx: u32) {
         let precomp = self.take_precomp(PrecompKey::Deliver(m), 0);
-        let (dst, range, payload) = {
-            let msg = &self.msgs[m];
-            let dst = match &self.ranks[r as usize].reqs[req_idx as usize] {
-                ReqState::RecvPending { dst } => *dst,
-                other => panic!("delivering to non-recv request {other:?}"),
-            };
-            (
-                dst,
-                msg.range,
-                precomp.unwrap_or_else(|| msg.payload.clone()),
-            )
+        let dst = match &self.ranks[r as usize].reqs[req_idx as usize] {
+            ReqState::RecvPending { dst } => *dst,
+            other => panic!("delivering to non-recv request {other:?}"),
         };
-        self.buf_apply(r, dst, range, &payload, &ApplyKind::Overwrite);
+        // A message is delivered exactly once: move its payload out
+        // instead of cloning it, so the message log stops holding it.
+        let payload = precomp.unwrap_or(std::mem::take(&mut self.msgs[m].payload));
+        let range = self.msgs[m].range;
+        self.buf_apply(r, dst, range, payload, &ApplyKind::Overwrite);
         self.ranks[r as usize].reqs[req_idx as usize] = ReqState::Done;
         let release = self.msgs[m].trace_idx.map(|idx| Release::Msg { idx });
         self.maybe_unblock_wait(r, release);
@@ -1717,12 +1718,7 @@ impl<'a> SimState<'a> {
             }
             LocalKind::Reduce { srcs } => {
                 let acc = precomp.unwrap_or_else(|| {
-                    let mut acc = CoverageMap::empty();
-                    for s in &srcs {
-                        let p = self.buf_snapshot(r, *s, pending.range);
-                        acc.union_merge(&p, pending.range.start, pending.range.end);
-                    }
-                    acc
+                    union_of(srcs.iter().map(|s| self.buf_ref(r, *s)), pending.range)
                 });
                 let passes = srcs.len() as f64;
                 let cap = self.cfg.fabric.compute.per_core_reduce_bw;
@@ -1810,7 +1806,7 @@ impl<'a> SimState<'a> {
                             }
                         }
                     }
-                    self.buf_apply(r, apply.dst, apply.range, &apply.payload, &apply.kind);
+                    self.buf_apply(r, apply.dst, apply.range, apply.payload, &apply.kind);
                     self.push(self.now, Ev::Resume(r));
                 }
             }
@@ -1958,7 +1954,7 @@ impl<'a> SimState<'a> {
             let op = &mut self.sharp_ops[op_idx];
             op.done = true;
             (
-                op.accum.clone(),
+                std::mem::take(&mut op.accum),
                 op.range.expect("range set"),
                 std::mem::take(&mut op.dsts),
                 op.last_join,
@@ -1972,7 +1968,7 @@ impl<'a> SimState<'a> {
             if matches!(self.ranks[rank.index()].status, Status::Dead) {
                 continue; // joined the op, then died before it completed
             }
-            self.buf_apply(rank.0, dst, range, &accum, &ApplyKind::Overwrite);
+            self.buf_apply(rank.0, dst, range, accum.clone(), &ApplyKind::Overwrite);
             match req {
                 None => {
                     if self.trace.is_some() {

@@ -45,6 +45,16 @@ pub fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// FNV-1a 64-bit over raw bytes: the stable, dependency-free content hash
+/// behind serve job digests, checkpoint cursor chains and chaos outcome
+/// digests.
+#[inline]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Hash `(seed, rank, counter)` to a uniform f64 in `[0, 1)`.
 #[inline]
 pub fn u01(seed: u64, rank: u32, counter: u64) -> f64 {
@@ -709,6 +719,13 @@ impl<'a> FaultClock<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a64_matches_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn zero_plan_is_silent() {

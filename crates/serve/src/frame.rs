@@ -22,8 +22,9 @@
 
 use dpml_shm::crc32c_bytes;
 
-/// Largest accepted frame payload. A corrupted length field larger than
-/// this is treated as a tear, not an allocation request.
+/// Largest accepted frame payload, on disk and on the wire
+/// (`protocol::MAX_FRAME` is this constant). A corrupted length field
+/// larger than this is treated as a tear, not an allocation request.
 pub const MAX_FRAME: usize = 16 << 20;
 
 /// Encode one payload as a `[len][crc][payload]` frame.

@@ -154,20 +154,10 @@ impl JobSpec {
             canon.push_str(&format!("{s},"));
         }
         let bytes = canon.as_bytes();
-        let fnv = fnv1a64(bytes);
+        let fnv = dpml_faults::fnv1a64(bytes);
         let crc = dpml_shm::crc32c_bytes(bytes);
         format!("{fnv:016x}{crc:08x}")
     }
-}
-
-/// FNV-1a 64-bit.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One scenario's outcome inside a job result. Sweeps report partial

@@ -10,9 +10,9 @@ use crate::job::{JobOutcome, JobSpec};
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 
-/// Upper bound on a single frame; larger lengths are treated as protocol
-/// corruption, not allocation requests.
-pub const MAX_FRAME: usize = 16 << 20;
+/// The durable-frame bound doubles as the wire bound: a larger length is
+/// treated as protocol corruption, not an allocation request.
+pub use crate::frame::MAX_FRAME;
 
 /// Rejection classes returned by [`Response::Rejected`].
 pub mod reject {
