@@ -14,15 +14,9 @@
 //! committed baseline (see `.github/workflows/ci.yml` and
 //! `scripts/perf_check.py`).
 //!
-//! Usage: `perf [--quick] [--nodes N] [--ppn P] [--reps R] [--intra N]
-//!              [--no-flight] [--out NAME]`
+//! Usage: `perf [--quick] [--nodes N] [--ppn P] [--reps R] [--no-flight]
+//!              [--out NAME]`
 //!   --quick      CI matrix: 8×8 shape (seconds, not minutes)
-//!   --intra      frontier threads for the extra intra-parallel largest
-//!                point (default 4; 1 disables the extra point). The main
-//!                matrix always runs serial engines — the intra point is
-//!                measured on top, labelled `<alg>+intraN`, and the pool
-//!                nesting follows `dpml_bench::PoolPolicy` so sweep
-//!                workers × frontier threads never oversubscribe the host
 //!   --reps       simulate each point R times, report the best (default 3
 //!                in quick mode, 1 otherwise) — damps scheduler noise on
 //!                loaded CI machines
@@ -33,10 +27,9 @@
 //!   --out        results file stem (default `perf_wallclock`), so the
 //!                overhead comparison can write both runs side by side
 
-use dpml_bench::{arg_flag, arg_num, arg_value, fmt_bytes, save_results, sweep, PoolPolicy, Table};
+use dpml_bench::{arg_flag, arg_num, arg_value, fmt_bytes, save_results, sweep, Table};
 use dpml_core::algorithms::{Algorithm, FlatAlg};
-use dpml_core::run::{run_allreduce, run_allreduce_with, RunOpts};
-use dpml_core::Parallelism;
+use dpml_core::run::run_allreduce;
 use dpml_engine::flight;
 use dpml_fabric::{presets, Preset};
 use serde::Serialize;
@@ -121,10 +114,6 @@ fn main() {
     let ppn: u32 = arg_num("--ppn", def_ppn);
     let sizes: Vec<u64> = vec![65536, 1 << 20];
     let reps: u32 = arg_num("--reps", if quick { 3 } else { 1 });
-    let intra: usize = arg_num("--intra", 4usize).max(1);
-    // The serial matrix fans out over every hardware thread; the intra
-    // point below runs alone, so its frontier pool may own the machine.
-    PoolPolicy::detect(1).apply();
 
     // Build the matrix; each point is an independent scenario for the
     // parallel sweep runner (pure — no RNG stream needed).
@@ -172,64 +161,11 @@ fn main() {
     });
     let total_wall_s = t0.elapsed().as_secs_f64();
 
-    // The intra-parallel largest point: the serial matrix's biggest
-    // scenario re-measured under the causal-frontier scheduler. Output
-    // is bit-identical to the serial run (the golden/differential suites
-    // hold the engine to that), so `events` must match the serial point
-    // exactly — only wall-clock may differ.
-    let intra_points: Vec<Point> = if intra > 1 {
-        let serial_largest = points
-            .iter()
-            .max_by_key(|p| p.events)
-            .expect("non-empty matrix");
-        let (tag, preset) = clusters()
-            .into_iter()
-            .find(|(t, _)| *t == serial_largest.cluster)
-            .expect("largest point's cluster exists");
-        let alg = algorithms(ppn)
-            .into_iter()
-            .find(|a| a.name() == serial_largest.algorithm)
-            .expect("largest point's algorithm exists");
-        let bytes = serial_largest.bytes;
-        let spec = preset.spec(nodes, ppn).expect("matrix shape");
-        let opts = RunOpts::parallel(Parallelism::Intra(intra));
-        let mut wall = f64::INFINITY;
-        let mut rep = None;
-        for _ in 0..reps.max(1) {
-            let start = Instant::now();
-            let r = run_allreduce_with(&preset, &spec, alg, bytes, &opts)
-                .unwrap_or_else(|e| panic!("intra point: {e}"));
-            wall = wall.min(start.elapsed().as_secs_f64());
-            rep = Some(r);
-        }
-        let rep = rep.expect("at least one rep");
-        let events = rep.report.stats.events;
-        assert_eq!(
-            events, serial_largest.events,
-            "frontier run must process the identical event stream"
-        );
-        vec![Point {
-            cluster: tag.to_string(),
-            algorithm: format!("{}+intra{intra}", alg.name()),
-            nodes,
-            ppn,
-            bytes,
-            latency_us: rep.latency_us,
-            events,
-            peak_flows: rep.report.stats.peak_flows as u64,
-            wall_s: wall,
-            events_per_sec: events as f64 / wall.max(1e-9),
-        }]
-    } else {
-        Vec::new()
-    };
-
     let mut table = Table::new(
         ["cluster", "algorithm", "size", "events", "wall", "events/s"]
             .iter()
             .map(|s| s.to_string()),
     );
-    let points: Vec<Point> = points.into_iter().chain(intra_points).collect();
     for p in &points {
         table.row(vec![
             p.cluster.clone(),
@@ -243,11 +179,9 @@ fn main() {
     table.print();
 
     // The headline point drives the flight-recorder overhead gate in CI
-    // (`--only <largest_point>`, 2% threshold); keep it on a serial point
-    // so frontier-pool scheduling variance never leaks into that gate.
+    // (`--only <largest_point>`, 2% threshold).
     let largest = points
         .iter()
-        .filter(|p| !p.algorithm.contains("+intra"))
         .max_by_key(|p| p.events)
         .expect("non-empty matrix");
     let largest_point = format!(
@@ -270,7 +204,7 @@ fn main() {
         nodes,
         ppn,
         sizes,
-        workers: PoolPolicy::detect(1).inter_workers(),
+        workers: rayon::current_num_threads(),
         total_wall_s,
         largest_point,
         largest_events_per_sec: largest.events_per_sec,

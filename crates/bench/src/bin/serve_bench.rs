@@ -120,7 +120,6 @@ fn cold_spec(salt: u64) -> JobSpec {
         sizes: vec![1024 + 8 * (salt % 4096)],
         deadline_ms: 0,
         panic_attempts: 0,
-        parallelism: Default::default(),
     }
 }
 
@@ -135,7 +134,6 @@ fn hot_spec(slot: u64) -> JobSpec {
         sizes: vec![4096 + 1024 * (slot % 8)],
         deadline_ms: 0,
         panic_attempts: 0,
-        parallelism: Default::default(),
     }
 }
 
@@ -150,7 +148,6 @@ fn slow_spec(salt: u64) -> JobSpec {
         sizes: vec![1 << 20, 2 << 20, (3 << 20) + salt * 4096, 4 << 20],
         deadline_ms: 0,
         panic_attempts: 0,
-        parallelism: Default::default(),
     }
 }
 
@@ -166,7 +163,6 @@ fn heavy_spec(salt: u64) -> JobSpec {
         sizes: vec![4 << 20, 8 << 20, (12 << 20) + salt * 4096, 16 << 20],
         deadline_ms: 0,
         panic_attempts: 0,
-        parallelism: Default::default(),
     }
 }
 
@@ -185,7 +181,6 @@ fn durable_spec(salt: u64) -> JobSpec {
             .collect(),
         deadline_ms: 0,
         panic_attempts: 0,
-        parallelism: Default::default(),
     }
 }
 

@@ -22,62 +22,6 @@
 
 use rayon::prelude::*;
 
-/// How the two parallelism levels share the machine: inter-scenario
-/// sweep workers (rayon) × intra-scenario frontier threads (the engine's
-/// `Parallelism::Intra(n)` pool, DESIGN.md §16). Every binary and soak
-/// test that mixes the two derives its pool sizes here, so the
-/// composition rule lives in exactly one place:
-///
-/// > `inter = max(1, machine / intra)` — the product `inter × intra`
-/// > never exceeds the machine unless `intra` alone already does (a
-/// > single scenario is allowed to use the whole machine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolPolicy {
-    /// Hardware threads the policy may spend in total.
-    pub machine: usize,
-    /// Frontier threads requested per simulation (1 = serial pump).
-    pub intra: usize,
-}
-
-impl PoolPolicy {
-    /// Policy over an explicit machine size (testable, no host probe).
-    pub fn new(machine: usize, intra: usize) -> Self {
-        PoolPolicy {
-            machine: machine.max(1),
-            intra: intra.max(1),
-        }
-    }
-
-    /// Policy over the host's hardware parallelism.
-    pub fn detect(intra: usize) -> Self {
-        let machine = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        PoolPolicy::new(machine, intra)
-    }
-
-    /// Frontier threads each simulation should run with.
-    pub fn intra_threads(&self) -> usize {
-        self.intra
-    }
-
-    /// Concurrent sweep workers the scenario-parallel runner should use.
-    pub fn inter_workers(&self) -> usize {
-        (self.machine / self.intra).max(1)
-    }
-
-    /// Worst-case concurrent OS threads under this policy.
-    pub fn total_threads(&self) -> usize {
-        self.inter_workers() * self.intra
-    }
-
-    /// Install the inter-scenario half into the process-global sweep
-    /// runner. Call once at binary/test start, before the first sweep.
-    pub fn apply(&self) {
-        rayon::set_max_threads(self.inter_workers());
-    }
-}
-
 /// Derive the RNG stream seed for scenario `idx` of a sweep rooted at
 /// `base`. splitmix64 finalizer over `base + idx·φ64`: consecutive
 /// indices land in statistically independent streams, and the mapping
@@ -138,29 +82,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nesting_policy_never_oversubscribes() {
-        // Serial engines: every hardware thread becomes a sweep worker.
-        assert_eq!(PoolPolicy::new(8, 1).inter_workers(), 8);
-        assert_eq!(PoolPolicy::new(8, 1).total_threads(), 8);
-        // Even split: 8 threads / intra 2 → 4 workers × 2 = 8.
-        assert_eq!(PoolPolicy::new(8, 2).inter_workers(), 4);
-        assert_eq!(PoolPolicy::new(8, 2).total_threads(), 8);
-        // Uneven split rounds the worker count down, never up.
-        assert_eq!(PoolPolicy::new(8, 3).inter_workers(), 2);
-        assert!(PoolPolicy::new(8, 3).total_threads() <= 8);
-        // A single scenario may use the whole machine — intra larger
-        // than the machine degrades to one worker, not to zero.
-        assert_eq!(PoolPolicy::new(2, 8).inter_workers(), 1);
-        assert_eq!(PoolPolicy::new(1, 1).inter_workers(), 1);
-        // Degenerate inputs clamp instead of dividing by zero.
-        assert_eq!(PoolPolicy::new(0, 0).inter_workers(), 1);
-        // The host probe respects the same arithmetic.
-        let p = PoolPolicy::detect(2);
-        assert_eq!(p.intra_threads(), 2);
-        assert!(p.total_threads() <= p.machine.max(2));
-    }
 
     #[test]
     fn seeds_are_stable_and_distinct() {

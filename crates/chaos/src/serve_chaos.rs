@@ -111,7 +111,6 @@ fn gen_spec(m: &mut Mutator, prior: &mut Vec<JobSpec>) -> JobSpec {
         sizes: vec![*m.pick(&[4096u64, 16384])],
         deadline_ms: 0,
         panic_attempts: m.below(3) as u32,
-        parallelism: Default::default(),
     };
     if spec.kind == JobKind::Sweep {
         // Multi-chunk grids so sweeps cross checkpoint boundaries and

@@ -22,7 +22,7 @@
 //! from the stored cells and rejects any checkpoint whose cursor does
 //! not reproduce.
 
-use crate::run::{AllreduceReport, RunError};
+use crate::run::{AllreduceReport, RunError, RunOpts};
 use dpml_fabric::Preset;
 use dpml_faults::{fnv1a64, splitmix64};
 use dpml_topology::ClusterSpec;
@@ -248,13 +248,8 @@ impl SweepCheckpoint {
 /// checkpoint already holds every completed cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChunkControl {
-    /// Run the next chunk under the given engine budgets and
-    /// intra-scenario parallelism mode.
-    Proceed {
-        event_budget: Option<u64>,
-        time_budget_s: Option<f64>,
-        parallelism: dpml_engine::Parallelism,
-    },
+    /// Run the next chunk under the given engine budgets.
+    Proceed(RunOpts),
     /// Stop before the next chunk (cancellation, deadline, shutdown).
     Stop,
 }
@@ -296,15 +291,7 @@ pub fn run_allreduce_checkpointed(
     while (ckpt.next_index as usize) < scenarios.len() {
         let opts = match control(ckpt) {
             ChunkControl::Stop => return SweepEnd::Stopped,
-            ChunkControl::Proceed {
-                event_budget,
-                time_budget_s,
-                parallelism,
-            } => crate::run::RunOpts {
-                event_budget,
-                time_budget_s,
-                parallelism,
-            },
+            ChunkControl::Proceed(opts) => opts,
         };
         let start = ckpt.next_index as usize;
         let end = (start + chunk).min(scenarios.len());
@@ -358,11 +345,10 @@ mod tests {
             &mut ckpt,
             |ck| match stop_after {
                 Some(n) if ck.next_index >= n => ChunkControl::Stop,
-                _ => ChunkControl::Proceed {
+                _ => ChunkControl::Proceed(RunOpts {
                     event_budget: None,
                     time_budget_s: Some(10.0),
-                    parallelism: dpml_engine::Parallelism::Serial,
-                },
+                }),
             },
             |_| {},
         );
@@ -398,10 +384,11 @@ mod tests {
                 &spec,
                 &scen,
                 &mut partial,
-                |_| ChunkControl::Proceed {
-                    event_budget: None,
-                    time_budget_s: Some(10.0),
-                    parallelism: dpml_engine::Parallelism::Intra(2),
+                |_| {
+                    ChunkControl::Proceed(RunOpts {
+                        event_budget: None,
+                        time_budget_s: Some(10.0),
+                    })
                 },
                 |_| executed += 1,
             );
@@ -455,10 +442,11 @@ mod tests {
             &spec,
             &scen,
             &mut ckpt,
-            |_| ChunkControl::Proceed {
-                event_budget: Some(3),
-                time_budget_s: None,
-                parallelism: dpml_engine::Parallelism::Serial,
+            |_| {
+                ChunkControl::Proceed(RunOpts {
+                    event_budget: Some(3),
+                    time_budget_s: None,
+                })
             },
             |_| {},
         );

@@ -44,16 +44,9 @@ pub use integrity::{
     run_allreduce_verified, IntegrityError, IntegrityErrorKind, IntegrityPolicy, IntegrityReport,
     LadderRung, PartitionRecovery, VerifiedError,
 };
-pub use profile::{
-    profile_allreduce, profile_allreduce_with, CostBreakdown, PhaseBreakdown, ProfileReport,
-    ProfiledRun,
-};
+pub use profile::{profile_allreduce, CostBreakdown, PhaseBreakdown, ProfileReport, ProfiledRun};
 pub use resilience::{
     run_allreduce_faulted, run_allreduce_resilient, FaultPolicy, ResilientReport,
 };
 pub use run::{run_allreduce, run_allreduce_with, AllreduceReport, RunOpts};
-
-/// Intra-scenario parallelism knob, re-exported from the engine so CLI
-/// and serve layers don't need a direct `dpml-engine` dependency edge.
-pub use dpml_engine::Parallelism;
 pub use selector::{FabricHealth, Library};

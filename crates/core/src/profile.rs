@@ -88,19 +88,6 @@ pub fn profile_allreduce(
     alg: Algorithm,
     bytes: u64,
 ) -> Result<ProfiledRun, RunError> {
-    profile_allreduce_with(preset, spec, alg, bytes, dpml_engine::Parallelism::Serial)
-}
-
-/// [`profile_allreduce`] under an explicit intra-scenario parallelism
-/// mode. The trace — and therefore the whole attribution — is
-/// bit-identical across modes; the knob only changes wall-clock time.
-pub fn profile_allreduce_with(
-    preset: &Preset,
-    spec: &ClusterSpec,
-    alg: Algorithm,
-    bytes: u64,
-    parallelism: dpml_engine::Parallelism,
-) -> Result<ProfiledRun, RunError> {
     let map = RankMap::block(spec);
     let cfg = SimConfig::new(map.clone(), preset.fabric.clone(), preset.switch)?;
     let world = alg.build(&map, bytes)?;
@@ -110,13 +97,9 @@ pub fn profile_allreduce_with(
         Simulator::new(&cfg)
             .with_sharp(&oracle)
             .with_trace()
-            .with_parallelism(parallelism)
             .run(&world)?
     } else {
-        Simulator::new(&cfg)
-            .with_trace()
-            .with_parallelism(parallelism)
-            .run(&world)?
+        Simulator::new(&cfg).with_trace().run(&world)?
     };
     report.verify_allreduce()?;
 

@@ -1,35 +1,20 @@
 //! One-call convenience wrapper: compile, simulate, verify.
 
 use crate::algorithms::Algorithm;
-use dpml_engine::{Parallelism, RunReport, SimConfig, Simulator};
+use dpml_engine::{RunReport, SimConfig, Simulator};
 use dpml_fabric::Preset;
 use dpml_sharp::SharpFabric;
 use dpml_topology::{ClusterSpec, Placement, RankMap};
 use serde::{Deserialize, Serialize};
 
-/// Engine knobs shared by every run entry point: abort budgets plus the
-/// intra-scenario parallelism mode (DESIGN.md §16). `Default` is
-/// unbudgeted serial execution — exactly the engine's historical
-/// behavior, so existing callers and golden digests are unaffected.
+/// Engine abort budgets shared by the run entry points. `Default` is an
+/// unbudgeted run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunOpts {
     /// Abort with `EventBudgetExceeded` after this many events.
     pub event_budget: Option<u64>,
     /// Abort with `TimeBudgetExceeded` past this virtual time (seconds).
     pub time_budget_s: Option<f64>,
-    /// Intra-scenario executor: serial pump or causal-frontier scheduler.
-    /// Bit-identical output either way — this is purely a wall-clock knob.
-    pub parallelism: Parallelism,
-}
-
-impl RunOpts {
-    /// Unbudgeted run under the given parallelism mode.
-    pub fn parallel(parallelism: Parallelism) -> Self {
-        RunOpts {
-            parallelism,
-            ..RunOpts::default()
-        }
-    }
 }
 
 /// The outcome of one verified allreduce simulation.
@@ -121,42 +106,13 @@ pub fn run_allreduce_batch(
     spec: &ClusterSpec,
     scenarios: Vec<(Algorithm, u64)>,
 ) -> Vec<Result<AllreduceReport, RunError>> {
-    use rayon::prelude::*;
-    scenarios
-        .into_par_iter()
-        .map(|(alg, bytes)| run_allreduce(preset, spec, alg, bytes))
-        .collect()
-}
-
-/// [`run_allreduce_budgeted`] over a scenario chunk, executed on the
-/// scenario-parallel runner (order-preserving). `dpml-serve` routes each
-/// sweep chunk through this instead of simulating one scenario at a time
-/// on the worker thread, keeping its cancel/deadline checkpoints at the
-/// chunk boundaries.
-pub fn run_allreduce_batch_budgeted(
-    preset: &Preset,
-    spec: &ClusterSpec,
-    scenarios: &[(Algorithm, u64)],
-    event_budget: Option<u64>,
-    time_budget_s: Option<f64>,
-) -> Vec<Result<AllreduceReport, RunError>> {
-    run_allreduce_batch_with(
-        preset,
-        spec,
-        scenarios,
-        &RunOpts {
-            event_budget,
-            time_budget_s,
-            parallelism: Parallelism::Serial,
-        },
-    )
+    run_allreduce_batch_with(preset, spec, &scenarios, &RunOpts::default())
 }
 
 /// [`run_allreduce_with`] over a scenario chunk on the scenario-parallel
-/// runner (order-preserving). With `opts.parallelism` above `Serial`
-/// every scenario additionally runs its own causal-frontier worker pool;
-/// callers compose the two levels via `dpml_bench::runner::PoolPolicy`
-/// so inter × intra stays within the machine.
+/// runner (order-preserving). Checkpointed sweeps (and through them
+/// `dpml-serve`) run each chunk through this, keeping their
+/// cancel/deadline checkpoints at the chunk boundaries.
 pub fn run_allreduce_batch_with(
     preset: &Preset,
     spec: &ClusterSpec,
@@ -171,35 +127,11 @@ pub fn run_allreduce_batch_with(
         .collect()
 }
 
-/// [`run_allreduce`] with optional engine budgets: the simulation aborts
-/// with [`RunError::Sim`] (`EventBudgetExceeded` / `TimeBudgetExceeded`)
+/// [`run_allreduce`] under engine budgets: the simulation aborts with
+/// [`RunError::Sim`] (`EventBudgetExceeded` / `TimeBudgetExceeded`)
 /// instead of running to completion once either budget is exhausted.
 /// `dpml-serve` maps job deadlines onto these budgets so a runaway
 /// scenario cannot pin a worker forever.
-pub fn run_allreduce_budgeted(
-    preset: &Preset,
-    spec: &ClusterSpec,
-    alg: Algorithm,
-    bytes: u64,
-    event_budget: Option<u64>,
-    time_budget_s: Option<f64>,
-) -> Result<AllreduceReport, RunError> {
-    run_allreduce_with(
-        preset,
-        spec,
-        alg,
-        bytes,
-        &RunOpts {
-            event_budget,
-            time_budget_s,
-            parallelism: Parallelism::Serial,
-        },
-    )
-}
-
-/// [`run_allreduce`] under explicit [`RunOpts`]: abort budgets plus the
-/// intra-scenario parallelism mode. All other entry points are wrappers
-/// over this (block placement) or [`run_allreduce_placed`].
 pub fn run_allreduce_with(
     preset: &Preset,
     spec: &ClusterSpec,
@@ -244,7 +176,7 @@ fn run_opted(
         if let Some(s) = opts.time_budget_s {
             sim = sim.with_time_budget(s);
         }
-        sim.with_parallelism(opts.parallelism)
+        sim
     }
     let report = if alg.needs_sharp() {
         let params = preset.fabric.sharp.ok_or(RunError::NoSharpOnFabric)?;
@@ -310,45 +242,27 @@ mod tests {
             leaders: 4,
             inner: FlatAlg::RecursiveDoubling,
         };
+        let budgeted = |event_budget, time_budget_s| {
+            let opts = RunOpts {
+                event_budget,
+                time_budget_s,
+            };
+            run_allreduce_with(&p, &spec, alg, 65536, &opts)
+        };
         let plain = run_allreduce(&p, &spec, alg, 65536).unwrap();
-        let roomy =
-            run_allreduce_budgeted(&p, &spec, alg, 65536, Some(10_000_000), Some(10.0)).unwrap();
+        let roomy = budgeted(Some(10_000_000), Some(10.0)).unwrap();
         assert_eq!(plain.latency_us.to_bits(), roomy.latency_us.to_bits());
 
-        let err = run_allreduce_budgeted(&p, &spec, alg, 65536, Some(3), None).unwrap_err();
+        let err = budgeted(Some(3), None).unwrap_err();
         assert!(matches!(
             err,
             RunError::Sim(dpml_engine::sim::SimError::EventBudgetExceeded(_))
         ));
-        let err = run_allreduce_budgeted(&p, &spec, alg, 65536, None, Some(1e-9)).unwrap_err();
+        let err = budgeted(None, Some(1e-9)).unwrap_err();
         assert!(matches!(
             err,
             RunError::Sim(dpml_engine::sim::SimError::TimeBudgetExceeded(_))
         ));
-    }
-
-    #[test]
-    fn intra_parallel_run_is_bit_identical() {
-        let p = cluster_b();
-        let spec = p.spec(4, 4).unwrap();
-        let alg = Algorithm::Dpml {
-            leaders: 4,
-            inner: FlatAlg::Ring,
-        };
-        let serial = run_allreduce(&p, &spec, alg, 65536).unwrap();
-        let par = run_allreduce_with(
-            &p,
-            &spec,
-            alg,
-            65536,
-            &RunOpts::parallel(Parallelism::Intra(4)),
-        )
-        .unwrap();
-        assert_eq!(
-            serde_json::to_string(&serial.report).unwrap(),
-            serde_json::to_string(&par.report).unwrap()
-        );
-        assert_eq!(serial.latency_us.to_bits(), par.latency_us.to_bits());
     }
 
     #[test]

@@ -31,7 +31,6 @@
 pub mod coverage;
 pub mod critical;
 pub mod flight;
-pub mod frontier;
 pub mod program;
 pub mod queue;
 pub mod report;
@@ -43,7 +42,6 @@ pub mod trace;
 pub use coverage::{CoverageMap, RankSet};
 pub use critical::{CostKind, CriticalPath, Segment, Zone};
 pub use flight::{FlightEvent, FlightRecorder, PostmortemBundle};
-pub use frontier::{take_last_frontier_stats, FrontierStats, Parallelism};
 pub use program::{BufKey, ByteRange, Instr, Program, ProgramBuilder, ReqId, Tag, WorldProgram};
 pub use report::{ResourceUsage, RunReport, RunStats, VerifyError};
 pub use sim::{PendingOp, SharpOracle, SimConfig, SimError, Simulator};

@@ -84,23 +84,6 @@ impl<E> EventQueue<E> {
         self.heap.first().map(|&(key, _)| unpack_time(key))
     }
 
-    /// Non-destructively visit every queued event scheduled at or before
-    /// `t`, in heap (not time) order. The causal-frontier scatter pass
-    /// uses this to see a round's window without perturbing pop order;
-    /// callers must not depend on the iteration order.
-    pub fn iter_up_to(&self, t: SimTime) -> impl Iterator<Item = (SimTime, &E)> + '_ {
-        let limit = pack(t, u64::MAX);
-        self.heap.iter().filter_map(move |&(key, slot)| {
-            (key <= limit)
-                .then(|| {
-                    self.slots[slot as usize]
-                        .as_ref()
-                        .map(|e| (unpack_time(key), e))
-                })
-                .flatten()
-        })
-    }
-
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let &(key, slot) = self.heap.first()?;
@@ -226,26 +209,6 @@ mod tests {
             assert_eq!(q.pop(), Some((t, i)));
         }
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn iter_up_to_sees_exactly_the_window_and_leaves_order_alone() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        for i in 0..50u32 {
-            q.push(SimTime::new(i as f64 * 1e-6), i);
-        }
-        let mut seen: Vec<u32> = q
-            .iter_up_to(SimTime::new(9.5e-6))
-            .map(|(_, &e)| e)
-            .collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-        // Inclusive boundary: events exactly at the horizon are visible.
-        assert_eq!(q.iter_up_to(SimTime::new(10e-6)).count(), 11);
-        // The scan perturbed nothing: pops still drain in time order.
-        for i in 0..50 {
-            assert_eq!(q.pop().unwrap().1, i);
-        }
     }
 
     #[test]

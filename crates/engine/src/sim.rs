@@ -17,7 +17,6 @@
 //! * Event ties are broken by insertion sequence, making runs deterministic.
 
 use crate::coverage::CoverageMap;
-use crate::frontier::{self, FrontierStats, Parallelism, WorkerPool};
 use crate::program::{BufKey, ByteRange, Instr, ReqId, Tag, WorldProgram, BUF_RESULT};
 use crate::queue::EventQueue;
 use crate::report::{ResourceUsage, RunReport, RunStats};
@@ -337,70 +336,6 @@ enum FlowToken {
     Local(u32),
 }
 
-/// Which consumption site a scatter-precomputed payload targets. Keys are
-/// unique within a round: a rank has at most one pending local op and one
-/// next-instruction send, and a message arrives at most once per round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PrecompKey {
-    /// The copy/reduce payload `local_start` would compute for this rank.
-    Local(u32),
-    /// The payload clone `deliver` makes for this message.
-    Deliver(usize),
-    /// The source snapshot `exec_isend` takes for this rank's next ISend.
-    Send(u32),
-}
-
-/// A payload precomputed against pre-round state. Consumed only if the
-/// recorded epochs still match (no earlier event in the round mutated the
-/// inputs); otherwise the serial loop recomputes inline — a merge stall.
-struct Precomp {
-    payload: CoverageMap,
-    rank_epoch: u64,
-    node_epoch: u64,
-    /// Program counter of the ISend this snapshot is for (`Send` only).
-    pc: usize,
-}
-
-/// One scatter task: the pure payload computation an in-window event will
-/// need, expressed over borrowed pre-round buffer state. Each variant
-/// replays the exact operation sequence of its serial counterpart so the
-/// produced `CoverageMap` is bit-identical.
-enum ScatterJob<'s> {
-    /// `buf_snapshot`: restrict the source to the range (`None` = absent
-    /// buffer = empty map), for Copy payloads and ISend snapshots.
-    Restrict(Option<&'s CoverageMap>, ByteRange),
-    /// The `local_start` Reduce accumulation over source buffers in order.
-    Union(Vec<Option<&'s CoverageMap>>, ByteRange),
-    /// The `deliver` clone of a message payload.
-    CloneFull(&'s CoverageMap),
-}
-
-impl ScatterJob<'_> {
-    fn compute(&self) -> CoverageMap {
-        match self {
-            ScatterJob::Restrict(src, range) => src
-                .map(|b| b.restrict(range.start, range.end))
-                .unwrap_or_default(),
-            ScatterJob::Union(srcs, range) => union_of(srcs.iter().copied(), *range),
-            ScatterJob::CloneFull(payload) => (*payload).clone(),
-        }
-    }
-}
-
-/// The Reduce payload: the union of `srcs` over `range`, in order (an
-/// absent buffer contributes nothing). `union_merge` reads each source in
-/// place, so no per-source snapshot is taken.
-fn union_of<'a>(
-    srcs: impl IntoIterator<Item = Option<&'a CoverageMap>>,
-    range: ByteRange,
-) -> CoverageMap {
-    let mut acc = CoverageMap::empty();
-    for b in srcs.into_iter().flatten() {
-        acc.union_merge(b, range.start, range.end);
-    }
-    acc
-}
-
 struct BarrierState {
     arrived: u32,
     released: bool,
@@ -431,8 +366,6 @@ pub struct Simulator<'a> {
     faults: Option<&'a FaultPlan>,
     fault_attempt: u32,
     trace: bool,
-    parallelism: Parallelism,
-    frontier_window: Option<f64>,
 }
 
 impl<'a> Simulator<'a> {
@@ -446,8 +379,6 @@ impl<'a> Simulator<'a> {
             faults: None,
             fault_attempt: 0,
             trace: false,
-            parallelism: Parallelism::Serial,
-            frontier_window: None,
         }
     }
 
@@ -494,27 +425,6 @@ impl<'a> Simulator<'a> {
         self
     }
 
-    /// Execute the event loop under the causal-frontier scheduler (see
-    /// [`crate::frontier`]). The run's outputs — report, stats, trace,
-    /// errors — are bit-identical to `Parallelism::Serial` at any setting;
-    /// only wall-clock behavior changes.
-    pub fn with_parallelism(mut self, p: Parallelism) -> Self {
-        self.parallelism = p;
-        self
-    }
-
-    /// Override the frontier lookahead window (seconds). Correctness does
-    /// not depend on this — a too-large window only raises the merge-stall
-    /// rate — so the stress suite can shrink it to pathological values.
-    pub fn with_frontier_window(mut self, seconds: f64) -> Self {
-        assert!(
-            seconds > 0.0 && seconds.is_finite(),
-            "frontier window must be positive"
-        );
-        self.frontier_window = Some(seconds);
-        self
-    }
-
     /// Execute a world program to completion.
     pub fn run(&self, world: &WorldProgram) -> Result<RunReport, SimError> {
         let mut st = SimState::new(
@@ -527,24 +437,7 @@ impl<'a> Simulator<'a> {
             self.fault_attempt,
             self.trace,
         );
-        let threads = self.parallelism.threads();
-        let outcome = st.run(threads, self.frontier_window);
-        if threads > 1 {
-            frontier::set_last_frontier_stats(st.ftally);
-            let flight = crate::flight::global();
-            if flight.is_enabled() {
-                let f = &st.ftally;
-                flight.record(
-                    "frontier.stats",
-                    None,
-                    format!(
-                        "threads={} rounds={} scattered={} consumed={} stalls={} unused={} max_width={}",
-                        f.threads, f.rounds, f.scattered, f.consumed, f.stalls, f.unused, f.max_width
-                    ),
-                );
-            }
-        }
-        if let Err(e) = outcome {
+        if let Err(e) = st.run() {
             crate::flight::global().record("sim.error", None, format!("{e}"));
             return Err(e);
         }
@@ -630,17 +523,6 @@ struct SimState<'a> {
     /// Completion ledger: operations aborted by crashes.
     aborted_ops: Vec<PendingOp>,
     trace: Option<Trace>,
-    /// Per-rank private-buffer mutation counter (bumped by `buf_apply`);
-    /// validates scatter-precomputed payloads. Always maintained — one
-    /// integer increment — so serial and frontier runs share one code path.
-    rank_epoch: Vec<u64>,
-    /// Per-node shared-buffer mutation counter.
-    node_epoch: Vec<u64>,
-    /// Scatter-precomputed payloads for the current frontier round
-    /// (always empty under serial execution).
-    precomp: HashMap<PrecompKey, Precomp>,
-    /// Frontier round telemetry (zeroed under serial execution).
-    ftally: FrontierStats,
     // Resource ids
     res_tx: Vec<ResourceId>,
     res_rx: Vec<ResourceId>,
@@ -758,10 +640,6 @@ impl<'a> SimState<'a> {
             first_crash: None,
             aborted_ops: Vec::new(),
             trace: trace.then(Trace::default),
-            rank_epoch: vec![0; p as usize],
-            node_epoch: vec![0; h],
-            precomp: HashMap::new(),
-            ftally: FrontierStats::default(),
             res_tx,
             res_rx,
             res_mem,
@@ -880,13 +758,9 @@ impl<'a> SimState<'a> {
         self.events.push(t, ev);
     }
 
-    fn run(&mut self, threads: usize, window: Option<f64>) -> Result<(), SimError> {
+    fn run(&mut self) -> Result<(), SimError> {
         let mut processed: u64 = 0;
-        if threads > 1 {
-            self.run_frontier(threads, window, &mut processed)?;
-        } else {
-            while self.pump_one(&mut processed)? {}
-        }
+        while self.pump_one(&mut processed)? {}
         self.stats.events = processed;
         if self.ranks.iter().any(|r| r.finish.is_none()) {
             // A fail-stop crash takes precedence over deadlock/link
@@ -933,11 +807,8 @@ impl<'a> SimState<'a> {
     }
 
     /// Pop and execute one event — plus the same-timestamp drain and the
-    /// quantized fluid-rate recompute that follow it. This is the entire
-    /// serial loop body, shared verbatim by both execution modes: the
-    /// frontier scheduler calls it unchanged, which is what makes
-    /// parallel-vs-serial bit-identity structural rather than incidental.
-    /// Returns `Ok(false)` when the queue is empty.
+    /// quantized fluid-rate recompute that follow it. Returns `Ok(false)`
+    /// when the queue is empty.
     fn pump_one(&mut self, processed: &mut u64) -> Result<bool, SimError> {
         let Some((t, ev)) = self.events.pop() else {
             return Ok(false);
@@ -991,183 +862,6 @@ impl<'a> SimState<'a> {
             }
         }
         Ok(true)
-    }
-
-    /// The causal-frontier scheduler: rounds of scatter (precompute the
-    /// window's payloads on the pool, against frozen pre-round state) then
-    /// drain (the unchanged serial pump consumes epoch-validated payloads).
-    fn run_frontier(
-        &mut self,
-        threads: usize,
-        window: Option<f64>,
-        processed: &mut u64,
-    ) -> Result<(), SimError> {
-        let window = window.unwrap_or_else(|| frontier::lookahead_window(&self.cfg.fabric));
-        let pool = WorkerPool::new(threads);
-        self.ftally.threads = pool.threads() as u64;
-        let flight = crate::flight::global();
-        while let Some(t0) = self.events.peek_time() {
-            let horizon = t0.after(window);
-            let width = self.scatter_round(&pool, horizon);
-            let stalls_before = self.ftally.stalls;
-            while self.events.peek_time().is_some_and(|t| t <= horizon) {
-                if !self.pump_one(processed)? {
-                    break;
-                }
-            }
-            self.ftally.unused += self.precomp.len() as u64;
-            self.precomp.clear();
-            if width >= 2 && flight.is_enabled() {
-                flight.record(
-                    "frontier.round",
-                    None,
-                    format!(
-                        "width={width} stalls={}",
-                        self.ftally.stalls - stalls_before
-                    ),
-                );
-            }
-        }
-        Ok(())
-    }
-
-    /// Scan the queued events at or before `horizon` and precompute their
-    /// payloads on the pool. Returns the round's width (tasks scattered).
-    fn scatter_round(&mut self, pool: &WorkerPool, horizon: SimTime) -> usize {
-        // Owned keys first, then borrowed jobs, so the precomp-store
-        // inserts below can take `&mut self` once the jobs are dropped.
-        let mut keys: Vec<(PrecompKey, u64, u64, usize)> = Vec::new();
-        let mut jobs: Vec<ScatterJob<'_>> = Vec::new();
-        for (_, ev) in self.events.iter_up_to(horizon) {
-            let (key, job, pc) = match *ev {
-                Ev::CopyStart(r) | Ev::ReduceStart(r) => {
-                    if matches!(self.ranks[r as usize].status, Status::Dead) {
-                        continue;
-                    }
-                    let Some(p) = &self.ranks[r as usize].pending_local else {
-                        continue;
-                    };
-                    let job = match &p.kind {
-                        LocalKind::Copy { src, .. } => {
-                            ScatterJob::Restrict(self.buf_ref(r, *src), p.range)
-                        }
-                        LocalKind::Reduce { srcs } => ScatterJob::Union(
-                            srcs.iter().map(|s| self.buf_ref(r, *s)).collect(),
-                            p.range,
-                        ),
-                    };
-                    (PrecompKey::Local(r), job, 0)
-                }
-                Ev::MsgArrive(m) => {
-                    if matches!(self.ranks[self.msgs[m].dst.index()].status, Status::Dead) {
-                        continue;
-                    }
-                    (
-                        PrecompKey::Deliver(m),
-                        ScatterJob::CloneFull(&self.msgs[m].payload),
-                        0,
-                    )
-                }
-                Ev::Resume(r) => {
-                    if matches!(self.ranks[r as usize].status, Status::Done | Status::Dead) {
-                        continue;
-                    }
-                    let pc = self.ranks[r as usize].pc;
-                    let Some(Instr::ISend { src, range, .. }) =
-                        self.world.programs[r as usize].instrs.get(pc)
-                    else {
-                        continue;
-                    };
-                    (
-                        PrecompKey::Send(r),
-                        ScatterJob::Restrict(self.buf_ref(r, *src), *range),
-                        pc,
-                    )
-                }
-                _ => continue,
-            };
-            if keys.iter().any(|(k, ..)| *k == key) {
-                continue; // e.g. two Resume events for one rank
-            }
-            let r = self.key_rank(key);
-            let node = self.cfg.map.node_of(Rank(r)).index();
-            keys.push((key, self.rank_epoch[r as usize], self.node_epoch[node], pc));
-            jobs.push(job);
-        }
-        let width = jobs.len();
-        if width < 2 {
-            return 0; // nothing worth a pool round; drain computes inline
-        }
-        let outs: Vec<CoverageMap> = pool.run(width, |i| jobs[i].compute());
-        drop(jobs);
-        self.ftally.rounds += 1;
-        self.ftally.scattered += width as u64;
-        self.ftally.max_width = self.ftally.max_width.max(width as u64);
-        for ((key, rank_epoch, node_epoch, pc), payload) in keys.into_iter().zip(outs) {
-            self.precomp.insert(
-                key,
-                Precomp {
-                    payload,
-                    rank_epoch,
-                    node_epoch,
-                    pc,
-                },
-            );
-        }
-        width
-    }
-
-    /// The rank whose epochs validate a key (the receiver, for deliveries).
-    fn key_rank(&self, key: PrecompKey) -> u32 {
-        match key {
-            PrecompKey::Local(r) | PrecompKey::Send(r) => r,
-            PrecompKey::Deliver(m) => self.msgs[m].dst.0,
-        }
-    }
-
-    /// The buffer a snapshot would read, if it exists (an absent buffer
-    /// snapshots to the empty map).
-    fn buf_ref(&self, r: u32, key: BufKey) -> Option<&CoverageMap> {
-        match key {
-            BufKey::Priv(id) => self.ranks[r as usize].bufs.get(&id),
-            BufKey::Shared(id) => {
-                let node = self.cfg.map.node_of(Rank(r)).index();
-                self.shared[node].get(&id)
-            }
-        }
-    }
-
-    /// Consume the precomputed payload for `key`, if present and still
-    /// valid. `Deliver` payloads are clones of immutable message payloads
-    /// and always valid; the rest must pass the epoch check (and, for
-    /// sends, match the program counter the snapshot was taken for).
-    /// Removal is unconditional — a failed check must not leave a stale
-    /// entry behind for a later event in the round.
-    fn take_precomp(&mut self, key: PrecompKey, expected_pc: usize) -> Option<CoverageMap> {
-        if self.precomp.is_empty() {
-            return None; // serial runs and out-of-round events: no-op
-        }
-        let p = self.precomp.remove(&key)?;
-        let r = self.key_rank(key);
-        let node = self.cfg.map.node_of(Rank(r)).index();
-        let valid = match key {
-            PrecompKey::Deliver(_) => true,
-            PrecompKey::Local(_) => {
-                p.rank_epoch == self.rank_epoch[r as usize] && p.node_epoch == self.node_epoch[node]
-            }
-            PrecompKey::Send(_) => {
-                p.pc == expected_pc
-                    && p.rank_epoch == self.rank_epoch[r as usize]
-                    && p.node_epoch == self.node_epoch[node]
-            }
-        };
-        if valid {
-            self.ftally.consumed += 1;
-            Some(p.payload)
-        } else {
-            self.ftally.stalls += 1;
-            None
-        }
     }
 
     fn reschedule_flows(&mut self) {
@@ -1344,21 +1038,22 @@ impl<'a> SimState<'a> {
 
     // ---- buffers -----------------------------------------------------------
 
-    fn buf_snapshot(&self, r: u32, key: BufKey, range: ByteRange) -> CoverageMap {
+    /// The buffer a snapshot would read, if it exists (an absent buffer
+    /// snapshots to the empty map).
+    fn buf_ref(&self, r: u32, key: BufKey) -> Option<&CoverageMap> {
         match key {
-            BufKey::Priv(id) => self.ranks[r as usize]
-                .bufs
-                .get(&id)
-                .map(|b| b.restrict(range.start, range.end))
-                .unwrap_or_default(),
+            BufKey::Priv(id) => self.ranks[r as usize].bufs.get(&id),
             BufKey::Shared(id) => {
                 let node = self.cfg.map.node_of(Rank(r)).index();
-                self.shared[node]
-                    .get(&id)
-                    .map(|b| b.restrict(range.start, range.end))
-                    .unwrap_or_default()
+                self.shared[node].get(&id)
             }
         }
+    }
+
+    fn buf_snapshot(&self, r: u32, key: BufKey, range: ByteRange) -> CoverageMap {
+        self.buf_ref(r, key)
+            .map(|b| b.restrict(range.start, range.end))
+            .unwrap_or_default()
     }
 
     fn buf_apply(
@@ -1369,18 +1064,10 @@ impl<'a> SimState<'a> {
         payload: CoverageMap,
         kind: &ApplyKind,
     ) {
-        // Every buffer mutation funnels through here; bumping the epoch
-        // counters is what invalidates scatter-precomputed payloads whose
-        // inputs this write may have touched (conservative: any write to
-        // the rank's private state or its node's shared state).
         let buf = match key {
-            BufKey::Priv(id) => {
-                self.rank_epoch[r as usize] += 1;
-                self.ranks[r as usize].bufs.entry(id).or_default()
-            }
+            BufKey::Priv(id) => self.ranks[r as usize].bufs.entry(id).or_default(),
             BufKey::Shared(id) => {
                 let node = self.cfg.map.node_of(Rank(r)).index();
-                self.node_epoch[node] += 1;
                 self.shared[node].entry(id).or_default()
             }
         };
@@ -1401,10 +1088,7 @@ impl<'a> SimState<'a> {
         range: ByteRange,
         phase: Phase,
     ) {
-        // `pc` was already advanced past this ISend in `run_rank`.
-        let payload = self
-            .take_precomp(PrecompKey::Send(r), self.ranks[r as usize].pc - 1)
-            .unwrap_or_else(|| self.buf_snapshot(r, src, range));
+        let payload = self.buf_snapshot(r, src, range);
         let src_node = self.cfg.map.node_of(Rank(r));
         let dst_node = self.cfg.map.node_of(to);
         let intra = src_node == dst_node;
@@ -1560,14 +1244,13 @@ impl<'a> SimState<'a> {
     }
 
     fn deliver(&mut self, m: usize, r: u32, req_idx: u32) {
-        let precomp = self.take_precomp(PrecompKey::Deliver(m), 0);
         let dst = match &self.ranks[r as usize].reqs[req_idx as usize] {
             ReqState::RecvPending { dst } => *dst,
             other => panic!("delivering to non-recv request {other:?}"),
         };
         // A message is delivered exactly once: move its payload out
         // instead of cloning it, so the message log stops holding it.
-        let payload = precomp.unwrap_or(std::mem::take(&mut self.msgs[m].payload));
+        let payload = std::mem::take(&mut self.msgs[m].payload);
         let range = self.msgs[m].range;
         self.buf_apply(r, dst, range, payload, &ApplyKind::Overwrite);
         self.ranks[r as usize].reqs[req_idx as usize] = ReqState::Done;
@@ -1709,17 +1392,20 @@ impl<'a> SimState<'a> {
             .take()
             .expect("pending local op");
         let node = self.cfg.map.node_of(Rank(r)).index();
-        let precomp = self.take_precomp(PrecompKey::Local(r), 0);
         let (payload, kind, bytes, cap) = match pending.kind {
             LocalKind::Copy { src, cross_socket } => {
-                let p = precomp.unwrap_or_else(|| self.buf_snapshot(r, src, pending.range));
+                let p = self.buf_snapshot(r, src, pending.range);
                 let cap = self.cfg.fabric.mem.copy_bw(cross_socket);
                 (p, ApplyKind::Overwrite, pending.range.len() as f64, cap)
             }
             LocalKind::Reduce { srcs } => {
-                let acc = precomp.unwrap_or_else(|| {
-                    union_of(srcs.iter().map(|s| self.buf_ref(r, *s)), pending.range)
-                });
+                // `union_merge` reads each source in place, so no
+                // per-source snapshot is taken; an absent buffer
+                // contributes nothing.
+                let mut acc = CoverageMap::empty();
+                for b in srcs.iter().filter_map(|s| self.buf_ref(r, *s)) {
+                    acc.union_merge(b, pending.range.start, pending.range.end);
+                }
                 let passes = srcs.len() as f64;
                 let cap = self.cfg.fabric.compute.per_core_reduce_bw;
                 (
@@ -3055,156 +2741,5 @@ mod tests {
         let a = mk();
         let b = mk();
         assert_eq!(a, b);
-    }
-
-    // ---- causal-frontier scheduler ---------------------------------------
-
-    /// A 16-rank multi-round ring with in-flight reductions: plenty of
-    /// same-window events whose payloads depend on buffers mutated by
-    /// other same-window events — the epoch-validation worst case.
-    fn frontier_world(p_count: u32, n: u64, rounds: u32) -> WorldProgram {
-        let mut w = WorldProgram::new(p_count, n);
-        for r in 0..p_count {
-            let next = Rank((r + 1) % p_count);
-            let prev = Rank((r + p_count - 1) % p_count);
-            let p = w.rank(Rank(r));
-            p.copy(BUF_INPUT, BUF_RESULT, ByteRange::whole(n), false);
-            for k in 0..rounds {
-                let s = p.isend(next, k, BUF_RESULT, ByteRange::whole(n));
-                let q = p.irecv(prev, k, BufKey::Priv(2));
-                p.wait_all(vec![s, q]);
-                p.reduce(vec![BufKey::Priv(2)], BUF_RESULT, ByteRange::whole(n));
-            }
-        }
-        w
-    }
-
-    fn report_bytes(rep: &RunReport) -> String {
-        serde_json::to_string(rep).expect("serializable report")
-    }
-
-    #[test]
-    fn frontier_run_is_bit_identical_to_serial() {
-        let cfg = config(4, 4);
-        let w = frontier_world(16, 1 << 16, 3);
-        let serial = Simulator::new(&cfg).run(&w).unwrap();
-        for threads in [2, 4, 8] {
-            let par = Simulator::new(&cfg)
-                .with_parallelism(Parallelism::Intra(threads))
-                .run(&w)
-                .unwrap();
-            assert_eq!(
-                report_bytes(&serial),
-                report_bytes(&par),
-                "threads={threads}"
-            );
-            assert_eq!(serial.stats.events, par.stats.events, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn frontier_traced_run_matches_serial_spans() {
-        let cfg = config(2, 4);
-        let w = frontier_world(8, 1 << 14, 2);
-        let serial = Simulator::new(&cfg).with_trace().run(&w).unwrap();
-        let par = Simulator::new(&cfg)
-            .with_trace()
-            .with_parallelism(Parallelism::Intra(4))
-            .run(&w)
-            .unwrap();
-        assert_eq!(report_bytes(&serial), report_bytes(&par));
-        assert!(serial.trace.is_some());
-    }
-
-    #[test]
-    fn frontier_scatters_and_consumes_payloads() {
-        let cfg = config(4, 4);
-        let w = frontier_world(16, 1 << 16, 3);
-        let _ = crate::frontier::take_last_frontier_stats();
-        let _ = Simulator::new(&cfg)
-            .with_parallelism(Parallelism::Intra(2))
-            .run(&w)
-            .unwrap();
-        let stats = crate::frontier::take_last_frontier_stats().expect("frontier ran");
-        assert_eq!(stats.threads, 2);
-        assert!(stats.rounds > 0, "{stats:?}");
-        assert!(stats.scattered >= 2, "{stats:?}");
-        assert!(
-            stats.consumed > 0,
-            "no precomputed payload was used: {stats:?}"
-        );
-        assert_eq!(
-            stats.scattered,
-            stats.consumed + stats.stalls + stats.unused,
-            "{stats:?}"
-        );
-        // Serial runs leave no frontier stats behind.
-        let _ = Simulator::new(&cfg).run(&w).unwrap();
-        assert!(crate::frontier::take_last_frontier_stats().is_none());
-    }
-
-    #[test]
-    fn frontier_window_extremes_stay_identical() {
-        let cfg = config(2, 4);
-        let w = frontier_world(8, 1 << 14, 2);
-        let serial = Simulator::new(&cfg).run(&w).unwrap();
-        // A giant window maximizes same-round mutations (merge stalls); a
-        // sub-nanosecond window makes most rounds trivial. Neither may
-        // change any output byte — correctness is window-independent.
-        for window in [1e-12, 5e-3] {
-            let par = Simulator::new(&cfg)
-                .with_parallelism(Parallelism::Intra(4))
-                .with_frontier_window(window)
-                .run(&w)
-                .unwrap();
-            assert_eq!(report_bytes(&serial), report_bytes(&par), "window={window}");
-        }
-    }
-
-    #[test]
-    fn frontier_matches_serial_under_fault_plans() {
-        let cfg = config(4, 4);
-        let w = frontier_world(16, 1 << 16, 2);
-        let mut plan = FaultPlan::canonical(1234, 0.6);
-        plan.data = dpml_faults::DataFaults {
-            max_retransmits: 64,
-            ..dpml_faults::DataFaults::wire(0.02, 0.01)
-        };
-        let serial = Simulator::new(&cfg).with_faults(&plan).run(&w);
-        let par = Simulator::new(&cfg)
-            .with_faults(&plan)
-            .with_parallelism(Parallelism::Intra(4))
-            .run(&w);
-        match (serial, par) {
-            (Ok(a), Ok(b)) => assert_eq!(report_bytes(&a), report_bytes(&b)),
-            (Err(a), Err(b)) => assert_eq!(a, b),
-            (a, b) => panic!("outcomes diverged: {a:?} vs {b:?}"),
-        }
-    }
-
-    #[test]
-    fn frontier_structured_errors_match_serial() {
-        // A severed link must produce the same structured error under the
-        // frontier scheduler, including the diagnosed node.
-        let cfg = config(2, 1);
-        let w = exchange_world(1 << 20);
-        let plan = FaultPlan {
-            links: vec![LinkFault {
-                node: Some(1),
-                start: 0.0,
-                end: None,
-                bw_factor: 0.0,
-                msg_rate_factor: 1.0,
-            }],
-            ..FaultPlan::zero()
-        };
-        let serial = Simulator::new(&cfg).with_faults(&plan).run(&w).unwrap_err();
-        let par = Simulator::new(&cfg)
-            .with_faults(&plan)
-            .with_parallelism(Parallelism::Intra(4))
-            .run(&w)
-            .unwrap_err();
-        assert_eq!(serial, par);
-        assert!(matches!(serial, SimError::LinkDown { .. }));
     }
 }

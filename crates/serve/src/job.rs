@@ -10,8 +10,8 @@
 
 use dpml_core::algorithms::Algorithm;
 use dpml_core::checkpoint::{run_allreduce_checkpointed, ChunkControl, SweepCheckpoint, SweepEnd};
-use dpml_core::profile::profile_allreduce_with;
-use dpml_core::Parallelism;
+use dpml_core::profile::profile_allreduce;
+use dpml_core::RunOpts;
 use dpml_fabric::Preset;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -70,12 +70,6 @@ pub struct JobSpec {
     /// (exercises the catch_unwind / respawn / retry path end to end).
     #[serde(default)]
     pub panic_attempts: u32,
-    /// Intra-scenario parallelism mode for the engine. An *execution*
-    /// knob like `deadline_ms`: the frontier scheduler is bit-identical
-    /// to serial (DESIGN.md §16), so it is deliberately excluded from
-    /// the content digest and a parallel run hits the same cache line.
-    #[serde(default)]
-    pub parallelism: Parallelism,
 }
 
 impl JobSpec {
@@ -334,13 +328,10 @@ impl Default for JobCtx {
 }
 
 /// Map the remaining wall-clock deadline onto engine budgets.
-pub fn budgets_for(remaining_ms: Option<u64>) -> (Option<u64>, Option<f64>) {
-    match remaining_ms {
-        Some(ms) => (
-            Some(ms.saturating_mul(EVENTS_PER_DEADLINE_MS).max(1)),
-            Some(VIRTUAL_TIME_GUARD_S),
-        ),
-        None => (None, Some(VIRTUAL_TIME_GUARD_S)),
+pub fn budgets_for(remaining_ms: Option<u64>) -> RunOpts {
+    RunOpts {
+        event_budget: remaining_ms.map(|ms| ms.saturating_mul(EVENTS_PER_DEADLINE_MS).max(1)),
+        time_budget_s: Some(VIRTUAL_TIME_GUARD_S),
     }
 }
 
@@ -366,7 +357,7 @@ pub fn execute(spec: &JobSpec, ctx: &JobCtx, attempt: u32) -> JobOutcome {
 
     if spec.kind == JobKind::Profile {
         let (alg, bytes) = scenarios[0];
-        return match profile_allreduce_with(&preset, &cluster, alg, bytes, spec.parallelism) {
+        return match profile_allreduce(&preset, &cluster, alg, bytes) {
             Ok(run) => JobOutcome::Done(JobResult {
                 digest: spec.digest(),
                 scenarios: vec![ScenarioResult {
@@ -440,12 +431,7 @@ pub fn execute(spec: &JobSpec, ctx: &JobCtx, attempt: u32) -> JobOutcome {
                 });
                 return ChunkControl::Stop;
             }
-            let (event_budget, time_budget_s) = budgets_for(remaining);
-            ChunkControl::Proceed {
-                event_budget,
-                time_budget_s,
-                parallelism: spec.parallelism,
-            }
+            ChunkControl::Proceed(budgets_for(remaining))
         },
         |ck| {
             ctx.executed_scenarios
@@ -530,7 +516,6 @@ mod tests {
             sizes: vec![65536],
             deadline_ms: 0,
             panic_attempts: 0,
-            parallelism: Parallelism::Serial,
         }
     }
 
@@ -540,7 +525,6 @@ mod tests {
         let mut with_deadline = base.clone();
         with_deadline.deadline_ms = 500;
         with_deadline.panic_attempts = 2;
-        with_deadline.parallelism = Parallelism::Intra(4);
         assert_eq!(base.digest(), with_deadline.digest());
 
         let mut other_size = base.clone();
@@ -648,10 +632,13 @@ mod tests {
 
     #[test]
     fn budget_mapping_scales_with_remaining_deadline() {
-        assert_eq!(budgets_for(None).0, None);
-        assert_eq!(budgets_for(Some(100)).0, Some(100 * EVENTS_PER_DEADLINE_MS));
+        assert_eq!(budgets_for(None).event_budget, None);
+        assert_eq!(
+            budgets_for(Some(100)).event_budget,
+            Some(100 * EVENTS_PER_DEADLINE_MS)
+        );
         // A just-expired deadline still gets a positive (tiny) budget so
         // the engine error path, not an assert, reports it.
-        assert_eq!(budgets_for(Some(0)).0, Some(1));
+        assert_eq!(budgets_for(Some(0)).event_budget, Some(1));
     }
 }

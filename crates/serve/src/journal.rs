@@ -455,7 +455,6 @@ mod tests {
             sizes: vec![1024],
             deadline_ms: 0,
             panic_attempts: 0,
-            parallelism: Default::default(),
         }
     }
 

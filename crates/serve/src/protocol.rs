@@ -293,7 +293,6 @@ mod tests {
             sizes: vec![65536],
             deadline_ms: 0,
             panic_attempts: 0,
-            parallelism: Default::default(),
         }
     }
 

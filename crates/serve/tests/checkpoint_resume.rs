@@ -25,7 +25,6 @@ fn sweep_spec() -> JobSpec {
         sizes: (1..=10).map(|i| i * 4096).collect(),
         deadline_ms: 0,
         panic_attempts: 0,
-        parallelism: Default::default(),
     }
 }
 

@@ -26,7 +26,6 @@ fn spec(bytes: u64) -> JobSpec {
         sizes: vec![bytes],
         deadline_ms: 0,
         panic_attempts: 0,
-        parallelism: Default::default(),
     }
 }
 

@@ -6,8 +6,9 @@
 //! once — never zero times (lost), never twice (duplicated).
 
 use dpml_faults::splitmix64;
+use dpml_serve::frame::encode_frame;
 use dpml_serve::journal::{replay_bytes, Journal, Record};
-use dpml_serve::{start, Client, JobKind, JobSpec, ServeConfig};
+use dpml_serve::{start, Client, JobKind, JobOutcome, JobSpec, ServeConfig};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -22,7 +23,6 @@ fn spec(bytes: u64) -> JobSpec {
         sizes: vec![bytes],
         deadline_ms: 0,
         panic_attempts: 0,
-        parallelism: Default::default(),
     }
 }
 
@@ -245,6 +245,82 @@ fn daemon_restart_on_truncated_journal_finishes_survivors() {
                 "round {round} cut {cut}: job {id} must finish exactly once"
             );
         }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Admit records exactly as earlier daemons wrote them: every `JobSpec`
+/// carried a `parallelism` field (`"Serial"`, `{"Intra":n}` or `"Auto"`)
+/// that was left out of the digest. The field no longer exists; serde
+/// skips the unknown key, so these jobs must re-queue under the digests
+/// they were admitted with and finish exactly once.
+const LEGACY_ADMITS: [(u64, &str, &str); 3] = [
+    (
+        1,
+        "29e097bbef4bbe09ccb2a8bb",
+        r#"{"Admit":{"id":1,"digest":"29e097bbef4bbe09ccb2a8bb","spec":{"kind":"Simulate","preset":"b","nodes":2,"ppn":2,"algorithms":["ring"],"sizes":[1001],"deadline_ms":0,"panic_attempts":0,"parallelism":{"Intra":4}}}}"#,
+    ),
+    (
+        2,
+        "90b1b80eb02f606cefa7e50c",
+        r#"{"Admit":{"id":2,"digest":"90b1b80eb02f606cefa7e50c","spec":{"kind":"Sweep","preset":"b","nodes":2,"ppn":2,"algorithms":["ring","dpml:2"],"sizes":[1024,4096],"deadline_ms":0,"panic_attempts":0,"parallelism":"Auto"}}}"#,
+    ),
+    (
+        3,
+        "4ee6ce35cfd9dfee19681579",
+        r#"{"Admit":{"id":3,"digest":"4ee6ce35cfd9dfee19681579","spec":{"kind":"Profile","preset":"b","nodes":2,"ppn":2,"algorithms":["dpml:2"],"sizes":[65536],"deadline_ms":0,"panic_attempts":0,"parallelism":"Serial"}}}"#,
+    ),
+];
+
+#[test]
+fn legacy_admits_carrying_parallelism_requeue_under_the_same_digests() {
+    let path = temp("legacy");
+    let mut bytes = Vec::new();
+    for (_, _, json) in LEGACY_ADMITS {
+        bytes.extend(encode_frame(json.as_bytes()));
+    }
+    bytes.extend(encode_frame(br#"{"Start":{"id":1,"attempt":0}}"#));
+    std::fs::write(&path, &bytes).unwrap();
+
+    let replay = replay_bytes(&bytes);
+    assert_eq!(replay.corrupt_frames, 0, "every legacy record must parse");
+    assert!(!replay.torn_tail);
+    let pending = replay.pending();
+    assert_eq!(pending.len(), LEGACY_ADMITS.len());
+    for ((id, digest, spec), (want_id, want_digest, _)) in pending.iter().zip(LEGACY_ADMITS) {
+        assert_eq!((*id, digest.as_str()), (want_id, want_digest));
+        assert_eq!(spec.digest(), want_digest, "job {id}: digest moved");
+    }
+
+    // Boot a daemon on the legacy journal: the drain must finish every
+    // job exactly once (0 lost, 0 duplicated), under its original digest.
+    let handle = start(ServeConfig {
+        journal_path: path.clone(),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut c = Client::connect(handle.addr).unwrap();
+    c.set_timeout(Some(Duration::from_secs(60))).unwrap();
+    c.shutdown().unwrap();
+    assert_eq!(handle.wait(), 0);
+
+    let after = dpml_serve::journal::replay_file(&path).unwrap();
+    assert!(after.pending().is_empty());
+    let finished = after.finished();
+    for (id, digest, _) in LEGACY_ADMITS {
+        let outcomes: Vec<&JobOutcome> = finished
+            .iter()
+            .filter(|(fid, _)| *fid == id)
+            .map(|(_, o)| o)
+            .collect();
+        assert_eq!(outcomes.len(), 1, "job {id} must finish exactly once");
+        let JobOutcome::Done(res) = outcomes[0] else {
+            panic!("job {id}: expected Done, got {:?}", outcomes[0]);
+        };
+        assert_eq!(
+            res.digest, digest,
+            "job {id}: result filed under a new digest"
+        );
     }
     std::fs::remove_file(&path).ok();
 }

@@ -35,7 +35,6 @@ fn sim_spec(bytes: u64) -> JobSpec {
         sizes: vec![bytes],
         deadline_ms: 0,
         panic_attempts: 0,
-        parallelism: Default::default(),
     }
 }
 
@@ -50,7 +49,6 @@ fn slow_spec() -> JobSpec {
         sizes: vec![1 << 20, 2 << 20, 4 << 20],
         deadline_ms: 0,
         panic_attempts: 0,
-        parallelism: Default::default(),
     }
 }
 

@@ -39,7 +39,6 @@ fn sim_spec(bytes: u64) -> JobSpec {
         sizes: vec![bytes],
         deadline_ms: 0,
         panic_attempts: 0,
-        parallelism: Default::default(),
     }
 }
 

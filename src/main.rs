@@ -235,29 +235,11 @@ fn cmd_info() {
     println!("\nsizes accept K/M suffixes: 64, 4K, 2M");
 }
 
-/// Parse `--intra serial|auto|N` into the engine parallelism knob.
-/// Absent flag = serial, the historical behavior. Output is bit-identical
-/// either way (DESIGN.md §16); the knob only buys wall-clock time.
-fn parse_intra(args: &[String]) -> Result<dpml_core::Parallelism, CliError> {
-    match arg_value(args, "--intra") {
-        None => Ok(dpml_core::Parallelism::Serial),
-        Some(v) => dpml_core::Parallelism::parse(&v)
-            .map_err(|e| CliError::Usage(format!("bad --intra: {e}"))),
-    }
-}
-
 fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
     let (preset, spec) = cluster_and_spec(args)?;
     let alg = parse_algorithm(&arg_value(args, "--alg").ok_or("--alg required".to_string())?)?;
     let bytes = parse_bytes(&arg_value(args, "--bytes").ok_or("--bytes required".to_string())?)?;
-    let parallelism = parse_intra(args)?;
-    let rep = dpml_core::run::run_allreduce_with(
-        &preset,
-        &spec,
-        alg,
-        bytes,
-        &dpml_core::RunOpts::parallel(parallelism),
-    )?;
+    let rep = run_allreduce(&preset, &spec, alg, bytes)?;
     println!(
         "{} on {} ({} x {} = {} ranks), {} bytes:",
         alg.name(),
@@ -417,17 +399,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
             scenarios.push((a, bytes));
         }
     }
-    let parallelism = parse_intra(args)?;
-    // Split the machine between the inter-scenario rayon runner and each
-    // scenario's frontier pool (PoolPolicy owns the composition rule) —
-    // without this, `--intra` would oversubscribe hw × hw threads.
-    dpml_bench::PoolPolicy::detect(parallelism.threads()).apply();
-    let reports = dpml_core::run::run_allreduce_batch_with(
-        &preset,
-        &spec,
-        &scenarios,
-        &dpml_core::RunOpts::parallel(parallelism),
-    );
+    let reports = dpml_core::run::run_allreduce_batch(&preset, &spec, scenarios);
     let mut failures: Vec<(u64, String, String)> = Vec::new();
     for (i, &bytes) in sizes.iter().enumerate() {
         print!("{bytes:>8}");
@@ -1195,8 +1167,7 @@ fn main() {
             println!(
                 "usage: dpml <info|simulate|profile|sweep|compare|tune|app|faults|recover|integrity|serve|top|metrics|chaos> [options]\n\
                  try: dpml info\n     \
-                 dpml simulate --cluster c --nodes 16 --alg dpml:16 --bytes 64K \
-                 [--intra serial|auto|N]\n     \
+                 dpml simulate --cluster c --nodes 16 --alg dpml:16 --bytes 64K\n     \
                  dpml profile --cluster a --nodes 8 --alg dpml:4 --bytes 64K [--sweep]\n     \
                  dpml compare --cluster d --nodes 8 --bytes 512K\n     \
                  dpml tune --cluster b --nodes 8 --out tuned.json\n     \

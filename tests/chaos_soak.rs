@@ -15,7 +15,7 @@ use dpml::core::integrity::{
 use dpml::core::run::run_allreduce;
 use dpml::fabric::presets::all_presets;
 use dpml::faults::{DataFaults, FaultPlan};
-use dpml_bench::{sweep, PoolPolicy};
+use dpml_bench::sweep;
 
 fn matrix(ppn: u32) -> Vec<Algorithm> {
     let mut algs = vec![
@@ -57,11 +57,6 @@ fn matrix(ppn: u32) -> Vec<Algorithm> {
 #[test]
 #[ignore = "nightly chaos soak — run with `cargo test -- --ignored`"]
 fn chaos_soak_no_silent_escapes() {
-    // Soak scenarios run serial engines, so every hardware thread goes to
-    // the inter-scenario sweep side; deriving the split from PoolPolicy
-    // (rather than letting rayon default) keeps this test from
-    // oversubscribing hosts where an earlier test raised the intra knob.
-    PoolPolicy::detect(1).apply();
     let policy = IntegrityPolicy::default();
     let mut scenarios = Vec::new();
     for preset in all_presets() {
@@ -109,8 +104,6 @@ fn chaos_soak_no_silent_escapes() {
 #[test]
 #[ignore = "nightly full-matrix integrity — run with `cargo test -- --ignored`"]
 fn full_matrix_integrity_verifies_everywhere() {
-    // Same pool split as above: serial engines, all threads to the sweep.
-    PoolPolicy::detect(1).apply();
     let mut scenarios = Vec::new();
     for preset in all_presets() {
         for (nodes, ppn) in [(2u32, 2u32), (4, 4), (8, 8)] {

@@ -16,8 +16,7 @@
 //! shows exactly which cases moved, which is itself review signal.
 
 use dpml_core::algorithms::{Algorithm, FlatAlg};
-use dpml_core::profile::profile_allreduce_with;
-use dpml_core::Parallelism;
+use dpml_core::profile::profile_allreduce;
 use dpml_engine::CostKind;
 use dpml_fabric::{presets, Preset};
 use serde::{Deserialize, Serialize};
@@ -106,15 +105,9 @@ struct Goldens {
     cases: Vec<CaseDigest>,
 }
 
-fn digest_case(
-    tag: &str,
-    preset: &Preset,
-    alg: Algorithm,
-    bytes: u64,
-    parallelism: Parallelism,
-) -> CaseDigest {
+fn digest_case(tag: &str, preset: &Preset, alg: Algorithm, bytes: u64) -> CaseDigest {
     let spec = preset.spec(NODES, PPN).expect("golden cluster shape");
-    let run = profile_allreduce_with(preset, &spec, alg, bytes, parallelism)
+    let run = profile_allreduce(preset, &spec, alg, bytes)
         .unwrap_or_else(|e| panic!("golden case {tag}/{}/{bytes}: {e}", alg.name()));
     let report = &run.report;
     CaseDigest {
@@ -154,12 +147,12 @@ fn digest_case(
     }
 }
 
-fn compute_goldens(parallelism: Parallelism) -> Goldens {
+fn compute_goldens() -> Goldens {
     let mut cases = Vec::new();
     for (tag, preset) in clusters() {
         for alg in algorithms() {
             for &bytes in &SIZES {
-                cases.push(digest_case(tag, &preset, alg, bytes, parallelism));
+                cases.push(digest_case(tag, &preset, alg, bytes));
             }
         }
     }
@@ -174,25 +167,7 @@ fn compute_goldens(parallelism: Parallelism) -> Goldens {
 
 #[test]
 fn engine_reproduces_golden_digests_bit_exactly() {
-    check_against_goldens(Parallelism::Serial);
-}
-
-/// The causal-frontier scheduler must reproduce every golden digest at
-/// every thread count — same file, no re-bless permitted (DESIGN.md §16:
-/// intra-parallelism is a wall-clock knob, never a behavior knob).
-#[test]
-fn frontier_scheduler_reproduces_golden_digests_at_every_thread_count() {
-    if std::env::var("GOLDEN_BLESS").as_deref() == Ok("1") {
-        // Blessing is the serial test's job; digests are mode-invariant.
-        return;
-    }
-    for threads in [2usize, 4, 8] {
-        check_against_goldens(Parallelism::Intra(threads));
-    }
-}
-
-fn check_against_goldens(parallelism: Parallelism) {
-    let computed = compute_goldens(parallelism);
+    let computed = compute_goldens();
     assert_eq!(computed.cases.len(), 64, "the golden matrix is 4×8×2");
 
     if std::env::var("GOLDEN_BLESS").as_deref() == Ok("1") {
@@ -234,7 +209,7 @@ fn check_against_goldens(parallelism: Parallelism) {
     }
     assert!(
         mismatches.is_empty(),
-        "{} of {} golden cases diverged under {parallelism} (bit-exact check):\n{}",
+        "{} of {} golden cases diverged (bit-exact check):\n{}",
         mismatches.len(),
         golden.cases.len(),
         mismatches.join("\n")
