@@ -5,8 +5,8 @@
 //! EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dpml_bench::latency_us;
 use dpml_core::algorithms::{Algorithm, FlatAlg};
-use dpml_core::run::run_allreduce;
 use dpml_core::selector::Library;
 use dpml_fabric::presets::{cluster_a, cluster_b, cluster_c};
 use dpml_workloads::app::run_app;
@@ -21,18 +21,15 @@ fn bench_leader_sweep_path(c: &mut Criterion) {
     for leaders in [1u32, 16] {
         g.bench_with_input(BenchmarkId::new("dpml_64k", leaders), &leaders, |b, &l| {
             b.iter(|| {
-                black_box(
-                    run_allreduce(
-                        &preset,
-                        &spec,
-                        Algorithm::Dpml {
-                            leaders: l,
-                            inner: FlatAlg::RecursiveDoubling,
-                        },
-                        64 * 1024,
-                    )
-                    .unwrap(),
-                )
+                black_box(latency_us(
+                    &preset,
+                    &spec,
+                    Algorithm::Dpml {
+                        leaders: l,
+                        inner: FlatAlg::RecursiveDoubling,
+                    },
+                    64 * 1024,
+                ))
             });
         });
     }
@@ -48,7 +45,7 @@ fn bench_library_dispatch_path(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("lib_64k", lib.name()), &lib, |b, lib| {
             b.iter(|| {
                 let alg = lib.choose(&preset, &spec, 64 * 1024);
-                black_box(run_allreduce(&preset, &spec, alg, 64 * 1024).unwrap())
+                black_box(latency_us(&preset, &spec, alg, 64 * 1024))
             });
         });
     }
@@ -62,7 +59,12 @@ fn bench_sharp_path(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("sharp_socket_256b", |b| {
         b.iter(|| {
-            black_box(run_allreduce(&preset, &spec, Algorithm::SharpSocketLeader, 256).unwrap())
+            black_box(latency_us(
+                &preset,
+                &spec,
+                Algorithm::SharpSocketLeader,
+                256,
+            ))
         });
     });
     g.finish();

@@ -10,7 +10,7 @@
 
 use dpml_bench::{arg_num, fmt_bytes, fmt_us, save_results, Table};
 use dpml_core::algorithms::{Algorithm, FlatAlg};
-use dpml_core::run::run_allreduce_placed;
+use dpml_core::run::{run, Exec, Scenario};
 use dpml_fabric::presets::cluster_b;
 use dpml_topology::Placement;
 use serde::Serialize;
@@ -49,10 +49,15 @@ fn main() {
     ]);
     for alg in algs {
         for bytes in [4 * 1024u64, 256 * 1024] {
-            let block = run_allreduce_placed(&preset, &spec, Placement::Block, alg, bytes)
+            let scenario = Scenario::new(&preset, &spec, alg, bytes);
+            let block = run(&scenario, &Exec::default())
                 .expect("block run")
                 .latency_us;
-            let cyclic = run_allreduce_placed(&preset, &spec, Placement::Cyclic, alg, bytes)
+            let cyclic = Scenario {
+                placement: Placement::Cyclic,
+                ..scenario
+            };
+            let cyclic = run(&cyclic, &Exec::default())
                 .expect("cyclic run")
                 .latency_us;
             table.row([

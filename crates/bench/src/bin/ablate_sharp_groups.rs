@@ -12,12 +12,11 @@
 use dpml_bench::{arg_num, fmt_bytes, fmt_us, save_results, Table};
 use dpml_core::algorithms::extensions::emit_sharp_per_dpml_leader;
 use dpml_core::algorithms::Algorithm;
-use dpml_core::run::run_allreduce;
+use dpml_core::run::{run, simulate, Exec, Scenario};
 use dpml_engine::program::{ByteRange, ProgramBuilder, WorldProgram};
-use dpml_engine::{SimConfig, Simulator};
 use dpml_fabric::presets::cluster_a;
 use dpml_fabric::SharpParams;
-use dpml_sharp::{GroupRegistry, SharpFabric};
+use dpml_sharp::GroupRegistry;
 use dpml_topology::RankMap;
 use serde::Serialize;
 
@@ -30,21 +29,20 @@ struct Point {
 }
 
 fn run_per_leader(nodes: u32, leaders: u32, bytes: u64, max_ops: u32) -> f64 {
-    let preset = cluster_a();
+    let mut preset = cluster_a();
+    preset
+        .fabric
+        .sharp
+        .as_mut()
+        .expect("sharp")
+        .max_concurrent_ops = max_ops;
     let spec = preset.spec(nodes, 28).expect("spec");
     let map = RankMap::block(&spec);
-    let cfg = SimConfig::new(map.clone(), preset.fabric.clone(), preset.switch).expect("topology");
-    let mut params = preset.fabric.sharp.expect("sharp");
-    params.max_concurrent_ops = max_ops;
-    let oracle = SharpFabric::new(params, cfg.tree.clone(), map.clone());
     let mut w = WorldProgram::new(map.world_size(), bytes);
     let mut b = ProgramBuilder::new();
     emit_sharp_per_dpml_leader(&mut w, &mut b, &map, ByteRange::whole(bytes), leaders)
         .expect("build");
-    let rep = Simulator::new(&cfg)
-        .with_sharp(&oracle)
-        .run(&w)
-        .expect("run");
+    let rep = simulate(&preset, &map, &w, &Exec::default()).expect("run");
     rep.verify_allreduce().expect("verified");
     rep.latency_us()
 }
@@ -84,12 +82,18 @@ fn main() {
         "per-leader l=8",
     ]);
     for bytes in [256u64, 1024, 4096] {
-        let socket = run_allreduce(&preset, &spec, Algorithm::SharpSocketLeader, bytes)
-            .expect("socket")
-            .latency_us;
-        let node = run_allreduce(&preset, &spec, Algorithm::SharpNodeLeader, bytes)
-            .expect("node")
-            .latency_us;
+        let socket = run(
+            &Scenario::new(&preset, &spec, Algorithm::SharpSocketLeader, bytes),
+            &Exec::default(),
+        )
+        .expect("socket")
+        .latency_us;
+        let node = run(
+            &Scenario::new(&preset, &spec, Algorithm::SharpNodeLeader, bytes),
+            &Exec::default(),
+        )
+        .expect("node")
+        .latency_us;
         let l4 = run_per_leader(nodes, 4, bytes, 2);
         let l8 = run_per_leader(nodes, 8, bytes, 2);
         table.row([

@@ -3,7 +3,7 @@
 //! `perf` row).
 //!
 //! Every sweep point compiles, simulates, and verifies one allreduce via
-//! [`run_allreduce`] and reports the discrete-event throughput
+//! [`run`] and reports the discrete-event throughput
 //! (`stats.events / wall`). The matrix deliberately includes the
 //! engine's worst case — `ring` at the largest shape and size, where the
 //! flow count and coverage-map pressure peak — so regressions on the hot
@@ -29,7 +29,7 @@
 
 use dpml_bench::{arg_flag, arg_num, arg_value, fmt_bytes, save_results, sweep, Table};
 use dpml_core::algorithms::{Algorithm, FlatAlg};
-use dpml_core::run::run_allreduce;
+use dpml_core::run::{run, Exec, Scenario};
 use dpml_engine::flight;
 use dpml_fabric::{presets, Preset};
 use serde::Serialize;
@@ -138,9 +138,10 @@ fn main() {
         let mut rep = None;
         for _ in 0..reps.max(1) {
             let start = Instant::now();
-            let r = run_allreduce(&preset, &spec, alg, bytes).unwrap_or_else(|e| {
-                panic!("cluster {tag} {nodes}x{ppn} {} @ {bytes}: {e}", alg.name())
-            });
+            let r = run(&Scenario::new(&preset, &spec, alg, bytes), &Exec::default())
+                .unwrap_or_else(|e| {
+                    panic!("cluster {tag} {nodes}x{ppn} {} @ {bytes}: {e}", alg.name())
+                });
             wall = wall.min(start.elapsed().as_secs_f64());
             rep = Some(r);
         }

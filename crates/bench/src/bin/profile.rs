@@ -16,6 +16,7 @@ use dpml_bench::microbench::{multi_pair_critical_path, PairPlacement};
 use dpml_bench::{fmt_bytes, save_results, Table};
 use dpml_core::algorithms::{Algorithm, FlatAlg};
 use dpml_core::profile::{profile_allreduce, ProfileReport};
+use dpml_core::run::Scenario;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -61,7 +62,8 @@ fn allreduce_section(out: &mut Vec<ClusterProfile>) {
             inner: FlatAlg::RecursiveDoubling,
         };
         for &bytes in &sizes {
-            let run = profile_allreduce(&preset, &spec, alg, bytes).expect("profiled run");
+            let run = profile_allreduce(&Scenario::new(&preset, &spec, alg, bytes))
+                .expect("profiled run");
             let top_phase = run
                 .profile
                 .phases

@@ -12,10 +12,9 @@
 //!
 //! Usage: `recovery [--nodes N]`
 
-use dpml_bench::{arg_num, fmt_bytes, fmt_us, save_results, Table};
+use dpml_bench::{arg_num, fmt_bytes, fmt_us, latency_us, save_results, Table};
 use dpml_core::algorithms::{Algorithm, FlatAlg};
 use dpml_core::heal::{run_dpml_failstop, FailstopOutcome};
-use dpml_core::run::run_allreduce;
 use dpml_fabric::presets::cluster_a;
 use dpml_faults::{FaultPlan, ProcessFaults};
 use serde::Serialize;
@@ -67,9 +66,7 @@ fn main() {
                 leaders,
                 inner: FlatAlg::RecursiveDoubling,
             };
-            let clean_us = run_allreduce(&preset, &spec, alg, bytes)
-                .expect("clean run")
-                .latency_us;
+            let clean_us = latency_us(&preset, &spec, alg, bytes);
             // Leader index 1 on node 1 (leaders sit at locals j*ppn/l).
             let crash_rank = ppn + ppn / leaders;
             for frac in CRASH_FRACS {

@@ -1,14 +1,14 @@
 //! Shared runner + tiny CLI helpers for the figure binaries.
 
 use dpml_core::algorithms::Algorithm;
-use dpml_core::run::run_allreduce;
+use dpml_core::run::{run, Exec, Scenario};
 use dpml_fabric::Preset;
 use dpml_topology::ClusterSpec;
 
 /// Run one verified allreduce and return its latency in microseconds.
 /// Panics with context on any failure — figure harnesses should be loud.
 pub fn latency_us(preset: &Preset, spec: &ClusterSpec, alg: Algorithm, bytes: u64) -> f64 {
-    run_allreduce(preset, spec, alg, bytes)
+    run(&Scenario::new(preset, spec, alg, bytes), &Exec::default())
         .unwrap_or_else(|e| {
             panic!(
                 "cluster {} {}x{} {} @ {} bytes: {e}",

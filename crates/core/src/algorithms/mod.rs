@@ -341,12 +341,41 @@ mod tests {
 
     #[test]
     fn needs_sharp_only_for_sharp_designs() {
+        // `run::simulate` attaches the SHArP oracle when the compiled
+        // world has SHArP groups; that must be exactly the SHArP designs.
+        let preset = dpml_fabric::presets::cluster_a();
+        let all = [
+            Algorithm::RecursiveDoubling,
+            Algorithm::Rabenseifner,
+            Algorithm::Ring,
+            Algorithm::BinomialReduceBcast,
+            Algorithm::SingleLeader {
+                inner: FlatAlg::RecursiveDoubling,
+            },
+            Algorithm::Dpml {
+                leaders: 4,
+                inner: FlatAlg::Ring,
+            },
+            Algorithm::DpmlPipelined {
+                leaders: 4,
+                chunks: 2,
+            },
+            Algorithm::SharpNodeLeader,
+            Algorithm::SharpSocketLeader,
+        ];
+        for nodes in [1, 4] {
+            let map = RankMap::block(&preset.spec(nodes, 8).unwrap());
+            for alg in all {
+                let world = alg.build(&map, 4096).unwrap();
+                assert_eq!(
+                    alg.needs_sharp(),
+                    !world.sharp_groups.is_empty(),
+                    "{} on {nodes} node(s)",
+                    alg.name()
+                );
+            }
+        }
         assert!(Algorithm::SharpNodeLeader.needs_sharp());
         assert!(Algorithm::SharpSocketLeader.needs_sharp());
-        assert!(!Algorithm::Dpml {
-            leaders: 4,
-            inner: FlatAlg::Ring
-        }
-        .needs_sharp());
     }
 }

@@ -22,7 +22,7 @@
 //! from the stored cells and rejects any checkpoint whose cursor does
 //! not reproduce.
 
-use crate::run::{AllreduceReport, RunError, RunOpts};
+use crate::run::{run_batch, AllreduceReport, Exec, RunError};
 use dpml_fabric::Preset;
 use dpml_faults::{fnv1a64, splitmix64};
 use dpml_topology::ClusterSpec;
@@ -249,7 +249,7 @@ impl SweepCheckpoint {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChunkControl {
     /// Run the next chunk under the given engine budgets.
-    Proceed(RunOpts),
+    Proceed(Exec<'static>),
     /// Stop before the next chunk (cancellation, deadline, shutdown).
     Stop,
 }
@@ -289,14 +289,14 @@ pub fn run_allreduce_checkpointed(
     );
     let chunk = ckpt.chunk.max(1) as usize;
     while (ckpt.next_index as usize) < scenarios.len() {
-        let opts = match control(ckpt) {
+        let exec = match control(ckpt) {
             ChunkControl::Stop => return SweepEnd::Stopped,
-            ChunkControl::Proceed(opts) => opts,
+            ChunkControl::Proceed(exec) => exec,
         };
         let start = ckpt.next_index as usize;
         let end = (start + chunk).min(scenarios.len());
         let batch = &scenarios[start..end];
-        let results = crate::run::run_allreduce_batch_with(preset, spec, batch, &opts);
+        let results = run_batch(preset, spec, batch, &exec);
         let cells = batch
             .iter()
             .zip(results.iter())
@@ -345,9 +345,10 @@ mod tests {
             &mut ckpt,
             |ck| match stop_after {
                 Some(n) if ck.next_index >= n => ChunkControl::Stop,
-                _ => ChunkControl::Proceed(RunOpts {
+                _ => ChunkControl::Proceed(Exec {
                     event_budget: None,
                     time_budget_s: Some(10.0),
+                    ..Exec::default()
                 }),
             },
             |_| {},
@@ -385,9 +386,10 @@ mod tests {
                 &scen,
                 &mut partial,
                 |_| {
-                    ChunkControl::Proceed(RunOpts {
+                    ChunkControl::Proceed(Exec {
                         event_budget: None,
                         time_budget_s: Some(10.0),
+                        ..Exec::default()
                     })
                 },
                 |_| executed += 1,
@@ -443,9 +445,10 @@ mod tests {
             &scen,
             &mut ckpt,
             |_| {
-                ChunkControl::Proceed(RunOpts {
+                ChunkControl::Proceed(Exec {
                     event_budget: Some(3),
                     time_budget_s: None,
+                    ..Exec::default()
                 })
             },
             |_| {},

@@ -40,10 +40,9 @@
 
 use crate::algorithms::flat::emit_flat_range;
 use crate::algorithms::{Algorithm, FlatAlg};
-use crate::resilience::run_allreduce_faulted;
-use crate::run::{AllreduceReport, RunError};
+use crate::run::{run, simulate, AllreduceReport, Exec, RunError, Scenario};
 use dpml_engine::program::{BufKey, ByteRange, ProgramBuilder, BUF_RESULT};
-use dpml_engine::{CoverageMap, Instr, PendingOp, SimConfig, SimError, Simulator, WorldProgram};
+use dpml_engine::{CoverageMap, Instr, PendingOp, SimError, WorldProgram};
 use dpml_fabric::Preset;
 use dpml_faults::{FaultPlan, ProcessFaults};
 use dpml_topology::{ClusterSpec, LeaderPolicy, LeaderSet, NodeId, Rank, RankMap};
@@ -153,41 +152,34 @@ pub fn run_dpml_failstop(
     bytes: u64,
     plan: &FaultPlan,
 ) -> Result<FailstopOutcome, RunError> {
-    let alg = Algorithm::Dpml { leaders, inner };
-    match run_allreduce_faulted(preset, spec, alg, bytes, plan) {
+    let scenario = Scenario::new(preset, spec, Algorithm::Dpml { leaders, inner }, bytes);
+    match run(&scenario, &Exec::faulted(plan, 0)) {
         Ok(report) => Ok(FailstopOutcome::Clean { report }),
         Err(RunError::Sim(SimError::RankDead {
             rank,
             time,
             pending_ops,
-        })) => heal_after_crash(
-            preset,
-            spec,
-            leaders,
-            inner,
-            bytes,
-            plan,
-            rank,
-            time,
-            &pending_ops,
-        ),
+        })) => heal_after_crash(&scenario, leaders, inner, plan, rank, time, &pending_ops),
         Err(e) => Err(e),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn heal_after_crash(
-    preset: &Preset,
-    spec: &ClusterSpec,
+    scenario: &Scenario,
     leaders: u32,
     inner: FlatAlg,
-    bytes: u64,
     plan: &FaultPlan,
     first_rank: u32,
     time: f64,
     pending_ops: &[PendingOp],
 ) -> Result<FailstopOutcome, RunError> {
-    let alg = Algorithm::Dpml { leaders, inner };
+    let Scenario {
+        preset,
+        spec,
+        alg,
+        bytes,
+        ..
+    } = *scenario;
     // The continuation (and the hypothetical restart) run after the
     // crash; they see the plan's noise and link faults but no further
     // process deaths.
@@ -195,7 +187,7 @@ fn heal_after_crash(
         process: ProcessFaults::default(),
         ..plan.clone()
     };
-    let clean = run_allreduce_faulted(preset, spec, alg, bytes, &scrubbed)?;
+    let clean = run(scenario, &Exec::faulted(&scrubbed, 0))?;
     let detected_at_us = (time + plan.process.detection_timeout) * 1e6;
     let cold_restart_latency_us = detected_at_us + clean.latency_us;
 
@@ -276,8 +268,7 @@ fn heal_after_crash(
         .collect();
 
     let cont = build_continuation(&map, &set, &healed, &parts, bytes, &dead, &affected, inner);
-    let cfg = SimConfig::new(map.clone(), preset.fabric.clone(), preset.switch)?;
-    let report = Simulator::new(&cfg).with_faults(&scrubbed).run(&cont)?;
+    let report = simulate(preset, &map, &cont, &Exec::faulted(&scrubbed, 0))?;
     report.verify_allreduce_excluding(&dead)?;
 
     let mut replanned: Vec<u32> = affected
@@ -500,7 +491,7 @@ mod tests {
             leaders: 2,
             inner: FlatAlg::RecursiveDoubling,
         };
-        let clean = crate::run::run_allreduce(&p, &spec, alg, 64 * 1024).unwrap();
+        let clean = run(&Scenario::new(&p, &spec, alg, 64 * 1024), &Exec::default()).unwrap();
         let out = run_dpml_failstop(
             &p,
             &spec,
@@ -526,7 +517,7 @@ mod tests {
             inner: FlatAlg::RecursiveDoubling,
         };
         // Crash mid-phase-3: past the deposits, before completion.
-        let clean_us = crate::run::run_allreduce(&p, &spec, alg, 1 << 20)
+        let clean_us = run(&Scenario::new(&p, &spec, alg, 1 << 20), &Exec::default())
             .unwrap()
             .latency_us;
         // Rank 6 = node 1, local 2 = leader index 1 under PerNode(2)
@@ -568,7 +559,7 @@ mod tests {
             leaders: 2,
             inner: FlatAlg::RecursiveDoubling,
         };
-        let clean_us = crate::run::run_allreduce(&p, &spec, alg, 1 << 18)
+        let clean_us = run(&Scenario::new(&p, &spec, alg, 1 << 18), &Exec::default())
             .unwrap()
             .latency_us;
         // Rank 3 = node 0, local 3: not a leader under PerNode(2).
@@ -644,11 +635,9 @@ mod tests {
             FlatAlg::Rabenseifner,
             FlatAlg::Ring,
         ] {
-            let clean_us = crate::run::run_allreduce(
-                &p,
-                &spec,
-                Algorithm::Dpml { leaders: 4, inner },
-                1 << 20,
+            let clean_us = run(
+                &Scenario::new(&p, &spec, Algorithm::Dpml { leaders: 4, inner }, 1 << 20),
+                &Exec::default(),
             )
             .unwrap()
             .latency_us;

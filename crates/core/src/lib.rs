@@ -45,8 +45,6 @@ pub use integrity::{
     LadderRung, PartitionRecovery, VerifiedError,
 };
 pub use profile::{profile_allreduce, CostBreakdown, PhaseBreakdown, ProfileReport, ProfiledRun};
-pub use resilience::{
-    run_allreduce_faulted, run_allreduce_resilient, FaultPolicy, ResilientReport,
-};
-pub use run::{run_allreduce, run_allreduce_with, AllreduceReport, RunOpts};
+pub use resilience::{run_allreduce_resilient, FaultPolicy, ResilientReport};
+pub use run::{run, run_batch, simulate, AllreduceReport, Exec, RunError, Scenario};
 pub use selector::{FabricHealth, Library};

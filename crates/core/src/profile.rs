@@ -1,7 +1,7 @@
 //! One-call critical-path profiling: run a traced collective and decompose
 //! its makespan into algorithm phases and bottleneck costs.
 //!
-//! [`profile_allreduce`] is [`crate::run_allreduce`] with tracing enabled:
+//! [`profile_allreduce`] is [`crate::run::run`] with tracing enabled:
 //! the engine records every span, message and release edge, the
 //! critical-path walker ([`dpml_engine::CriticalPath`]) attributes the
 //! makespan to {latency, injection, message rate, per-flow bandwidth,
@@ -9,12 +9,8 @@
 //! serializable [`ProfileReport`] — the payload behind `dpml profile` and
 //! `results/profile.json`.
 
-use crate::algorithms::Algorithm;
-use crate::run::RunError;
-use dpml_engine::{CostKind, CriticalPath, Phase, RunReport, SimConfig, Simulator, Zone};
-use dpml_fabric::Preset;
-use dpml_sharp::SharpFabric;
-use dpml_topology::{ClusterSpec, RankMap};
+use crate::run::{run, AllreduceReport, Exec, RunError, Scenario};
+use dpml_engine::{CostKind, CriticalPath, Phase, RunReport, Zone};
 use serde::{Deserialize, Serialize};
 
 /// Time attributed to one algorithm phase.
@@ -80,32 +76,23 @@ impl ProfiledRun {
     }
 }
 
-/// Compile `alg` for `bytes`, simulate it with tracing, verify the result,
-/// and attribute the makespan. Block placement, as in the paper.
-pub fn profile_allreduce(
-    preset: &Preset,
-    spec: &ClusterSpec,
-    alg: Algorithm,
-    bytes: u64,
-) -> Result<ProfiledRun, RunError> {
-    let map = RankMap::block(spec);
-    let cfg = SimConfig::new(map.clone(), preset.fabric.clone(), preset.switch)?;
-    let world = alg.build(&map, bytes)?;
-    let report = if alg.needs_sharp() {
-        let params = preset.fabric.sharp.ok_or(RunError::NoSharpOnFabric)?;
-        let oracle = SharpFabric::new(params, cfg.tree.clone(), map);
-        Simulator::new(&cfg)
-            .with_sharp(&oracle)
-            .with_trace()
-            .run(&world)?
-    } else {
-        Simulator::new(&cfg).with_trace().run(&world)?
+/// [`run`] the scenario with tracing, then attribute the makespan.
+pub fn profile_allreduce(scenario: &Scenario) -> Result<ProfiledRun, RunError> {
+    let exec = Exec {
+        trace: true,
+        ..Exec::default()
     };
-    report.verify_allreduce()?;
+    let AllreduceReport {
+        algorithm,
+        bytes,
+        latency_us,
+        report,
+    } = run(scenario, &exec)?;
 
     let trace = report.trace.as_ref().expect("traced run carries a trace");
     let makespan = report.makespan().seconds();
-    let critical = CriticalPath::from_trace(trace, makespan, preset.fabric.nic.per_flow_bw);
+    let critical =
+        CriticalPath::from_trace(trace, makespan, scenario.preset.fabric.nic.per_flow_bw);
 
     let phases = Phase::ALL
         .iter()
@@ -126,11 +113,11 @@ pub fn profile_allreduce(
         .collect();
 
     let profile = ProfileReport {
-        algorithm: alg.name(),
+        algorithm,
         bytes,
-        nodes: spec.num_nodes,
-        ppn: spec.ppn,
-        latency_us: report.latency_us(),
+        nodes: scenario.spec.num_nodes,
+        ppn: scenario.spec.ppn,
+        latency_us,
         zone: critical.zone().name().to_string(),
         dominant: critical.dominant().name().to_string(),
         phases,
@@ -147,7 +134,7 @@ pub fn profile_allreduce(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::FlatAlg;
+    use crate::algorithms::{Algorithm, FlatAlg};
     use dpml_fabric::presets::{cluster_a, cluster_b};
 
     #[test]
@@ -158,7 +145,7 @@ mod tests {
             leaders: 4,
             inner: FlatAlg::RecursiveDoubling,
         };
-        let run = profile_allreduce(&p, &spec, alg, 65536).unwrap();
+        let run = profile_allreduce(&Scenario::new(&p, &spec, alg, 65536)).unwrap();
         let makespan = run.report.makespan().seconds();
         assert!(
             (run.critical.total() - makespan).abs() < 1e-9,
@@ -179,7 +166,7 @@ mod tests {
             leaders: 2,
             inner: FlatAlg::Ring,
         };
-        let run = profile_allreduce(&p, &spec, alg, 4096).unwrap();
+        let run = profile_allreduce(&Scenario::new(&p, &spec, alg, 4096)).unwrap();
         assert!(run.profile.phases.iter().all(|row| row.phase != "unknown"));
     }
 
@@ -187,7 +174,8 @@ mod tests {
     fn sharp_profile_reports_sharp_phase() {
         let p = cluster_a();
         let spec = p.spec(4, 4).unwrap();
-        let run = profile_allreduce(&p, &spec, Algorithm::SharpSocketLeader, 1024).unwrap();
+        let scenario = Scenario::new(&p, &spec, Algorithm::SharpSocketLeader, 1024);
+        let run = profile_allreduce(&scenario).unwrap();
         assert!(run.profile.phases.iter().any(|row| row.phase == "sharp"));
     }
 }

@@ -9,7 +9,7 @@
 //! the hand-written [`crate::selector::Library::DpmlTuned`] tables.
 
 use crate::algorithms::{Algorithm, FlatAlg};
-use crate::run::run_allreduce;
+use crate::run::{run, Exec, Scenario};
 use dpml_fabric::Preset;
 use dpml_topology::ClusterSpec;
 use serde::{Deserialize, Serialize};
@@ -102,7 +102,7 @@ pub fn tune(
     for &bytes in sizes {
         let mut best: Option<(Algorithm, f64)> = None;
         for &alg in candidates {
-            let Ok(rep) = run_allreduce(preset, spec, alg, bytes) else {
+            let Ok(rep) = run(&Scenario::new(preset, spec, alg, bytes), &Exec::default()) else {
                 continue; // e.g. leaders > ppn on small shapes
             };
             if best.is_none_or(|(_, b)| rep.latency_us < b) {
@@ -142,7 +142,10 @@ mod tests {
         assert_eq!(table.entries.len(), 3);
         for e in &table.entries {
             for &alg in &cands {
-                if let Ok(rep) = run_allreduce(&preset, &spec, alg, e.max_bytes) {
+                if let Ok(rep) = run(
+                    &Scenario::new(&preset, &spec, alg, e.max_bytes),
+                    &Exec::default(),
+                ) {
                     assert!(
                         e.latency_us <= rep.latency_us + 1e-9,
                         "{}B: table {} ({:.1}us) worse than {} ({:.1}us)",

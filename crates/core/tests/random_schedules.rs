@@ -4,7 +4,7 @@
 //! schedule bugs (missing waits, wrong partitions, tag collisions).
 
 use dpml_core::algorithms::{Algorithm, FlatAlg};
-use dpml_core::run::run_allreduce;
+use dpml_core::run::{run, Exec, Scenario};
 use dpml_fabric::presets::{cluster_a, cluster_b, cluster_d};
 use proptest::prelude::*;
 
@@ -43,7 +43,7 @@ proptest! {
         let preset = cluster_b();
         let spec = preset.spec(nodes, ppn).expect("spec");
         let alg = pick_algorithm(alg_pick, flat_pick, 1 + l_seed % ppn, k);
-        let rep = run_allreduce(&preset, &spec, alg, bytes)
+        let rep = run(&Scenario::new(&preset, &spec, alg, bytes), &Exec::default())
             .unwrap_or_else(|e| panic!("{nodes}x{ppn} {bytes}B {}: {e}", alg.name()));
         prop_assert!(rep.latency_us > 0.0);
     }
@@ -73,7 +73,7 @@ proptest! {
             5 => Algorithm::Dpml { leaders, inner: FlatAlg::RecursiveDoubling },
             _ => Algorithm::DpmlPipelined { leaders, chunks: k },
         };
-        run_allreduce(&preset, &spec, alg, bytes)
+        run(&Scenario::new(&preset, &spec, alg, bytes), &Exec::default())
             .unwrap_or_else(|e| panic!("{nodes}x{ppn} {bytes}B {}: {e}", alg.name()));
     }
 
@@ -91,7 +91,7 @@ proptest! {
         } else {
             Algorithm::SharpNodeLeader
         };
-        run_allreduce(&preset, &spec, alg, bytes)
+        run(&Scenario::new(&preset, &spec, alg, bytes), &Exec::default())
             .unwrap_or_else(|e| panic!("{nodes}x{ppn} {bytes}B {}: {e}", alg.name()));
     }
 }

@@ -11,7 +11,7 @@
 use dpml_core::algorithms::Algorithm;
 use dpml_core::checkpoint::{run_allreduce_checkpointed, ChunkControl, SweepCheckpoint, SweepEnd};
 use dpml_core::profile::profile_allreduce;
-use dpml_core::RunOpts;
+use dpml_core::{Exec, Scenario};
 use dpml_fabric::Preset;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -328,10 +328,11 @@ impl Default for JobCtx {
 }
 
 /// Map the remaining wall-clock deadline onto engine budgets.
-pub fn budgets_for(remaining_ms: Option<u64>) -> RunOpts {
-    RunOpts {
+pub fn budgets_for(remaining_ms: Option<u64>) -> Exec<'static> {
+    Exec {
         event_budget: remaining_ms.map(|ms| ms.saturating_mul(EVENTS_PER_DEADLINE_MS).max(1)),
         time_budget_s: Some(VIRTUAL_TIME_GUARD_S),
+        ..Exec::default()
     }
 }
 
@@ -357,7 +358,7 @@ pub fn execute(spec: &JobSpec, ctx: &JobCtx, attempt: u32) -> JobOutcome {
 
     if spec.kind == JobKind::Profile {
         let (alg, bytes) = scenarios[0];
-        return match profile_allreduce(&preset, &cluster, alg, bytes) {
+        return match profile_allreduce(&Scenario::new(&preset, &cluster, alg, bytes)) {
             Ok(run) => JobOutcome::Done(JobResult {
                 digest: spec.digest(),
                 scenarios: vec![ScenarioResult {

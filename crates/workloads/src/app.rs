@@ -1,10 +1,9 @@
 //! Generic application profile: compute steps interleaved with allreduces.
 
 use dpml_core::algorithms::{Algorithm, BuildError};
+use dpml_core::run::{simulate, Exec, RunError};
 use dpml_engine::program::{ByteRange, ProgramBuilder, WorldProgram};
-use dpml_engine::{SimConfig, Simulator};
 use dpml_fabric::Preset;
-use dpml_sharp::SharpFabric;
 use dpml_topology::{ClusterSpec, RankMap};
 use serde::{Deserialize, Serialize};
 
@@ -101,29 +100,6 @@ pub fn build_app(
     Ok(w)
 }
 
-/// Application-run failure.
-#[derive(Debug)]
-pub enum AppError {
-    /// The cluster/switch description itself was invalid.
-    Topology(dpml_topology::TopologyError),
-    /// Schedule compilation failed.
-    Build(BuildError),
-    /// Simulation failed.
-    Sim(dpml_engine::sim::SimError),
-}
-
-impl std::fmt::Display for AppError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AppError::Topology(e) => write!(f, "topology: {e}"),
-            AppError::Build(e) => write!(f, "build: {e}"),
-            AppError::Sim(e) => write!(f, "simulation: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for AppError {}
-
 /// Simulate an application profile on a cluster with a per-size algorithm
 /// choice.
 pub fn run_app(
@@ -131,25 +107,10 @@ pub fn run_app(
     spec: &ClusterSpec,
     profile: &AppProfile,
     choose: &dyn Fn(u64) -> Algorithm,
-) -> Result<AppReport, AppError> {
+) -> Result<AppReport, RunError> {
     let map = RankMap::block(spec);
-    let cfg = SimConfig::new(map.clone(), preset.fabric.clone(), preset.switch)
-        .map_err(AppError::Topology)?;
-    let world = build_app(&map, profile, choose).map_err(AppError::Build)?;
-    let needs_sharp = !world.sharp_groups.is_empty();
-    let report = if needs_sharp {
-        let params = preset
-            .fabric
-            .sharp
-            .expect("SHArP design needs a SHArP fabric");
-        let oracle = SharpFabric::new(params, cfg.tree.clone(), map);
-        Simulator::new(&cfg)
-            .with_sharp(&oracle)
-            .run(&world)
-            .map_err(AppError::Sim)?
-    } else {
-        Simulator::new(&cfg).run(&world).map_err(AppError::Sim)?
-    };
+    let world = build_app(&map, profile, choose)?;
+    let report = simulate(preset, &map, &world, &Exec::default())?;
     let total_us = report.latency_us();
     let compute_us = profile.compute_seconds() * 1e6;
     Ok(AppReport {
@@ -225,5 +186,13 @@ mod tests {
         let rep = run_app(&preset, &spec, &p, &|_| Algorithm::RecursiveDoubling).unwrap();
         assert!((rep.total_us - 5.0).abs() < 0.5);
         assert_eq!(rep.allreduce_calls, 0);
+    }
+
+    #[test]
+    fn sharp_design_on_fabric_without_sharp_is_an_error() {
+        let preset = cluster_b();
+        let spec = preset.spec(2, 4).unwrap();
+        let err = run_app(&preset, &spec, &profile(), &|_| Algorithm::SharpNodeLeader).unwrap_err();
+        assert!(matches!(err, RunError::NoSharpOnFabric));
     }
 }

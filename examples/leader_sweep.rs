@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example leader_sweep`
 
 use dpml::core::algorithms::{Algorithm, FlatAlg};
-use dpml::core::run::run_allreduce;
+use dpml::core::run::{run, Exec, Scenario};
 use dpml::fabric::presets::cluster_b;
 use dpml::model::{best_leader_count, CostParams};
 
@@ -25,17 +25,13 @@ fn main() {
         );
         let mut best = (0u32, f64::INFINITY);
         for l in [1u32, 2, 4, 8, 16] {
-            let sim = run_allreduce(
-                &preset,
-                &spec,
-                Algorithm::Dpml {
-                    leaders: l,
-                    inner: FlatAlg::RecursiveDoubling,
-                },
-                bytes,
-            )
-            .expect("verified run")
-            .latency_us;
+            let alg = Algorithm::Dpml {
+                leaders: l,
+                inner: FlatAlg::RecursiveDoubling,
+            };
+            let sim = run(&Scenario::new(&preset, &spec, alg, bytes), &Exec::default())
+                .expect("verified run")
+                .latency_us;
             let model =
                 CostParams::from_fabric(&preset.fabric, &spec, l, bytes, 1).t_allreduce() * 1e6;
             println!("{l:>8} {sim:>14.1} {model:>14.1}");

@@ -3,9 +3,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use dpml::core::algorithms::{Algorithm, FlatAlg};
-use dpml::core::run::run_allreduce;
-use dpml::fabric::presets::cluster_c;
+use dpml::core::algorithms::FlatAlg;
+use dpml::prelude::*;
 
 fn main() {
     // A cluster model: 16 nodes x 2 sockets x 14 cores, Omni-Path fabric
@@ -49,7 +48,8 @@ fn main() {
         for bytes in [4 * 1024u64, 64 * 1024, 1 << 20] {
             // Every run is verified: the simulator proves each rank ended
             // with every rank's contribution over the whole vector.
-            let rep = run_allreduce(&preset, &spec, alg, bytes).expect("verified allreduce");
+            let scenario = Scenario::new(&preset, &spec, alg, bytes);
+            let rep = run(&scenario, &Exec::default()).expect("verified allreduce");
             print!(" {:>12.1}", rep.latency_us);
         }
         println!();

@@ -7,26 +7,24 @@
 //! critical-path attribution table.)
 
 use dpml::core::algorithms::{Algorithm, FlatAlg};
-use dpml::engine::{SimConfig, Simulator, SpanKind};
+use dpml::core::run::{run, Exec, Scenario};
+use dpml::engine::SpanKind;
 use dpml::fabric::presets::cluster_b;
-use dpml::topology::RankMap;
 
 fn main() {
     let preset = cluster_b();
     let spec = preset.spec(4, 8).expect("4 nodes x 8 ranks");
-    let map = RankMap::block(&spec);
-    let cfg = SimConfig::new(map.clone(), preset.fabric.clone(), preset.switch).expect("topology");
     let alg = Algorithm::Dpml {
         leaders: 4,
         inner: FlatAlg::RecursiveDoubling,
     };
-    let world = alg.build(&map, 256 * 1024).expect("schedule");
-
-    let rep = Simulator::new(&cfg)
-        .with_trace()
-        .run(&world)
-        .expect("simulate");
-    rep.verify_allreduce().expect("verified");
+    let traced = Exec {
+        trace: true,
+        ..Exec::default()
+    };
+    let rep = run(&Scenario::new(&preset, &spec, alg, 256 * 1024), &traced)
+        .expect("verified run")
+        .report;
     let trace = rep.trace.as_ref().expect("trace enabled");
 
     println!(

@@ -12,7 +12,7 @@ use dpml::core::algorithms::{Algorithm, FlatAlg};
 use dpml::core::integrity::{
     run_allreduce_verified, IntegrityErrorKind, IntegrityPolicy, VerifiedError,
 };
-use dpml::core::run::run_allreduce;
+use dpml::core::run::{run, Exec, Scenario};
 use dpml::fabric::presets::all_presets;
 use dpml::faults::{DataFaults, FaultPlan};
 use dpml_bench::sweep;
@@ -117,15 +117,17 @@ fn full_matrix_integrity_verifies_everywhere() {
     }
     let total = scenarios.len();
     let failures: Vec<String> = sweep(scenarios, |(preset, spec, alg, bytes)| {
-        run_allreduce(&preset, &spec, alg, bytes).err().map(|e| {
-            format!(
-                "{}/{}x{}/{}/{bytes}B: {e}",
-                preset.id,
-                spec.num_nodes,
-                spec.ppn,
-                alg.name()
-            )
-        })
+        run(&Scenario::new(&preset, &spec, alg, bytes), &Exec::default())
+            .err()
+            .map(|e| {
+                format!(
+                    "{}/{}x{}/{}/{bytes}B: {e}",
+                    preset.id,
+                    spec.num_nodes,
+                    spec.ppn,
+                    alg.name()
+                )
+            })
     })
     .into_iter()
     .flatten()

@@ -4,14 +4,14 @@
 //! harness result files.
 
 use dpml::core::algorithms::{Algorithm, FlatAlg};
-use dpml::core::run::run_allreduce;
+use dpml::core::run::{run, Exec, Scenario};
 use dpml::engine::RunReport;
 use dpml::fabric::presets::{cluster_a, cluster_c};
 
 fn run_once(alg: Algorithm, bytes: u64) -> dpml::core::run::AllreduceReport {
     let p = cluster_c();
     let spec = p.spec(4, 8).unwrap();
-    run_allreduce(&p, &spec, alg, bytes).unwrap()
+    run(&Scenario::new(&p, &spec, alg, bytes), &Exec::default()).unwrap()
 }
 
 #[test]
@@ -38,8 +38,9 @@ fn repeated_runs_are_bit_identical() {
 fn sharp_runs_are_deterministic_too() {
     let p = cluster_a();
     let spec = p.spec(8, 28).unwrap();
-    let a = run_allreduce(&p, &spec, Algorithm::SharpSocketLeader, 1024).unwrap();
-    let b = run_allreduce(&p, &spec, Algorithm::SharpSocketLeader, 1024).unwrap();
+    let scenario = Scenario::new(&p, &spec, Algorithm::SharpSocketLeader, 1024);
+    let a = run(&scenario, &Exec::default()).unwrap();
+    let b = run(&scenario, &Exec::default()).unwrap();
     assert_eq!(a.report, b.report);
 }
 

@@ -17,6 +17,7 @@
 
 use dpml_core::algorithms::{Algorithm, FlatAlg};
 use dpml_core::profile::profile_allreduce;
+use dpml_core::run::Scenario;
 use dpml_engine::CostKind;
 use dpml_fabric::{presets, Preset};
 use serde::{Deserialize, Serialize};
@@ -107,7 +108,7 @@ struct Goldens {
 
 fn digest_case(tag: &str, preset: &Preset, alg: Algorithm, bytes: u64) -> CaseDigest {
     let spec = preset.spec(NODES, PPN).expect("golden cluster shape");
-    let run = profile_allreduce(preset, &spec, alg, bytes)
+    let run = profile_allreduce(&Scenario::new(preset, &spec, alg, bytes))
         .unwrap_or_else(|e| panic!("golden case {tag}/{}/{bytes}: {e}", alg.name()));
     let report = &run.report;
     CaseDigest {

@@ -5,9 +5,9 @@
 //! decision the model exists to inform — should match.
 
 use dpml::core::algorithms::{Algorithm, FlatAlg};
-use dpml::core::run::run_allreduce;
 use dpml::fabric::presets::cluster_b;
 use dpml::model::{best_leader_count, leader_sweep, CostParams};
+use dpml_bench::latency_us;
 
 #[test]
 fn model_tracks_simulation_for_medium_large() {
@@ -15,7 +15,7 @@ fn model_tracks_simulation_for_medium_large() {
     let spec = p.default_spec(16).unwrap();
     for bytes in [16 * 1024u64, 128 * 1024, 1 << 20] {
         for l in [1u32, 4, 16] {
-            let sim = run_allreduce(
+            let sim = latency_us(
                 &p,
                 &spec,
                 Algorithm::Dpml {
@@ -23,9 +23,7 @@ fn model_tracks_simulation_for_medium_large() {
                     inner: FlatAlg::RecursiveDoubling,
                 },
                 bytes,
-            )
-            .unwrap()
-            .latency_us;
+            );
             let model = CostParams::from_fabric(&p.fabric, &spec, l, bytes, 1).t_allreduce() * 1e6;
             let ratio = sim / model;
             assert!(
@@ -46,7 +44,7 @@ fn model_and_sim_agree_on_best_leader_count_for_large() {
         let sim_best = [1u32, 2, 4, 8, 16]
             .into_iter()
             .min_by(|&a, &b| {
-                let la = run_allreduce(
+                let la = latency_us(
                     &p,
                     &spec,
                     Algorithm::Dpml {
@@ -54,10 +52,8 @@ fn model_and_sim_agree_on_best_leader_count_for_large() {
                         inner: FlatAlg::RecursiveDoubling,
                     },
                     bytes,
-                )
-                .unwrap()
-                .latency_us;
-                let lb = run_allreduce(
+                );
+                let lb = latency_us(
                     &p,
                     &spec,
                     Algorithm::Dpml {
@@ -65,9 +61,7 @@ fn model_and_sim_agree_on_best_leader_count_for_large() {
                         inner: FlatAlg::RecursiveDoubling,
                     },
                     bytes,
-                )
-                .unwrap()
-                .latency_us;
+                );
                 la.total_cmp(&lb)
             })
             .unwrap();
@@ -98,9 +92,7 @@ fn eq1_matches_flat_rd_simulation_loosely() {
     let p = cluster_b();
     let spec = p.spec(16, 1).unwrap();
     let bytes = 64 * 1024u64;
-    let sim = run_allreduce(&p, &spec, Algorithm::RecursiveDoubling, bytes)
-        .unwrap()
-        .latency_us;
+    let sim = latency_us(&p, &spec, Algorithm::RecursiveDoubling, bytes);
     let model = CostParams::from_fabric(&p.fabric, &spec, 1, bytes, 1).t_recursive_doubling() * 1e6;
     let ratio = sim / model;
     assert!(

@@ -3,9 +3,9 @@
 //! the quantitative values.
 
 use dpml::core::algorithms::{Algorithm, FlatAlg};
-use dpml::core::run::run_allreduce;
 use dpml::core::selector::Library;
 use dpml::fabric::presets::{cluster_a, cluster_b, cluster_c, cluster_d};
+use dpml_bench::latency_us;
 
 fn dpml_l(l: u32) -> Algorithm {
     Algorithm::Dpml {
@@ -20,12 +20,8 @@ fn dpml_l(l: u32) -> Algorithm {
 fn claim_leader_scaling_cluster_b_512kb() {
     let p = cluster_b();
     let spec = p.default_spec(16).unwrap();
-    let t1 = run_allreduce(&p, &spec, dpml_l(1), 512 * 1024)
-        .unwrap()
-        .latency_us;
-    let t16 = run_allreduce(&p, &spec, dpml_l(16), 512 * 1024)
-        .unwrap()
-        .latency_us;
+    let t1 = latency_us(&p, &spec, dpml_l(1), 512 * 1024);
+    let t16 = latency_us(&p, &spec, dpml_l(16), 512 * 1024);
     let speedup = t1 / t16;
     assert!(
         (3.0..12.0).contains(&speedup),
@@ -39,8 +35,8 @@ fn claim_leader_scaling_cluster_b_512kb() {
 fn claim_small_messages_do_not_want_many_leaders() {
     let p = cluster_b();
     let spec = p.default_spec(16).unwrap();
-    let t1 = run_allreduce(&p, &spec, dpml_l(1), 64).unwrap().latency_us;
-    let t16 = run_allreduce(&p, &spec, dpml_l(16), 64).unwrap().latency_us;
+    let t1 = latency_us(&p, &spec, dpml_l(1), 64);
+    let t16 = latency_us(&p, &spec, dpml_l(16), 64);
     assert!(t16 >= t1, "16 leaders should not win at 64B: {t16} vs {t1}");
 }
 
@@ -52,7 +48,7 @@ fn claim_sharp_crossover_and_socket_leader() {
     let p = cluster_a();
     let spec = p.spec(16, 4).unwrap();
     let host = |bytes| {
-        run_allreduce(
+        latency_us(
             &p,
             &spec,
             Algorithm::SingleLeader {
@@ -60,24 +56,14 @@ fn claim_sharp_crossover_and_socket_leader() {
             },
             bytes,
         )
-        .unwrap()
-        .latency_us
     };
-    let sharp = |bytes| {
-        run_allreduce(&p, &spec, Algorithm::SharpNodeLeader, bytes)
-            .unwrap()
-            .latency_us
-    };
+    let sharp = |bytes| latency_us(&p, &spec, Algorithm::SharpNodeLeader, bytes);
     assert!(sharp(64) < host(64), "SHArP must win small messages");
     assert!(sharp(4096) > host(4096), "host-based must win at 4KB");
 
     let full = p.spec(16, 28).unwrap();
-    let node = run_allreduce(&p, &full, Algorithm::SharpNodeLeader, 256)
-        .unwrap()
-        .latency_us;
-    let socket = run_allreduce(&p, &full, Algorithm::SharpSocketLeader, 256)
-        .unwrap()
-        .latency_us;
+    let node = latency_us(&p, &full, Algorithm::SharpNodeLeader, 256);
+    let socket = latency_us(&p, &full, Algorithm::SharpSocketLeader, 256);
     assert!(
         socket < node,
         "socket-leader must beat node-leader at 28 ppn"
@@ -92,14 +78,10 @@ fn claim_dpml_beats_libraries_medium_large() {
         let spec = preset.default_spec(8).unwrap();
         for bytes in [16 * 1024u64, 512 * 1024] {
             let dpml_alg = Library::DpmlTuned.choose(&preset, &spec, bytes);
-            let dpml = run_allreduce(&preset, &spec, dpml_alg, bytes)
-                .unwrap()
-                .latency_us;
+            let dpml = latency_us(&preset, &spec, dpml_alg, bytes);
             for lib in [Library::Mvapich2, Library::IntelMpi] {
                 let alg = lib.choose(&preset, &spec, bytes);
-                let other = run_allreduce(&preset, &spec, alg, bytes)
-                    .unwrap()
-                    .latency_us;
+                let other = latency_us(&preset, &spec, alg, bytes);
                 assert!(
                     dpml < other,
                     "cluster {} {}B: DPML {dpml:.1}us !< {} {other:.1}us",
@@ -119,9 +101,9 @@ fn claim_overall_speedup_magnitude() {
     let spec = p.default_spec(16).unwrap();
     let bytes = 512 * 1024u64;
     let mva = Library::Mvapich2.choose(&p, &spec, bytes);
-    let base = run_allreduce(&p, &spec, mva, bytes).unwrap().latency_us;
+    let base = latency_us(&p, &spec, mva, bytes);
     let tuned = Library::DpmlTuned.choose(&p, &spec, bytes);
-    let ours = run_allreduce(&p, &spec, tuned, bytes).unwrap().latency_us;
+    let ours = latency_us(&p, &spec, tuned, bytes);
     let speedup = base / ours;
     assert!(
         speedup > 2.0,
@@ -136,7 +118,7 @@ fn claim_pipelining_is_fabric_specific() {
     let big = 4 << 20;
     let c = cluster_c();
     let spec = c.default_spec(8).unwrap();
-    let plain = run_allreduce(
+    let plain = latency_us(
         &c,
         &spec,
         Algorithm::DpmlPipelined {
@@ -144,10 +126,8 @@ fn claim_pipelining_is_fabric_specific() {
             chunks: 1,
         },
         big,
-    )
-    .unwrap()
-    .latency_us;
-    let piped = run_allreduce(
+    );
+    let piped = latency_us(
         &c,
         &spec,
         Algorithm::DpmlPipelined {
@@ -155,9 +135,7 @@ fn claim_pipelining_is_fabric_specific() {
             chunks: 8,
         },
         big,
-    )
-    .unwrap()
-    .latency_us;
+    );
     assert!(
         piped < plain,
         "pipelining must help on Omni-Path: {piped} vs {plain}"
@@ -165,7 +143,7 @@ fn claim_pipelining_is_fabric_specific() {
 
     let b = cluster_b();
     let spec = b.default_spec(8).unwrap();
-    let plain_ib = run_allreduce(
+    let plain_ib = latency_us(
         &b,
         &spec,
         Algorithm::DpmlPipelined {
@@ -173,10 +151,8 @@ fn claim_pipelining_is_fabric_specific() {
             chunks: 1,
         },
         big,
-    )
-    .unwrap()
-    .latency_us;
-    let piped_ib = run_allreduce(
+    );
+    let piped_ib = latency_us(
         &b,
         &spec,
         Algorithm::DpmlPipelined {
@@ -184,9 +160,7 @@ fn claim_pipelining_is_fabric_specific() {
             chunks: 8,
         },
         big,
-    )
-    .unwrap()
-    .latency_us;
+    );
     let gain = plain_ib / piped_ib;
     assert!(
         gain < 1.5,
@@ -203,27 +177,21 @@ fn claim_pipelining_is_fabric_specific() {
 fn claim_hierarchy_beats_flat_at_full_subscription() {
     let p = cluster_b();
     let spec = p.default_spec(8).unwrap();
-    let flat = run_allreduce(&p, &spec, Algorithm::RecursiveDoubling, 512)
-        .unwrap()
-        .latency_us;
-    let hier = run_allreduce(
+    let flat = latency_us(&p, &spec, Algorithm::RecursiveDoubling, 512);
+    let hier = latency_us(
         &p,
         &spec,
         Algorithm::SingleLeader {
             inner: FlatAlg::RecursiveDoubling,
         },
         512,
-    )
-    .unwrap()
-    .latency_us;
+    );
     assert!(hier < flat, "hierarchy {hier} !< flat {flat}");
 
     // And at 64KB the single-leader advantage is gone (ties or loses),
     // while DPML with 16 leaders still wins comfortably.
-    let flat64 = run_allreduce(&p, &spec, Algorithm::RecursiveDoubling, 65536)
-        .unwrap()
-        .latency_us;
-    let dpml64 = run_allreduce(
+    let flat64 = latency_us(&p, &spec, Algorithm::RecursiveDoubling, 65536);
+    let dpml64 = latency_us(
         &p,
         &spec,
         Algorithm::Dpml {
@@ -231,9 +199,7 @@ fn claim_hierarchy_beats_flat_at_full_subscription() {
             inner: FlatAlg::RecursiveDoubling,
         },
         65536,
-    )
-    .unwrap()
-    .latency_us;
+    );
     assert!(
         dpml64 * 2.0 < flat64,
         "DPML {dpml64} should crush flat {flat64} at 64KB"

@@ -5,6 +5,7 @@
 
 use dpml::core::algorithms::{Algorithm, FlatAlg};
 use dpml::core::profile::profile_allreduce;
+use dpml::core::run::Scenario;
 use dpml::engine::Zone;
 use dpml::fabric::presets::{all_presets, cluster_c};
 use dpml_bench::microbench::{multi_pair_critical_path, PairPlacement};
@@ -45,7 +46,7 @@ fn attribution_tiles_the_makespan_for_every_algorithm() {
     for preset in all_presets() {
         let spec = preset.spec(4, 4).expect("4x4 spec");
         for alg in algorithms_for(preset.fabric.has_sharp(), spec.ppn) {
-            let run = profile_allreduce(&preset, &spec, alg, 6000)
+            let run = profile_allreduce(&Scenario::new(&preset, &spec, alg, 6000))
                 .unwrap_or_else(|e| panic!("{} {}: {e}", preset.id, alg.name()));
             let makespan = run.report.makespan().seconds();
             assert!(
@@ -67,7 +68,7 @@ fn no_unknown_phase_spans_across_the_matrix() {
         let spec = preset.spec(4, 4).expect("4x4 spec");
         for alg in algorithms_for(preset.fabric.has_sharp(), spec.ppn) {
             for bytes in [64u64, 65_536] {
-                let run = profile_allreduce(&preset, &spec, alg, bytes)
+                let run = profile_allreduce(&Scenario::new(&preset, &spec, alg, bytes))
                     .unwrap_or_else(|e| panic!("{} {}: {e}", preset.id, alg.name()));
                 let trace = run.report.trace.as_ref().expect("traced");
                 let unknown = trace
@@ -97,7 +98,7 @@ fn small_allreduce_is_latency_bound() {
             leaders: 4,
             inner: FlatAlg::RecursiveDoubling,
         };
-        let run = profile_allreduce(&preset, &spec, alg, 64).expect("profiled");
+        let run = profile_allreduce(&Scenario::new(&preset, &spec, alg, 64)).expect("profiled");
         assert_eq!(
             run.zone(),
             Zone::LatencyBound,
@@ -142,7 +143,7 @@ fn phase_attribution_sums_to_makespan() {
         leaders: 4,
         inner: FlatAlg::RecursiveDoubling,
     };
-    let run = profile_allreduce(&p, &spec, alg, 65_536).expect("profiled");
+    let run = profile_allreduce(&Scenario::new(&p, &spec, alg, 65_536)).expect("profiled");
     let phase_sum: f64 = run.profile.phases.iter().map(|r| r.critical_s).sum();
     let makespan = run.report.makespan().seconds();
     assert!(
