@@ -7,7 +7,7 @@
 //!    budget over the same scenario menu and plan distribution, and
 //!    records both coverage-per-budget curves. Exits nonzero unless the
 //!    guided campaign reaches *strictly more* outcome-coverage cells —
-//!    the acceptance criterion for the search being worth its salt.
+//!    the acceptance test for the search being worth its salt.
 //! 2. Shrinks the seeded known-bad plan and exits nonzero unless the
 //!    minimized reproducer has ≤ 3 faults.
 //! 3. Runs a serve-daemon campaign (worker panics + kill-point audit)

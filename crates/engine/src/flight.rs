@@ -7,12 +7,13 @@
 //! deadline kill, integrity failure, or chaos violation?* Producers call
 //! [`FlightRecorder::record`] at run boundaries and job-lifecycle edges
 //! (admit/start/retry/cancel/finish) — never inside the simulator's hot
-//! event loop, so the steady-state overhead is one relaxed atomic load
-//! per *run*, not per event. On failure, [`PostmortemBundle::capture`]
-//! freezes the tail of the ring together with caller-supplied context
-//! (job spec, metrics snapshot, journal position) and
-//! [`PostmortemBundle::save`] writes it as a JSON file an operator — or
-//! a `dpml chaos mine` reproducer — can link to.
+//! event loop, so a run costs one record (plus at most eight span
+//! records when traced), not one per event; `tests/cost_gate.rs` holds
+//! the engine to exactly that count. On failure,
+//! [`PostmortemBundle::capture`] freezes the tail of the ring together
+//! with caller-supplied context (job spec, metrics snapshot, journal
+//! position) and [`PostmortemBundle::save`] writes it as a JSON file an
+//! operator — or a `dpml chaos mine` reproducer — can link to.
 //!
 //! The ring is process-wide ([`global`]) because its consumers span
 //! crate layers: `dpml-engine` emits `sim.end`/`sim.span` events,
@@ -23,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -68,46 +69,30 @@ pub fn now_ms() -> u64 {
 /// ring is internally locked and safe to share across threads.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    enabled: AtomicBool,
     cap: usize,
     ring: Mutex<VecDeque<FlightEvent>>,
     recorded: AtomicU64,
 }
 
 impl FlightRecorder {
-    /// New recorder holding at most `cap` events, enabled.
+    /// New recorder holding at most `cap` events. The ring is allocated
+    /// up front, so recording never grows it.
     pub fn new(cap: usize) -> Self {
+        let cap = cap.max(1);
         FlightRecorder {
-            enabled: AtomicBool::new(true),
-            cap: cap.max(1),
-            ring: Mutex::new(VecDeque::new()),
+            cap,
+            ring: Mutex::new(VecDeque::with_capacity(cap)),
             recorded: AtomicU64::new(0),
         }
     }
 
-    /// Turn recording on or off (the ring keeps what it has).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether [`record`](Self::record) currently stores events.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Record an event stamped with the current wall clock.
     pub fn record(&self, kind: &str, job: Option<u64>, detail: impl Into<String>) {
-        if !self.is_enabled() {
-            return;
-        }
         self.record_at(now_ms(), kind, job, detail);
     }
 
     /// Record an event with an explicit timestamp (tests, replays).
     pub fn record_at(&self, t_ms: u64, kind: &str, job: Option<u64>, detail: impl Into<String>) {
-        if !self.is_enabled() {
-            return;
-        }
         let ev = FlightEvent {
             t_ms,
             kind: kind.to_string(),
@@ -293,18 +278,6 @@ mod tests {
         assert_eq!(tail[0].t_ms, 8);
         assert_eq!(tail[1].t_ms, 9);
         assert_eq!(rec.tail(100).len(), 4);
-    }
-
-    #[test]
-    fn disabled_recorder_drops_events() {
-        let rec = FlightRecorder::new(8);
-        rec.set_enabled(false);
-        rec.record("sim.end", None, "ignored");
-        assert!(rec.is_empty());
-        rec.set_enabled(true);
-        rec.record("sim.end", Some(7), "kept");
-        assert_eq!(rec.len(), 1);
-        assert_eq!(rec.tail(1)[0].job, Some(7));
     }
 
     #[test]

@@ -443,37 +443,35 @@ impl<'a> Simulator<'a> {
         }
         let report = st.report(world);
         let flight = crate::flight::global();
-        if flight.is_enabled() {
-            flight.record(
-                "sim.end",
-                None,
-                format!(
-                    "events={} makespan_us={:.1} msgs={} ranks={}",
-                    report.stats.events,
-                    report.makespan().micros(),
-                    report.stats.messages,
-                    report.finish_times.len()
-                ),
-            );
-            // When a timeline was collected, keep the tail of it: the
-            // last few spans are exactly the "what was the engine doing
-            // just before X" context a post-mortem bundle wants.
-            if let Some(trace) = &report.trace {
-                let skip = trace.spans.len().saturating_sub(8);
-                for sp in &trace.spans[skip..] {
-                    flight.record(
-                        "sim.span",
-                        None,
-                        format!(
-                            "rank={} phase={} start_us={:.1} end_us={:.1} bytes={}",
-                            sp.rank,
-                            sp.phase.name(),
-                            sp.start * 1e6,
-                            sp.end * 1e6,
-                            sp.bytes
-                        ),
-                    );
-                }
+        flight.record(
+            "sim.end",
+            None,
+            format!(
+                "events={} makespan_us={:.1} msgs={} ranks={}",
+                report.stats.events,
+                report.makespan().micros(),
+                report.stats.messages,
+                report.finish_times.len()
+            ),
+        );
+        // When a timeline was collected, keep the tail of it: the
+        // last few spans are exactly the "what was the engine doing
+        // just before X" context a post-mortem bundle wants.
+        if let Some(trace) = &report.trace {
+            let skip = trace.spans.len().saturating_sub(8);
+            for sp in &trace.spans[skip..] {
+                flight.record(
+                    "sim.span",
+                    None,
+                    format!(
+                        "rank={} phase={} start_us={:.1} end_us={:.1} bytes={}",
+                        sp.rank,
+                        sp.phase.name(),
+                        sp.start * 1e6,
+                        sp.end * 1e6,
+                        sp.bytes
+                    ),
+                );
             }
         }
         Ok(report)

@@ -1,14 +1,11 @@
 //! Real-threads shared-memory runtime.
 //!
 //! Everything else in this workspace *models* time; this crate actually
-//! runs the DPML data movement on OS threads with real vectors, so that:
-//!
-//! * every algorithm's arithmetic is validated bit-for-bit against a serial
-//!   reference (the simulator validates schedules symbolically; this crate
-//!   validates the kernels and the phase structure numerically), and
-//! * the Criterion benches in `dpml-bench` can measure genuine wall-clock
-//!   effects of the leader count on the machine running the tests
-//!   (intra-node phases 1/2/4 of the paper's Figure 2).
+//! runs the DPML data movement on OS threads with real vectors, so that
+//! every algorithm's arithmetic is validated bit-for-bit against a serial
+//! reference (the simulator validates schedules symbolically; this crate
+//! validates the kernels and the phase structure numerically, including
+//! the intra-node phases 1/2/4 of the paper's Figure 2).
 //!
 //! Threads within a [`intranode::NodeRuntime`] are "ranks on one node" and
 //! communicate through [`region::SharedSlots`] (true shared memory guarded
