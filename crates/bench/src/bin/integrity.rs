@@ -276,7 +276,7 @@ fn main() {
     // threaded runtime and demand exact recovery.
     println!("\nreal-threads publish poisoning (ppn 4, 2 leaders, rate 1.0):");
     let mut shm_poison = Vec::new();
-    let reg = dpml_shm::metrics::global();
+    use dpml_shm::metrics::{SHM_CRC_FAIL, SHM_RETRANSMIT};
     for seed in 1..=seeds {
         let rt = NodeRuntime::new(4);
         let inputs: Vec<Vec<f64>> = (0..4)
@@ -288,12 +288,9 @@ fn main() {
             .collect();
         let algo = IntraAlgo::MultiLeader { leaders: 2 };
         let clean = rt.allreduce(&inputs, algo);
-        let before = reg.snapshot();
+        let before = [SHM_CRC_FAIL.get(), SHM_RETRANSMIT.get()];
         let poisoned =
             rt.allreduce_op_checked(SumOp, &inputs, algo, Some(PoisonPlan { seed, rate: 1.0 }));
-        let after = reg.snapshot();
-        let delta =
-            |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
         let bit_identical = poisoned == clean;
         if !bit_identical {
             silent_escapes += 1;
@@ -302,8 +299,8 @@ fn main() {
             ppn: 4,
             leaders: 2,
             seed,
-            crc_fails: delta("shm.crc_fail"),
-            retransmits: delta("shm.retransmit"),
+            crc_fails: SHM_CRC_FAIL.get() - before[0],
+            retransmits: SHM_RETRANSMIT.get() - before[1],
             bit_identical,
         };
         println!(

@@ -37,7 +37,7 @@ use dpml_bench::{arg_flag, arg_num, save_results};
 use dpml_engine::flight::PostmortemBundle;
 use dpml_serve::journal::replay_file;
 use dpml_serve::journal::Record;
-use dpml_serve::{start, Client, JobKind, JobSpec, ServeConfig, Submission};
+use dpml_serve::{start, Client, JobKind, JobSpec, Metric, ServeConfig, Submission};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -426,7 +426,7 @@ fn kill_restart_round(journal: &Path, addr_file: &Path, jobs: usize, round: u64)
     let replayed = client
         .stats()
         .expect("stats after restart")
-        .counter("serve.replayed")
+        .counter(Metric::Replayed)
         .unwrap_or(0);
     client.shutdown().expect("drain after restart");
     let status = child.wait().expect("reap restarted daemon");
@@ -528,7 +528,7 @@ fn durability_round(quick: bool) -> DurabilityReport {
         let drained = replay.pending().is_empty() && finished.len() as u64 + dropped == jobs as u64;
         if drained {
             let stats = client.stats().expect("durable stats");
-            if stats.counter("serve.journal_compactions").unwrap_or(0) >= 1 {
+            if stats.counter(Metric::JournalCompactions).unwrap_or(0) >= 1 {
                 break (stats, dropped);
             }
         }
@@ -538,10 +538,10 @@ fn durability_round(quick: bool) -> DurabilityReport {
         );
         std::thread::sleep(Duration::from_millis(20));
     };
-    let resumes = stats.counter("serve.resumes").unwrap_or(0);
-    let scenarios_resumed = stats.counter("serve.scenarios_resumed").unwrap_or(0);
-    let checkpoints_written = stats.counter("serve.checkpoints_written").unwrap_or(0);
-    let compactions = stats.counter("serve.journal_compactions").unwrap_or(0);
+    let resumes = stats.counter(Metric::Resumes).unwrap_or(0);
+    let scenarios_resumed = stats.counter(Metric::ScenariosResumed).unwrap_or(0);
+    let checkpoints_written = stats.counter(Metric::CheckpointsWritten).unwrap_or(0);
+    let compactions = stats.counter(Metric::JournalCompactions).unwrap_or(0);
     assert!(
         resumes >= 1,
         "restart must resume from the persisted checkpoint, not cold-start"
@@ -614,12 +614,7 @@ fn main() {
     ctl.set_timeout(Some(Duration::from_secs(60)))
         .expect("timeout");
     let stats = ctl.stats().expect("stats");
-    throughput.server_job_ms_p99 = stats
-        .histograms
-        .iter()
-        .find(|h| h.name == "serve.job_ms")
-        .map(|h| h.p99)
-        .unwrap_or(0);
+    throughput.server_job_ms_p99 = stats.histogram(Metric::JobMs).map_or(0, |h| h.p99);
     ctl.shutdown().expect("drain");
     assert_eq!(handle.wait(), 0, "throughput daemon must drain to exit 0");
     let mut audit = audit_journal(&journal);
@@ -693,15 +688,15 @@ fn main() {
         }
 
         let stats = client.stats().expect("chaos stats");
-        let worker_panics = stats.counter("serve.worker_panic").unwrap_or(0);
-        let retries = stats.counter("serve.retried").unwrap_or(0);
+        let worker_panics = stats.counter(Metric::WorkerPanic).unwrap_or(0);
+        let retries = stats.counter(Metric::Retried).unwrap_or(0);
         client.shutdown().expect("chaos drain");
         let state = handle.state().clone();
         assert_eq!(handle.wait(), 0, "chaos daemon must drain to exit 0");
         let chaos_audit = audit_journal(&journal);
         // Read push failures after the drain: the orphans' Finished
         // pushes only fail once their jobs complete.
-        let push_failures = state.stats().counter("serve.push_fail").unwrap_or(0);
+        let push_failures = state.stats().counter(Metric::PushFail).unwrap_or(0);
         audit.jobs_admitted += chaos_audit.jobs_admitted;
         audit.jobs_lost += chaos_audit.jobs_lost;
         audit.jobs_duplicated += chaos_audit.jobs_duplicated;

@@ -28,7 +28,8 @@ use dpml_faults::{Mutator, StorageFaultPlan};
 use dpml_serve::job::SWEEP_CHUNK;
 use dpml_serve::journal::{replay_bytes, replay_file};
 use dpml_serve::{
-    load_from_bytes, start, Client, JobKind, JobSpec, Record, Request, Response, ServeConfig,
+    load_from_bytes, start, Client, JobKind, JobSpec, Metric, Record, Request, Response,
+    ServeConfig,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashSet};
@@ -294,30 +295,23 @@ pub fn run_serve_campaign(cfg: &ServeCampaignConfig) -> ServeCampaignReport {
         let state = std::sync::Arc::clone(handle.state());
         let code = handle.wait();
         let stats = state.stats();
-        let counter = |name: &str| {
-            stats
-                .counters
-                .iter()
-                .find(|c| c.name == name)
-                .map(|c| c.value)
-                .unwrap_or(0)
-        };
+        let counter = |m: Metric| stats.counter(m).unwrap_or(0);
         for c in &stats.counters {
             if c.value > 0 {
                 cells.insert(format!("serve:{}", c.name.trim_start_matches("serve.")));
             }
         }
         // Durability coverage, under the names the roadmap tracks.
-        if counter("serve.journal_compactions") > 0 {
+        if counter(Metric::JournalCompactions) > 0 {
             cells.insert("serve:journal-compaction".into());
         }
-        if counter("serve.checkpoints_written") > 0 {
+        if counter(Metric::CheckpointsWritten) > 0 {
             cells.insert("serve:checkpointed".into());
         }
-        if counter("serve.resumes") > 0 {
+        if counter(Metric::Resumes) > 0 {
             cells.insert("serve:resumed".into());
         }
-        if counter("serve.checkpoint_fallbacks") > 0 {
+        if counter(Metric::CheckpointFallbacks) > 0 {
             cells.insert("serve:ckpt-fallback".into());
         }
         // Storage-fault ladder coverage from the injector's own tallies.
@@ -458,18 +452,11 @@ pub fn run_serve_campaign(cfg: &ServeCampaignConfig) -> ServeCampaignReport {
                     let restart_state = std::sync::Arc::clone(handle.state());
                     let code = handle.wait();
                     let restart_stats = restart_state.stats();
-                    let rc = |name: &str| {
-                        restart_stats
-                            .counters
-                            .iter()
-                            .find(|c| c.name == name)
-                            .map(|c| c.value)
-                            .unwrap_or(0)
-                    };
-                    if rc("serve.resumes") > 0 {
+                    let rc = |m: Metric| restart_stats.counter(m).unwrap_or(0);
+                    if rc(Metric::Resumes) > 0 {
                         cells.insert("serve:resumed".into());
                     }
-                    if rc("serve.checkpoint_fallbacks") > 0 {
+                    if rc(Metric::CheckpointFallbacks) > 0 {
                         cells.insert("serve:ckpt-fallback".into());
                     }
                     if code != 0 {

@@ -7,7 +7,8 @@
 //! order).
 
 use crate::job::{JobOutcome, JobSpec};
-use crate::protocol::{self, Request, Response, ServeStats, WatchFrame};
+use crate::protocol::{self, Request, Response, WatchFrame};
+use dpml_shm::MetricsSnapshot;
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -149,7 +150,7 @@ impl Client {
     }
 
     /// Snapshot the server counters.
-    pub fn stats(&mut self) -> Result<ServeStats, ClientError> {
+    pub fn stats(&mut self) -> Result<MetricsSnapshot, ClientError> {
         self.send(&Request::Stats)?;
         match self.expect_response()? {
             Response::StatsReply { stats } => Ok(stats),

@@ -18,11 +18,12 @@
 //!   records, replayed (and tail-truncated) on startup ([`journal`]),
 //! * **content-addressed caching** — determinism makes every result
 //!   infinitely cacheable by scenario digest ([`cache`]),
-//! * **continuous telemetry** — a background ticker samples the metrics
-//!   registry into a time-series ring; the `watch` verb streams derived
-//!   rate frames, the `metrics` verb emits Prometheus-style text
-//!   ([`telemetry`]), and the flight recorder dumps post-mortem bundles
-//!   on panics and deadline kills (DESIGN.md §14).
+//! * **continuous telemetry** — every metric is one variant of a typed
+//!   catalogue ([`telemetry::Metric`]); a background ticker keeps the
+//!   previous snapshot, the `watch` verb streams rate frames derived
+//!   against it, the `metrics` verb emits Prometheus-style text, and the
+//!   flight recorder dumps post-mortem bundles on panics and deadline
+//!   kills (DESIGN.md §14).
 //!
 //! The wire format is length-prefixed JSON ([`protocol`]); [`client`]
 //! is the blocking client used by the CLI, the load generator, and the
@@ -45,5 +46,6 @@ pub use checkpoint::{load_from_bytes, CheckpointLoad, CheckpointStore};
 pub use client::{Client, ClientError, Submission};
 pub use job::{JobCtx, JobError, JobKind, JobOutcome, JobResult, JobSpec, ScenarioResult};
 pub use journal::{CompactionStats, Journal, Record, Replay};
-pub use protocol::{Request, Response, ServeStats, WatchFrame};
+pub use protocol::{Request, Response, WatchFrame};
 pub use server::{start, ServeConfig, ServerHandle};
+pub use telemetry::Metric;

@@ -7,6 +7,7 @@
 //! the daemon allocate unbounded memory.
 
 use crate::job::{JobOutcome, JobSpec};
+use dpml_shm::metrics::{MetricsSnapshot, RateReport};
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 
@@ -39,7 +40,7 @@ pub enum Request {
         /// Id from the earlier `Accepted`.
         id: u64,
     },
-    /// Snapshot the server's live counters.
+    /// Snapshot every metric in the catalogue.
     Stats,
     /// Subscribe to a stream of periodic [`WatchFrame`]s. The server
     /// pushes one [`Response::Frame`] per interval until `frames` frames
@@ -51,45 +52,12 @@ pub enum Request {
         /// Frames to stream; 0 streams until disconnect/drain.
         frames: u32,
     },
-    /// One-shot Prometheus-style text exposition of the registry.
+    /// One-shot Prometheus-style text exposition of every metric.
     Metrics,
     /// Stop admission, finish in-flight work, exit 0.
     Shutdown,
     /// Liveness probe.
     Ping,
-}
-
-/// Live counter snapshot returned by the `stats` verb.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ServeStats {
-    /// `(name, value)` for every counter, sorted by name.
-    pub counters: Vec<CounterStat>,
-    /// Histogram summaries, sorted by name.
-    pub histograms: Vec<HistogramStat>,
-}
-
-/// One counter in [`ServeStats`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CounterStat {
-    /// Registered name (`serve.*`).
-    pub name: String,
-    /// Current value.
-    pub value: u64,
-}
-
-/// One histogram summary in [`ServeStats`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HistogramStat {
-    /// Registered name.
-    pub name: String,
-    /// Samples recorded.
-    pub count: u64,
-    /// Mean sample.
-    pub mean: f64,
-    /// Approximate p50 (within-bucket interpolation; error < 2×).
-    pub p50: u64,
-    /// Approximate p99 (within-bucket interpolation; error < 2×).
-    pub p99: u64,
 }
 
 /// One streamed telemetry frame (the `watch` verb's payload).
@@ -99,67 +67,12 @@ pub struct WatchFrame {
     pub seq: u64,
     /// Server wall clock at sample time, unix milliseconds.
     pub t_ms: u64,
-    /// Jobs queued (not yet running, not in retry backoff).
-    pub queue_depth: u64,
-    /// Jobs currently executing on workers.
-    pub running: u64,
-    /// Jobs waiting out a retry backoff.
-    pub retrying: u64,
-    /// True once drain has begun.
-    pub draining: bool,
-    /// Cumulative counters/histograms, as in the `stats` verb.
-    pub stats: ServeStats,
-    /// Per-counter rates over the window since the previous sample.
-    /// Empty on the first frame after daemon start (no window yet).
-    pub rates: Vec<RateStat>,
-    /// Windowed histogram quantiles over the same window.
-    pub windows: Vec<WindowStat>,
-    /// Window length the rates were derived over, milliseconds.
-    pub window_ms: u64,
-}
-
-/// One counter's per-second rate in a [`WatchFrame`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RateStat {
-    /// Counter name.
-    pub name: String,
-    /// Increase over the window.
-    pub delta: u64,
-    /// Increase per second.
-    pub per_sec: f64,
-}
-
-/// One histogram's windowed quantiles in a [`WatchFrame`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WindowStat {
-    /// Histogram name.
-    pub name: String,
-    /// Samples recorded during the window.
-    pub count: u64,
-    /// Interpolated median over the window.
-    pub p50: u64,
-    /// Interpolated 99th percentile over the window.
-    pub p99: u64,
-}
-
-impl WatchFrame {
-    /// Per-second rate of a counter by name, if present in this frame.
-    pub fn rate(&self, name: &str) -> Option<f64> {
-        self.rates
-            .iter()
-            .find(|r| r.name == name)
-            .map(|r| r.per_sec)
-    }
-}
-
-impl ServeStats {
-    /// Counter value by name, if present.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|c| c.name == name)
-            .map(|c| c.value)
-    }
+    /// Every metric at sample time, as in the `stats` verb.
+    pub stats: MetricsSnapshot,
+    /// Per-counter rates and windowed histogram quantiles since the
+    /// previous sample. Empty, with `dt_ms` 0, on the first frame after
+    /// daemon start (no window yet).
+    pub rates: RateReport,
 }
 
 /// A server reply. `Submit` answers with `Accepted` (or `Rejected`)
@@ -202,8 +115,8 @@ pub enum Response {
     },
     /// Reply to `Stats`.
     StatsReply {
-        /// Snapshot of the server metrics registry.
-        stats: ServeStats,
+        /// Every metric in the catalogue.
+        stats: MetricsSnapshot,
     },
     /// One telemetry frame of a `Watch` subscription.
     Frame {

@@ -27,16 +27,13 @@ use crate::checkpoint::CheckpointStore;
 use crate::deadline::watchdog_config;
 use crate::job::{execute, JobCtx, JobError, JobKind, JobOutcome, JobSpec, SWEEP_CHUNK};
 use crate::journal::{Journal, Record, Replay};
-use crate::protocol::{
-    self, reject, CounterStat, HistogramStat, RateStat, Request, Response, ServeStats, WatchFrame,
-    WindowStat,
-};
-use crate::telemetry;
+use crate::protocol::{self, reject, Request, Response, WatchFrame};
+use crate::telemetry::{Metric, Metrics};
 use dpml_engine::flight::{self, PostmortemBundle};
 use dpml_fabric::Preset;
 use dpml_faults::{RetryPlan, StorageFaultCounts, StorageFaultPlan, StorageFaults};
-use dpml_shm::metrics::{rates_between, TimeSeriesRing};
-use dpml_shm::Registry;
+use dpml_shm::metrics::{rates_between, TimedSnapshot};
+use dpml_shm::MetricsSnapshot;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -51,10 +48,6 @@ const RETRY_CAP_DOUBLINGS: u32 = 4;
 /// Jitter fraction on retry delays (decorrelates retry storms after a
 /// mass worker failure while staying seeded-deterministic).
 const RETRY_JITTER: f64 = 0.25;
-
-/// Snapshots held by the telemetry time-series ring. At the default
-/// 500 ms sample interval this is about two minutes of history.
-const SERIES_CAPACITY: usize = 256;
 
 /// Floor on the `watch` verb's frame interval: a hostile client must not
 /// turn the daemon into a snapshot treadmill.
@@ -222,10 +215,10 @@ pub struct ServerState {
     /// Single-flight guard: at most one compaction at a time.
     compacting: AtomicBool,
     cache: ResultCache,
-    metrics: Registry,
-    /// Continuous-telemetry buffer: timestamped registry snapshots the
-    /// ticker and `watch` subscriptions push into.
-    series: TimeSeriesRing,
+    metrics: Arc<Metrics>,
+    /// The previous telemetry sample (ticker or `watch`), the older end
+    /// of the next rate window.
+    prev_sample: Mutex<Option<TimedSnapshot>>,
     next_id: AtomicU64,
     accept_done: AtomicBool,
     /// Scheduler stall-check cadence, from the preset watchdog limits.
@@ -233,10 +226,6 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    fn counter(&self, name: &str) -> std::sync::Arc<dpml_shm::Counter> {
-        self.metrics.counter(name)
-    }
-
     fn alloc_id(&self) -> u64 {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
@@ -248,10 +237,10 @@ impl ServerState {
     fn journal_append(&self, record: &Record) -> bool {
         let ok = self.journal.append(record).is_ok();
         if !ok {
-            self.counter("serve.journal_error").inc();
+            self.metrics.inc(Metric::JournalError);
         }
         if let Ok(pos) = self.journal.position() {
-            self.counter("serve.journal_bytes").set(pos);
+            self.metrics.set(Metric::JournalBytes, pos);
         }
         ok
     }
@@ -280,8 +269,8 @@ impl ServerState {
         self.compacting.store(false, Ordering::Release);
         match result {
             Ok(stats) => {
-                self.counter("serve.journal_compactions").inc();
-                self.counter("serve.journal_bytes").set(stats.after_bytes);
+                self.metrics.inc(Metric::JournalCompactions);
+                self.metrics.set(Metric::JournalBytes, stats.after_bytes);
                 flight::global().record(
                     "journal.compact",
                     None,
@@ -295,7 +284,7 @@ impl ServerState {
                 );
             }
             Err(e) => {
-                self.counter("serve.journal_error").inc();
+                self.metrics.inc(Metric::JournalError);
                 flight::global().record("journal.compact", None, format!("failed: {e}"));
             }
         }
@@ -312,110 +301,57 @@ impl ServerState {
         &self.checkpoints
     }
 
-    /// Public metrics snapshot in wire form.
-    pub fn stats(&self) -> ServeStats {
-        let snap = self.metrics.snapshot();
-        ServeStats {
-            counters: snap
-                .counters
-                .iter()
-                .map(|c| CounterStat {
-                    name: c.name.clone(),
-                    value: c.value,
-                })
-                .collect(),
-            histograms: snap
-                .histograms
-                .iter()
-                .map(|h| HistogramStat {
-                    name: h.name.clone(),
-                    count: h.count,
-                    mean: h.mean,
-                    p50: h.p50,
-                    p99: h.p99,
-                })
-                .collect(),
-        }
+    /// Every metric, with the scheduler gauges read now.
+    pub fn stats(&self) -> MetricsSnapshot {
+        self.refresh_sched_gauges();
+        self.metrics.snapshot()
     }
 
-    /// Queue / running / retry-backoff depths plus the drain flag, read
-    /// under the scheduler lock.
-    fn sched_gauges(&self) -> (u64, u64, u64, bool) {
+    /// Publish queue / running / retry-backoff depths and the drain flag,
+    /// read under the scheduler lock.
+    fn refresh_sched_gauges(&self) {
         let s = self.sched.lock().expect("sched lock poisoned");
-        (
-            s.queue.len() as u64,
-            s.running as u64,
-            s.retries.len() as u64,
-            s.draining,
-        )
+        self.metrics.set(Metric::QueueDepth, s.queue.len() as u64);
+        self.metrics.set(Metric::Running, s.running as u64);
+        self.metrics.set(Metric::Retrying, s.retries.len() as u64);
+        self.metrics.set(Metric::Draining, u64::from(s.draining));
     }
 
-    /// Take one timestamped registry snapshot into the time-series ring
-    /// and return it (the ticker and `watch` streams both call this).
-    pub fn sample(&self) -> dpml_shm::metrics::TimedSnapshot {
-        let t_ms = flight::now_ms();
-        self.series.push(t_ms, self.metrics.snapshot());
-        self.series.latest().expect("just pushed")
+    /// Take one timestamped snapshot, keep it as the previous sample, and
+    /// return `(previous, this one)` (the ticker and `watch` streams both
+    /// call this).
+    pub fn sample(&self) -> (Option<TimedSnapshot>, TimedSnapshot) {
+        let newer = TimedSnapshot {
+            t_ms: flight::now_ms(),
+            snap: self.stats(),
+        };
+        let older = self
+            .prev_sample
+            .lock()
+            .expect("sample lock poisoned")
+            .replace(newer.clone());
+        (older, newer)
     }
 
     /// Build one `watch` frame: sample now, derive rates against the
-    /// previous sample in the ring.
+    /// previous sample.
     pub fn watch_frame(&self, seq: u64) -> WatchFrame {
-        let newer = self.sample();
-        let (queue_depth, running, retrying, draining) = self.sched_gauges();
-        let (rates, windows, window_ms) = match self.series.last_two() {
-            Some((older, newer)) => {
-                let r = rates_between(&older, &newer);
-                (
-                    r.rates
-                        .into_iter()
-                        .map(|x| RateStat {
-                            name: x.name,
-                            delta: x.delta,
-                            per_sec: x.per_sec,
-                        })
-                        .collect(),
-                    r.windows
-                        .into_iter()
-                        .map(|w| WindowStat {
-                            name: w.name,
-                            count: w.count,
-                            p50: w.p50,
-                            p99: w.p99,
-                        })
-                        .collect(),
-                    r.dt_ms,
-                )
-            }
-            None => (Vec::new(), Vec::new(), 0),
-        };
+        let (older, newer) = self.sample();
         WatchFrame {
             seq,
             t_ms: newer.t_ms,
-            queue_depth,
-            running,
-            retrying,
-            draining,
-            stats: self.stats(),
-            rates,
-            windows,
-            window_ms,
+            rates: older
+                .map(|older| rates_between(&older, &newer))
+                .unwrap_or_default(),
+            stats: newer.snap,
         }
     }
 
-    /// Prometheus-style text exposition of the registry plus scheduler
-    /// gauges (the `metrics` verb's payload).
+    /// Prometheus-style text exposition of the whole catalogue (the
+    /// `metrics` verb's payload).
     pub fn exposition(&self) -> String {
-        let (queue_depth, running, retrying, draining) = self.sched_gauges();
-        telemetry::exposition(
-            &self.metrics.snapshot(),
-            &[
-                ("serve.queue_depth", queue_depth),
-                ("serve.running", running),
-                ("serve.retrying", retrying),
-                ("serve.draining", u64::from(draining)),
-            ],
-        )
+        self.refresh_sched_gauges();
+        self.metrics.exposition()
     }
 
     /// Capped-jittered load-shed hint from the shared [`RetryPlan`]
@@ -443,7 +379,7 @@ impl ServerState {
 
     /// Count a shed and leave a flight-recorder trace of it.
     fn note_shed(&self, reason: &str, hint_ms: u64) {
-        self.counter("serve.shed").inc();
+        self.metrics.inc(Metric::Shed);
         flight::global().record(
             "job.shed",
             None,
@@ -463,17 +399,17 @@ impl ServerState {
             "attempt": job.attempt,
             "spec": serde_json::to_value(&job.spec).ok(),
         }));
-        if let Ok(metrics) = serde_json::to_value(&self.metrics.snapshot()) {
+        if let Ok(metrics) = serde_json::to_value(&self.stats()) {
             bundle = bundle.with_metrics(metrics);
         }
         if let Ok(pos) = self.journal.position() {
             bundle = bundle.with_journal_position(pos);
         }
         match bundle.save(dir, self.cfg.max_postmortems) {
-            Ok(Some(_)) => self.counter("serve.postmortem").inc(),
+            Ok(Some(_)) => self.metrics.inc(Metric::Postmortem),
             Ok(None) => {} // at cap: skip silently, the ring still has it
             Err(_) => {
-                self.counter("serve.postmortem_error").inc();
+                self.metrics.inc(Metric::PostmortemError);
             }
         }
     }
@@ -507,7 +443,7 @@ impl ServerState {
         }
         let running = s.running as u64;
         drop(s);
-        self.counter("serve.requeued").add(requeued);
+        self.metrics.add(Metric::Requeued, requeued);
         self.work_cv.notify_all();
         self.idle_cv.notify_all();
         (running, requeued)
@@ -557,9 +493,9 @@ impl ServerState {
     }
 
     fn handle_submit(self: &Arc<Self>, client: &Arc<ClientConn>, spec: JobSpec) -> Vec<Response> {
-        self.counter("serve.submitted").inc();
+        self.metrics.inc(Metric::Submitted);
         if let Err(message) = spec.validate() {
-            self.counter("serve.rejected_invalid").inc();
+            self.metrics.inc(Metric::RejectedInvalid);
             return vec![Response::Rejected {
                 reason: reject::INVALID.into(),
                 message,
@@ -571,7 +507,7 @@ impl ServerState {
         // Content-addressed fast path: determinism makes a repeat query
         // a lookup. No queue slot, no journal records, no worker.
         if let Some(hit) = self.cache.get(&digest) {
-            self.counter("serve.cache_hit").inc();
+            self.metrics.inc(Metric::CacheHit);
             let id = self.alloc_id();
             return vec![
                 Response::Accepted {
@@ -585,13 +521,13 @@ impl ServerState {
                 },
             ];
         }
-        self.counter("serve.cache_miss").inc();
+        self.metrics.inc(Metric::CacheMiss);
 
         if client.inflight.load(Ordering::Acquire) >= self.cfg.client_inflight_cap {
-            self.counter("serve.rejected_client_cap").inc();
+            self.metrics.inc(Metric::RejectedClientCap);
             // Per-client sheds back off from attempt 0 of the shared
             // retry plan — a real capped-jittered hint, never 0.
-            let salt = self.metrics.counter("serve.shed").get();
+            let salt = self.metrics.get(Metric::Shed);
             let hint = self.shed_hint(0, salt);
             self.note_shed(reject::CLIENT_CAP, hint);
             return vec![Response::Rejected {
@@ -606,7 +542,7 @@ impl ServerState {
 
         let mut s = self.sched.lock().expect("sched lock poisoned");
         if s.draining {
-            self.counter("serve.rejected_draining").inc();
+            self.metrics.inc(Metric::RejectedDraining);
             self.note_shed(reject::DRAINING, 0);
             return vec![Response::Rejected {
                 reason: reject::DRAINING.into(),
@@ -619,11 +555,11 @@ impl ServerState {
         if s.admitted() >= self.cfg.queue_capacity {
             let depth = s.admitted();
             drop(s);
-            self.counter("serve.rejected_overload").inc();
+            self.metrics.inc(Metric::RejectedOverload);
             // Load-shedding hint from the shared retry plan: backoff
             // attempt scales with queue depth, capped and jittered so a
             // thundering herd of shedded clients decorrelates.
-            let salt = self.metrics.counter("serve.shed").get();
+            let salt = self.metrics.get(Metric::Shed);
             let hint = self.shed_hint(depth, salt);
             self.note_shed(reject::OVERLOADED, hint);
             return vec![Response::Rejected {
@@ -645,7 +581,7 @@ impl ServerState {
             spec: spec.clone(),
         }) {
             drop(s);
-            self.counter("serve.journal_error").inc();
+            self.metrics.inc(Metric::JournalError);
             return vec![Response::Rejected {
                 reason: reject::OVERLOADED.into(),
                 message: format!("journal append failed: {e}"),
@@ -666,7 +602,7 @@ impl ServerState {
             // Client vanished between submit and ack. The Admit record
             // is on disk, so the job still runs — its result is cached
             // and journaled; only the pushes are lost.
-            self.counter("serve.push_fail").inc();
+            self.metrics.inc(Metric::PushFail);
         }
         let digest_for_flight = digest.clone();
         let ctx = Arc::new(JobCtx::new());
@@ -688,12 +624,12 @@ impl ServerState {
         if acked {
             client.inflight.fetch_add(1, Ordering::AcqRel);
         }
-        self.counter("serve.accepted").inc();
+        self.metrics.inc(Metric::Accepted);
         flight::global().record("job.admit", Some(id), format!("digest={digest_for_flight}"));
         self.work_cv.notify_one();
         drop(s);
         if let Ok(pos) = self.journal.position() {
-            self.counter("serve.journal_bytes").set(pos);
+            self.metrics.set(Metric::JournalBytes, pos);
         }
         self.maybe_compact();
         vec![]
@@ -785,10 +721,10 @@ impl ServerState {
         match &outcome {
             JobOutcome::Done(res) => {
                 self.cache.insert(job.digest.clone(), Arc::new(res.clone()));
-                self.counter("serve.completed_ok").inc();
+                self.metrics.inc(Metric::CompletedOk);
                 // Engine throughput feed: discrete events this job's
                 // scenarios processed → the dashboard's events/s rate.
-                self.counter("engine.events").add(res.sim_events);
+                self.metrics.add(Metric::EngineEvents, res.sim_events);
                 flight::global().record(
                     "job.finish",
                     Some(job.id),
@@ -800,11 +736,11 @@ impl ServerState {
                 );
             }
             JobOutcome::Error(JobError::Canceled) => {
-                self.counter("serve.canceled").inc();
+                self.metrics.inc(Metric::Canceled);
                 flight::global().record("job.finish", Some(job.id), "canceled");
             }
             JobOutcome::Error(JobError::DeadlineExceeded { after_ms }) => {
-                self.counter("serve.deadline_exceeded").inc();
+                self.metrics.inc(Metric::DeadlineExceeded);
                 flight::global().record(
                     "job.finish",
                     Some(job.id),
@@ -817,7 +753,7 @@ impl ServerState {
                 );
             }
             JobOutcome::Error(e) => {
-                self.counter("serve.failed").inc();
+                self.metrics.inc(Metric::Failed);
                 flight::global().record("job.finish", Some(job.id), format!("failed: {e}"));
             }
         }
@@ -829,13 +765,17 @@ impl ServerState {
         self.checkpoints.remove(job.id);
         // Resume-savings accounting: scenarios this job actually
         // simulated vs scenarios restored from a durable checkpoint.
-        self.counter("serve.scenarios_executed")
-            .add(job.ctx.executed_scenarios.load(Ordering::Relaxed));
-        self.counter("serve.scenarios_resumed")
-            .add(job.ctx.resumed_scenarios.load(Ordering::Relaxed));
+        self.metrics.add(
+            Metric::ScenariosExecuted,
+            job.ctx.executed_scenarios.load(Ordering::Relaxed),
+        );
+        self.metrics.add(
+            Metric::ScenariosResumed,
+            job.ctx.resumed_scenarios.load(Ordering::Relaxed),
+        );
         if let Some(started) = started {
             self.metrics
-                .histogram("serve.job_ms")
+                .job_ms
                 .record(started.elapsed().as_millis() as u64);
         }
         if let Some(client) = &job.client {
@@ -849,7 +789,7 @@ impl ServerState {
             {
                 // Client disconnected mid-job: the result is journaled
                 // and cached; only the push is lost.
-                self.counter("serve.push_fail").inc();
+                self.metrics.inc(Metric::PushFail);
             }
         }
         {
@@ -870,7 +810,7 @@ impl ServerState {
     /// A worker's `catch_unwind` tripped: retry on the seeded backoff
     /// schedule, or fail the job when the budget is spent.
     fn after_panic(&self, mut job: Job, message: String, started: Instant) {
-        self.counter("serve.worker_panic").inc();
+        self.metrics.inc(Metric::WorkerPanic);
         flight::global().record(
             "job.panic",
             Some(job.id),
@@ -885,7 +825,7 @@ impl ServerState {
         .with_jitter(RETRY_JITTER, self.cfg.retry_seed ^ job.id);
         match plan.delay(job.attempt) {
             Some(delay_ms) => {
-                self.counter("serve.retried").inc();
+                self.metrics.inc(Metric::Retried);
                 flight::global().record(
                     "job.retry",
                     Some(job.id),
@@ -1085,10 +1025,10 @@ fn spawn_worker(state: Arc<ServerState>, idx: usize) {
                             .checkpoints
                             .load(job.id, &job.digest, total, SWEEP_CHUNK as u32)
                     {
-                        state.counter("serve.resumes").inc();
+                        state.metrics.inc(Metric::Resumes);
                         state
-                            .counter("serve.checkpoint_fallbacks")
-                            .add(u64::from(load.fallbacks));
+                            .metrics
+                            .add(Metric::CheckpointFallbacks, u64::from(load.fallbacks));
                         flight::global().record(
                             "job.resume",
                             Some(job.id),
@@ -1101,16 +1041,15 @@ fn spawn_worker(state: Arc<ServerState>, idx: usize) {
                     }
                     if state.checkpoints.enabled() {
                         let store = Arc::clone(&state.checkpoints);
-                        let written = state.counter("serve.checkpoints_written");
-                        let errors = state.counter("serve.checkpoint_errors");
+                        let metrics = Arc::clone(&state.metrics);
                         let id = job.id;
                         job.ctx.set_checkpoint_sink(Box::new(move |ck| {
                             let ordinal = u64::from(ck.next_index.div_ceil(ck.chunk));
                             if store.due(ordinal, ck.complete()) {
-                                match store.save(id, ck) {
-                                    Ok(()) => written.inc(),
-                                    Err(_) => errors.inc(),
-                                }
+                                metrics.inc(match store.save(id, ck) {
+                                    Ok(()) => Metric::CheckpointsWritten,
+                                    Err(_) => Metric::CheckpointErrors,
+                                });
                             }
                         }));
                     }
@@ -1217,7 +1156,6 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         .map(|p| watchdog_config(&p.watchdog).recv)
         .unwrap_or(Duration::from_millis(100));
     let cache = ResultCache::new(cfg.cache_capacity);
-    let metrics = Registry::new();
     let next_id = replay.max_id() + 1;
     let workers = cfg.workers.max(1);
 
@@ -1237,8 +1175,8 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         storage_faults,
         compacting: AtomicBool::new(false),
         cache,
-        metrics,
-        series: TimeSeriesRing::new(SERIES_CAPACITY),
+        metrics: Arc::default(),
+        prev_sample: Mutex::new(None),
         next_id: AtomicU64::new(next_id),
         accept_done: AtomicBool::new(false),
         poll,
@@ -1284,33 +1222,24 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
 /// results, re-queue pending jobs (no new Admit records — they are
 /// already admitted on disk).
 fn seed_from_replay(state: &Arc<ServerState>, replay: Replay) {
-    // Register the durability counters up front so scrapers and the
-    // `top` dashboard see them at zero instead of absent.
-    for name in [
-        "serve.checkpoints_written",
-        "serve.resumes",
-        "serve.journal_compactions",
-        "serve.journal_torn_tail",
-    ] {
-        state.counter(name);
-    }
     // Durability telemetry from the replay itself: what the journal went
     // through before this start.
     if replay.torn_tail {
-        state.counter("serve.journal_torn_tail").inc();
+        state.metrics.inc(Metric::JournalTornTail);
         flight::global().record(
             "journal.torn_tail",
             None,
             format!("truncated to {} valid bytes", replay.valid_len),
         );
     }
+    state.metrics.add(
+        Metric::JournalCorruptFrames,
+        u64::from(replay.corrupt_frames),
+    );
+    state.metrics.set(Metric::JournalBytes, replay.valid_len);
     state
-        .counter("serve.journal_corrupt_frames")
-        .add(u64::from(replay.corrupt_frames));
-    state.counter("serve.journal_bytes").set(replay.valid_len);
-    state
-        .counter("serve.journal_dropped_jobs")
-        .set(replay.dropped_jobs());
+        .metrics
+        .set(Metric::JournalDroppedJobs, replay.dropped_jobs());
     for (_, outcome) in replay.finished() {
         if let JobOutcome::Done(res) = outcome {
             state.cache.insert(res.digest.clone(), Arc::new(res));
@@ -1322,7 +1251,7 @@ fn seed_from_replay(state: &Arc<ServerState>, replay: Replay) {
     }
     let mut s = state.sched.lock().expect("sched lock poisoned");
     for (id, digest, spec) in pending {
-        state.counter("serve.replayed").inc();
+        state.metrics.inc(Metric::Replayed);
         let ctx = Arc::new(JobCtx::new());
         s.tracked.insert(
             id,
@@ -1377,16 +1306,15 @@ fn stream_watch(
     let mut seq = 0u64;
     loop {
         let frame = state.watch_frame(seq);
-        let drained = frame.draining;
         if client.push(&Response::Frame { frame }).is_err() {
-            state.counter("serve.push_fail").inc();
+            state.metrics.inc(Metric::PushFail);
             return false;
         }
         seq += 1;
         if frames != 0 && seq >= u64::from(frames) {
             return true;
         }
-        if drained && state.accept_done.load(Ordering::Acquire) {
+        if state.accept_done.load(Ordering::Acquire) {
             // The daemon is gone; an unbounded subscription ends here.
             return true;
         }

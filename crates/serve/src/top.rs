@@ -3,9 +3,10 @@
 //! Pure text generation over [`WatchFrame`]s — the CLI owns the
 //! terminal (clear-and-redraw with plain ANSI escapes); this module owns
 //! what a frame looks like, so the dashboard is testable without a TTY
-//! or a daemon. No dependencies beyond the protocol types.
+//! or a daemon. Metrics are named only by their catalogue symbol.
 
 use crate::protocol::WatchFrame;
+use crate::telemetry::Metric;
 
 /// Frames of events/s history the dashboard keeps for its sparkline.
 pub const SPARK_WIDTH: usize = 32;
@@ -50,141 +51,90 @@ pub struct Dashboard {
 }
 
 impl Dashboard {
-    /// Fresh dashboard with an empty sparkline.
-    pub fn new() -> Self {
-        Dashboard::default()
-    }
-
     /// Ingest one frame and render the full screen for it (no terminal
     /// escapes — the caller clears and homes the cursor).
     pub fn render(&mut self, addr: &str, frame: &WatchFrame) -> String {
-        let events_rate = frame.rate("engine.events").unwrap_or(0.0);
-        self.events_history.push(events_rate);
+        use Metric::*;
+        let c = |m: Metric| frame.stats.counter(m).unwrap_or(0);
+        let r = |m: Metric| frame.rates.per_sec(m).unwrap_or(0.0);
+        self.events_history.push(r(EngineEvents));
         let overflow = self.events_history.len().saturating_sub(SPARK_WIDTH);
-        if overflow > 0 {
-            self.events_history.drain(..overflow);
-        }
+        self.events_history.drain(..overflow);
 
-        let c = |name: &str| frame.stats.counter(name).unwrap_or(0);
-        let r = |name: &str| frame.rate(name).unwrap_or(0.0);
-        let hit = r("serve.cache_hit");
-        let miss = r("serve.cache_miss");
-        let hit_rate = if hit + miss > 0.0 {
-            100.0 * hit / (hit + miss)
-        } else {
-            0.0
-        };
-
-        let mut out = String::new();
-        out.push_str(&format!(
-            "dpml top — {addr}   frame #{}   window {} ms{}\n",
-            frame.seq,
-            frame.window_ms,
-            if frame.draining { "   [DRAINING]" } else { "" }
-        ));
-        out.push_str(&format!(
-            "queue {:>4}   running {:>3}   retrying {:>3}   in-flight {:>4}\n",
-            frame.queue_depth,
-            frame.running,
-            frame.retrying,
-            frame.queue_depth + frame.running + frame.retrying,
-        ));
-        out.push_str(&format!(
-            "req/s {:>8}   done/s {:>8}   shed/s {:>7}   cache hit {:>5.1}%\n",
-            fmt_rate(r("serve.submitted")),
-            fmt_rate(r("serve.completed_ok")),
-            fmt_rate(r("serve.shed")),
-            hit_rate,
-        ));
-        out.push_str(&format!(
-            "sheds {:>6}   retries {:>5}   panics/respawns {:>4}   cache hits {:>6}\n",
-            c("serve.shed"),
-            c("serve.retried"),
-            c("serve.worker_panic"),
-            c("serve.cache_hit"),
-        ));
-        if let Some(w) = frame.windows.iter().find(|w| w.name == "serve.job_ms") {
-            out.push_str(&format!(
-                "job ms (window) p50 {:>6} p99 {:>6}   ({} samples)\n",
-                w.p50, w.p99, w.count
-            ));
+        let (hit, miss) = (r(CacheHit), r(CacheMiss));
+        let hit_rate = 100.0 * hit / (hit + miss).max(f64::MIN_POSITIVE);
+        let (seq, window) = (frame.seq, frame.rates.dt_ms);
+        let draining = if c(Draining) > 0 { "   [DRAINING]" } else { "" };
+        let (queued, running, retrying) = (c(QueueDepth), c(Running), c(Retrying));
+        let mut out = format!(
+            "dpml top — {addr}   frame #{seq}   window {window} ms{draining}\n\
+             queue {queued:>4}   running {running:>3}   retrying {retrying:>3}   in-flight {:>4}\n\
+             req/s {:>8}   done/s {:>8}   shed/s {:>7}   cache hit {hit_rate:>5.1}%\n\
+             sheds {:>6}   retries {:>5}   panics/respawns {:>4}   cache hits {:>6}\n",
+            queued + running + retrying,
+            fmt_rate(r(Submitted)),
+            fmt_rate(r(CompletedOk)),
+            fmt_rate(r(Shed)),
+            c(Shed),
+            c(Retried),
+            c(WorkerPanic),
+            c(CacheHit),
+        );
+        if let Some(w) = frame.rates.window(JobMs) {
+            let (p50, p99, n) = (w.p50, w.p99, w.count);
+            out += &format!("job ms (window) p50 {p50:>6} p99 {p99:>6}   ({n} samples)\n");
         }
-        if let Some(h) = frame
-            .stats
-            .histograms
-            .iter()
-            .find(|h| h.name == "serve.job_ms")
-        {
-            out.push_str(&format!(
-                "job ms (total)  p50 {:>6} p99 {:>6}   mean {:>8.1}\n",
-                h.p50, h.p99, h.mean
-            ));
+        if let Some(h) = frame.stats.histogram(JobMs) {
+            let (p50, p99, mean) = (h.p50, h.p99, h.mean);
+            out += &format!("job ms (total)  p50 {p50:>6} p99 {p99:>6}   mean {mean:>8.1}\n");
         }
-        out.push_str(&format!(
-            "journal {:>8}B  ckpts {:>5}   resumes {:>3}   compactions {:>3}   torn tails {:>2}\n",
-            c("serve.journal_bytes"),
-            c("serve.checkpoints_written"),
-            c("serve.resumes"),
-            c("serve.journal_compactions"),
-            c("serve.journal_torn_tail"),
-        ));
-        out.push_str(&format!(
-            "events/s {:>8}  {}\n",
-            fmt_rate(events_rate),
+        out + &format!(
+            "journal {:>8}B  ckpts {:>5}   resumes {:>3}   compactions {:>3}   torn tails {:>2}\n\
+             events/s {:>8}  {}\n",
+            c(JournalBytes),
+            c(CheckpointsWritten),
+            c(Resumes),
+            c(JournalCompactions),
+            c(JournalTornTail),
+            fmt_rate(r(EngineEvents)),
             sparkline(&self.events_history),
-        ));
-        out
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{CounterStat, RateStat, ServeStats};
+    use crate::telemetry::Metrics;
+    use dpml_shm::metrics::{rates_between, TimedSnapshot};
 
     fn frame() -> WatchFrame {
+        use Metric::*;
+        let m = Metrics::default();
+        let older = TimedSnapshot {
+            t_ms: 500,
+            snap: m.snapshot(),
+        };
+        let levels = [
+            (QueueDepth, 2),
+            (Running, 1),
+            (Shed, 5),
+            (Retried, 1),
+            (JournalBytes, 4096),
+            (Resumes, 2),
+            (EngineEvents, 500_000),
+            (Submitted, 6),
+        ];
+        levels.into_iter().for_each(|(metric, v)| m.set(metric, v));
+        let newer = TimedSnapshot {
+            t_ms: 1_000,
+            snap: m.snapshot(),
+        };
         WatchFrame {
             seq: 3,
-            t_ms: 1_000,
-            queue_depth: 2,
-            running: 1,
-            retrying: 0,
-            draining: false,
-            stats: ServeStats {
-                counters: vec![
-                    CounterStat {
-                        name: "serve.shed".into(),
-                        value: 5,
-                    },
-                    CounterStat {
-                        name: "serve.retried".into(),
-                        value: 1,
-                    },
-                    CounterStat {
-                        name: "serve.journal_bytes".into(),
-                        value: 4096,
-                    },
-                    CounterStat {
-                        name: "serve.resumes".into(),
-                        value: 2,
-                    },
-                ],
-                histograms: vec![],
-            },
-            rates: vec![
-                RateStat {
-                    name: "engine.events".into(),
-                    delta: 500_000,
-                    per_sec: 1_000_000.0,
-                },
-                RateStat {
-                    name: "serve.submitted".into(),
-                    delta: 6,
-                    per_sec: 12.0,
-                },
-            ],
-            windows: vec![],
-            window_ms: 500,
+            t_ms: newer.t_ms,
+            rates: rates_between(&older, &newer),
+            stats: newer.snap,
         }
     }
 
@@ -206,7 +156,7 @@ mod tests {
 
     #[test]
     fn render_includes_gauges_rates_and_sparkline() {
-        let mut dash = Dashboard::new();
+        let mut dash = Dashboard::default();
         let text = dash.render("127.0.0.1:4077", &frame());
         assert!(text.contains("frame #3"));
         assert!(text.contains("queue    2"));
@@ -221,7 +171,7 @@ mod tests {
 
     #[test]
     fn sparkline_history_is_bounded() {
-        let mut dash = Dashboard::new();
+        let mut dash = Dashboard::default();
         for _ in 0..(SPARK_WIDTH + 10) {
             dash.render("a", &frame());
         }

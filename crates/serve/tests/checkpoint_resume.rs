@@ -9,8 +9,7 @@
 
 use dpml_serve::job::{execute, JobCtx, JobKind, JobOutcome, JobSpec, SWEEP_CHUNK};
 use dpml_serve::journal::{replay_file, Journal, Record};
-use dpml_serve::protocol::ServeStats;
-use dpml_serve::{start, CheckpointStore, ServeConfig};
+use dpml_serve::{start, CheckpointStore, Metric, ServeConfig};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -50,15 +49,6 @@ fn run_capturing(spec: &JobSpec) -> (String, Vec<dpml_core::SweepCheckpoint>) {
     let baseline = serde_json::to_string(&res).unwrap();
     let ckpts = captured.lock().unwrap().clone();
     (baseline, ckpts)
-}
-
-fn counter(stats: &ServeStats, name: &str) -> u64 {
-    stats
-        .counters
-        .iter()
-        .find(|c| c.name == name)
-        .map(|c| c.value)
-        .unwrap_or(0)
 }
 
 #[test]
@@ -168,21 +158,25 @@ fn staged_crash_resume(name: &str, corrupt_newest: bool) {
     assert_eq!(handle.wait(), 0);
 
     let stats = state.stats();
-    assert_eq!(counter(&stats, "serve.resumes"), 1, "one resumed job");
     assert_eq!(
-        counter(&stats, "serve.scenarios_resumed"),
+        stats.counter(Metric::Resumes).unwrap(),
+        1,
+        "one resumed job"
+    );
+    assert_eq!(
+        stats.counter(Metric::ScenariosResumed).unwrap(),
         u64::from(mid.next_index),
         "restored exactly the checkpointed prefix"
     );
     let total = spec.scenarios().unwrap().len() as u64;
     assert_eq!(
-        counter(&stats, "serve.scenarios_executed"),
+        stats.counter(Metric::ScenariosExecuted).unwrap(),
         total - u64::from(mid.next_index),
         "rework is exactly the remainder"
     );
     if corrupt_newest {
         assert!(
-            counter(&stats, "serve.checkpoint_fallbacks") >= 1,
+            stats.counter(Metric::CheckpointFallbacks).unwrap() >= 1,
             "the corrupted newest frame is a descended rung"
         );
     }

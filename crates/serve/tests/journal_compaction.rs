@@ -8,7 +8,7 @@
 
 use dpml_serve::job::{JobKind, JobSpec};
 use dpml_serve::journal::{replay_file, Journal, Record};
-use dpml_serve::{start, Client, ServeConfig};
+use dpml_serve::{start, Client, Metric, ServeConfig};
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -54,6 +54,7 @@ fn budget_is_enforced_and_accounting_balances() {
         let mut c = Client::connect(handle.addr).unwrap();
         c.set_timeout(Some(Duration::from_secs(60))).unwrap();
         let mut ids = Vec::new();
+        let mut levels = Vec::new();
         // Distinct sizes → distinct digests → every job misses the cache
         // and takes the full Admit/Start/Finish journal path.
         for i in 0..total_jobs {
@@ -61,18 +62,25 @@ fn budget_is_enforced_and_accounting_balances() {
                 dpml_serve::Submission::Finished { id, .. } => ids.push(id),
                 other => panic!("job {i} not finished: {other:?}"),
             }
+            levels.push(state.stats().counter(Metric::JournalBytes).unwrap());
         }
         max_seen_id = ids.iter().copied().max().unwrap();
+        // The journal size is a level, not a running total: exported as
+        // a gauge, and compaction makes it fall.
+        let text = c.metrics().unwrap();
+        assert!(
+            text.contains("# TYPE dpml_serve_journal_bytes gauge\n"),
+            "{text}"
+        );
+        assert!(
+            levels.windows(2).any(|w| w[1] < w[0]),
+            "journal_bytes never fell across compactions: {levels:?}"
+        );
         c.shutdown().unwrap();
         assert_eq!(handle.wait(), 0);
 
         let stats = state.stats();
-        let compactions = stats
-            .counters
-            .iter()
-            .find(|c| c.name == "serve.journal_compactions")
-            .map(|c| c.value)
-            .unwrap_or(0);
+        let compactions = stats.counter(Metric::JournalCompactions).unwrap_or(0);
         assert!(
             compactions >= 1,
             "the workload must have tripped at least one compaction"

@@ -4,7 +4,7 @@
 
 use dpml_serve::journal;
 use dpml_serve::{
-    start, Client, JobError, JobKind, JobOutcome, JobSpec, Record, ServeConfig, Submission,
+    start, Client, JobError, JobKind, JobOutcome, JobSpec, Metric, Record, ServeConfig, Submission,
 };
 use std::path::PathBuf;
 use std::time::Duration;
@@ -92,8 +92,8 @@ fn simulate_roundtrip_then_cache_hit() {
     assert!(outcome.is_done());
 
     let stats = c.stats().unwrap();
-    assert_eq!(stats.counter("serve.cache_hit"), Some(1));
-    assert_eq!(stats.counter("serve.completed_ok"), Some(1));
+    assert_eq!(stats.counter(Metric::CacheHit), Some(1));
+    assert_eq!(stats.counter(Metric::CompletedOk), Some(1));
 
     c.shutdown().unwrap();
     assert_eq!(handle.wait(), 0);
@@ -136,9 +136,9 @@ fn chaos_panics_are_retried_to_success() {
     );
 
     let stats = c.stats().unwrap();
-    assert_eq!(stats.counter("serve.worker_panic"), Some(2));
-    assert_eq!(stats.counter("serve.retried"), Some(2));
-    assert_eq!(stats.counter("serve.completed_ok"), Some(1));
+    assert_eq!(stats.counter(Metric::WorkerPanic), Some(2));
+    assert_eq!(stats.counter(Metric::Retried), Some(2));
+    assert_eq!(stats.counter(Metric::CompletedOk), Some(1));
 
     c.shutdown().unwrap();
     assert_eq!(handle.wait(), 0);

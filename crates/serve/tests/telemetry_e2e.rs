@@ -4,8 +4,10 @@
 
 use dpml_engine::flight::PostmortemBundle;
 use dpml_serve::journal::{replay_file, Record};
+use dpml_serve::telemetry::metric_name;
 use dpml_serve::top::Dashboard;
-use dpml_serve::{start, Client, JobKind, JobSpec, ServeConfig, Submission};
+use dpml_serve::{start, Client, JobKind, JobSpec, Metric, ServeConfig, Submission};
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -66,7 +68,7 @@ fn watch_streams_frames_with_nonzero_rates_and_top_renders() {
     // ...then subscribe on another and keep submitting while watching.
     let mut watcher = connect(handle.addr);
     watcher.watch_start(30, 6).unwrap();
-    let mut dash = Dashboard::new();
+    let mut dash = Dashboard::default();
     let mut frames = Vec::new();
     for i in 0u64..6 {
         // Interleave fresh work so the watch windows see deltas (cache
@@ -81,17 +83,17 @@ fn watch_streams_frames_with_nonzero_rates_and_top_renders() {
     }
 
     // Frames after the first have a real window.
-    assert!(frames.iter().skip(1).all(|f| f.window_ms > 0));
+    assert!(frames.iter().skip(1).all(|f| f.rates.dt_ms > 0));
     // At least one frame saw traffic: a nonzero submitted-rate.
     assert!(
         frames
             .iter()
-            .any(|f| f.rate("serve.submitted").unwrap_or(0.0) > 0.0),
+            .any(|f| f.rates.per_sec(Metric::Submitted).unwrap_or(0.0) > 0.0),
         "no frame saw a nonzero serve.submitted rate"
     );
     // Cumulative engine.events must be visible in the stats payload.
     let last = frames.last().unwrap();
-    assert!(last.stats.counter("engine.events").unwrap_or(0) > 0);
+    assert!(last.stats.counter(Metric::EngineEvents).unwrap_or(0) > 0);
 
     // The stream ended after `frames` frames: the connection is back in
     // request/response mode.
@@ -101,9 +103,71 @@ fn watch_streams_frames_with_nonzero_rates_and_top_renders() {
     assert_eq!(handle.wait(), 0);
 }
 
-/// The `metrics` verb emits Prometheus-style exposition: every sample
-/// preceded by a `# TYPE` line, counters suffixed `_total`, histogram
-/// summaries with quantile labels, and the serve.shed counter present.
+/// Lint a Prometheus text exposition, one message per violation: no blank
+/// lines and only `# TYPE` comments; one `# TYPE` line before each
+/// metric's samples; `dpml_[a-zA-Z0-9_]` names; kinds counter, gauge or
+/// summary, counters ending `_total`; summaries with quantile, `_sum` and
+/// `_count` lines; finite values.
+fn lint(text: &str) -> Vec<String> {
+    let mut errors = Vec::new();
+    let mut typed = HashMap::new();
+    let mut summary_parts: HashMap<&str, HashSet<&str>> = HashMap::new();
+    for (n, line) in text.lines().enumerate() {
+        let mut err = |why: &str| errors.push(format!("line {}: {why}: {line:?}", n + 1));
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').unwrap_or((rest, ""));
+            let charset = name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+            if !name.starts_with("dpml_") || !charset {
+                err("name outside dpml_[a-zA-Z0-9_]");
+            }
+            if !matches!(kind, "counter" | "gauge" | "summary") {
+                err("unknown kind");
+            }
+            if kind == "counter" && !name.ends_with("_total") {
+                err("counter without _total");
+            }
+            if typed.insert(name, kind).is_some() {
+                err("duplicate TYPE line");
+            }
+            continue;
+        }
+        let Some((series, value)) = line.rsplit_once(' ').filter(|_| !line.starts_with('#')) else {
+            err("blank, comment or unparseable line");
+            continue;
+        };
+        let name = series.split('{').next().unwrap_or_default();
+        let summary = |base: &str| typed.get(base) == Some(&"summary");
+        let (base, part) = match (name.strip_suffix("_sum"), name.strip_suffix("_count")) {
+            (Some(base), _) if summary(base) => (base, "sum"),
+            (_, Some(base)) if summary(base) => (base, "count"),
+            _ => (name, "quantile"),
+        };
+        if !typed.contains_key(base) {
+            err("sample without a preceding TYPE line");
+        } else if summary(base) && (part != "quantile" || series.contains("{quantile=\"")) {
+            summary_parts.entry(base).or_default().insert(part);
+        } else if summary(base) {
+            err("summary sample without a quantile label");
+        }
+        if !value.parse::<f64>().is_ok_and(f64::is_finite) {
+            err("non-finite sample value");
+        }
+    }
+    for (name, _) in typed.iter().filter(|(_, kind)| **kind == "summary") {
+        for part in ["quantile", "sum", "count"] {
+            if !summary_parts
+                .get(name)
+                .is_some_and(|parts| parts.contains(part))
+            {
+                errors.push(format!("summary {name}: no {part} line"));
+            }
+        }
+    }
+    errors
+}
+
+/// The `metrics` verb's exposition passes the lint and exports the whole
+/// catalogue, scraped from a live daemon over TCP.
 #[test]
 fn metrics_verb_emits_lintable_exposition() {
     let cfg = base_cfg("metrics");
@@ -112,35 +176,14 @@ fn metrics_verb_emits_lintable_exposition() {
     c.submit_and_wait(&sim_spec(65536)).unwrap();
 
     let text = c.metrics().unwrap();
+    let errors = lint(&text);
+    assert!(errors.is_empty(), "exposition lint:\n{}", errors.join("\n"));
+    for m in Metric::ALL {
+        assert!(text.contains(&metric_name(m.name())), "{m:?} not exported");
+    }
     assert!(text.contains("# TYPE dpml_serve_queue_depth gauge"));
     assert!(text.contains("# TYPE dpml_serve_submitted_total counter"));
-    assert!(text.contains("# TYPE dpml_serve_job_ms summary"));
     assert!(text.contains("dpml_serve_job_ms{quantile=\"0.99\"}"));
-    assert!(text.contains("dpml_engine_events_total"));
-
-    // Inline lint: the same invariants scripts/metrics_lint.py enforces.
-    let mut typed = std::collections::HashSet::new();
-    for line in text.lines() {
-        assert!(!line.trim().is_empty(), "no blank lines in exposition");
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut parts = rest.split_whitespace();
-            let name = parts.next().unwrap();
-            let kind = parts.next().unwrap();
-            assert!(matches!(kind, "counter" | "gauge" | "summary"), "{line}");
-            if kind == "counter" {
-                assert!(name.ends_with("_total"), "counter without _total: {line}");
-            }
-            typed.insert(name.to_string());
-        } else {
-            let sample = line.split(['{', ' ']).next().unwrap();
-            assert!(sample.starts_with("dpml_"), "unnamespaced metric: {line}");
-            let base = sample
-                .strip_suffix("_sum")
-                .or_else(|| sample.strip_suffix("_count"))
-                .unwrap_or(sample);
-            assert!(typed.contains(base), "sample without TYPE: {line}");
-        }
-    }
 
     handle.shutdown();
     assert_eq!(handle.wait(), 0);

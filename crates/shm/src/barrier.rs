@@ -7,16 +7,8 @@
 //! decrement a counter; the last arrival resets it and flips the global
 //! sense; everyone else spins on the sense word with `Acquire` loads.
 
-use crate::metrics::Histogram;
+use crate::metrics::BARRIER_WAIT_NS;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-
-/// Cached handle to the global `barrier.wait_ns` histogram so the hot path
-/// pays one relaxed-atomic record, not a registry lookup.
-fn wait_hist() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| crate::metrics::global().histogram("barrier.wait_ns"))
-}
 
 /// A reusable spin barrier for a fixed set of threads.
 #[derive(Debug)]
@@ -54,7 +46,7 @@ impl SpinBarrier {
         });
         // invariant: the backoff closure above never returns Err.
         ok.unwrap();
-        wait_hist().record(start.elapsed().as_nanos() as u64);
+        BARRIER_WAIT_NS.record(start.elapsed().as_nanos() as u64);
     }
 
     /// Core arrival/spin loop shared by [`SpinBarrier::wait`] and the

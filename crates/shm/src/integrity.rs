@@ -8,23 +8,6 @@
 //! tests flip actual payload bits to prove the guards catch them —
 //! mirroring the engine-side `DataFaults` wire model numerically.
 
-use crate::metrics::Counter;
-use std::sync::{Arc, OnceLock};
-
-/// Cached handle to the global `shm.crc_fail` counter (checksum
-/// detections in the mailbox and publish paths).
-pub(crate) fn crc_fail_counter() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| crate::metrics::global().counter("shm.crc_fail"))
-}
-
-/// Cached handle to the global `shm.retransmit` counter (clean-copy
-/// recoveries and partition re-reductions).
-pub(crate) fn retransmit_counter() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| crate::metrics::global().counter("shm.retransmit"))
-}
-
 /// CRC32C (Castagnoli) lookup table, reflected polynomial `0x82F63B78`.
 const fn build_table() -> [u32; 256] {
     let mut table = [0u32; 256];

@@ -7,24 +7,11 @@
 //! single-leader design the paper improves upon.
 
 use crate::barrier::{BarrierToken, SpinBarrier};
-use crate::integrity::{crc32c, crc_fail_counter, retransmit_counter, PoisonPlan};
+use crate::integrity::{crc32c, PoisonPlan};
 use crate::kernels::{fold_slots_op, reduce_into, ReduceOp, SumOp};
-use crate::metrics::Counter;
+use crate::metrics::{SHM_COPY_BYTES, SHM_CRC_FAIL, SHM_REDUCE_OPS, SHM_RETRANSMIT};
 use crate::region::SharedSlots;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock};
-
-/// Cached handle to the global `shm.copy_bytes` counter.
-fn copy_bytes_counter() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| crate::metrics::global().counter("shm.copy_bytes"))
-}
-
-/// Cached handle to the global `shm.reduce_ops` counter.
-fn reduce_ops_counter() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| crate::metrics::global().counter("shm.reduce_ops"))
-}
 
 /// Intra-node algorithm choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,7 +147,7 @@ impl NodeRuntime {
                             let slot = unsafe { gather.slot_mut(j * self.ppn + t) };
                             slot[..e - s].copy_from_slice(&input[s..e]);
                         }
-                        copy_bytes_counter().add((n * size_of::<f64>()) as u64);
+                        SHM_COPY_BYTES.add((n * size_of::<f64>()) as u64);
                         tok.wait(barrier);
                         // Phase 2: leaders fold their partition.
                         let mut folded_elems = 0usize;
@@ -188,7 +175,7 @@ impl NodeRuntime {
                             folded_elems += plen * (self.ppn - 1);
                         }
                         if folded_elems > 0 {
-                            reduce_ops_counter().add(folded_elems as u64);
+                            SHM_REDUCE_OPS.add(folded_elems as u64);
                         }
                         tok.wait(barrier);
                         // Phase 4: copy all partitions out, verifying each
@@ -208,16 +195,16 @@ impl NodeRuntime {
                                 if crc32c(slot) == guards[j].load(Ordering::Acquire) {
                                     out[s..e].copy_from_slice(slot);
                                 } else {
-                                    crc_fail_counter().inc();
+                                    SHM_CRC_FAIL.inc();
                                     let slots: Vec<&[f64]> = (0..self.ppn)
                                         .map(|i| &gather.slot(j * self.ppn + i)[..plen])
                                         .collect();
                                     fold_slots_op(op, &mut out[s..e], &slots);
-                                    retransmit_counter().inc();
+                                    SHM_RETRANSMIT.inc();
                                 }
                             }
                         }
-                        copy_bytes_counter().add((n * size_of::<f64>()) as u64);
+                        SHM_COPY_BYTES.add((n * size_of::<f64>()) as u64);
                         out
                     })
                 })
@@ -328,23 +315,19 @@ mod tests {
 
     #[test]
     fn allreduce_records_live_metrics() {
-        let reg = crate::metrics::global();
-        let before = reg.snapshot();
+        use crate::metrics::BARRIER_WAIT_NS;
+        let before = [SHM_COPY_BYTES.get(), SHM_REDUCE_OPS.get()];
         let rt = NodeRuntime::new(4);
         let ins = inputs(4, 500);
         rt.allreduce(&ins, IntraAlgo::MultiLeader { leaders: 2 });
-        let after = reg.snapshot();
         // Each of 4 ranks copies 500 f64 in (phase 1) and out (phase 4).
-        let copied = after.counter("shm.copy_bytes").unwrap_or(0)
-            - before.counter("shm.copy_bytes").unwrap_or(0);
+        let copied = SHM_COPY_BYTES.get() - before[0];
         assert!(copied >= (2 * 4 * 500 * 8) as u64, "copied {copied}");
         // Leaders fold ppn-1 = 3 passes over the whole vector.
-        let folded = after.counter("shm.reduce_ops").unwrap_or(0)
-            - before.counter("shm.reduce_ops").unwrap_or(0);
+        let folded = SHM_REDUCE_OPS.get() - before[1];
         assert!(folded >= (500 * 3) as u64, "folded {folded}");
         // Barrier arrivals were timed.
-        let waits = after.histogram("barrier.wait_ns").expect("histogram");
-        assert!(waits.count > 0);
+        assert!(BARRIER_WAIT_NS.count() > 0);
     }
 
     #[test]
@@ -359,8 +342,7 @@ mod tests {
 
     #[test]
     fn poisoned_publish_detected_and_redone() {
-        let reg = crate::metrics::global();
-        let before = reg.snapshot();
+        let before = [SHM_CRC_FAIL.get(), SHM_RETRANSMIT.get()];
         let rt = NodeRuntime::new(4);
         let ins = inputs(4, 1000);
         let clean = rt.allreduce(&ins, IntraAlgo::MultiLeader { leaders: 2 });
@@ -373,11 +355,8 @@ mod tests {
         // The redo folds the gather slots in the same order the leader
         // did, so recovery is bit-identical, not merely close.
         assert_eq!(got, clean, "poisoned partitions must be re-reduced exactly");
-        let after = reg.snapshot();
-        let fails = after.counter("shm.crc_fail").unwrap_or(0)
-            - before.counter("shm.crc_fail").unwrap_or(0);
-        let rtx = after.counter("shm.retransmit").unwrap_or(0)
-            - before.counter("shm.retransmit").unwrap_or(0);
+        let fails = SHM_CRC_FAIL.get() - before[0];
+        let rtx = SHM_RETRANSMIT.get() - before[1];
         // Rate 1.0 poisons both partitions; all 4 readers detect both.
         assert!(fails >= 8, "expected >=8 detections, got {fails}");
         assert!(rtx >= 8, "expected >=8 redos, got {rtx}");

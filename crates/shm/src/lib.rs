@@ -27,6 +27,6 @@ pub use barrier::SpinBarrier;
 pub use cluster::ThreadCluster;
 pub use integrity::{crc32c, crc32c_bytes, PoisonPlan};
 pub use intranode::{IntraAlgo, NodeRuntime};
-pub use metrics::{Counter, Histogram, MetricsSnapshot, Registry};
+pub use metrics::{Counter, Histogram, MetricsSnapshot};
 pub use region::SharedSlots;
 pub use watchdog::{ShmTimeout, WatchdogConfig};

@@ -13,7 +13,8 @@
 //! sender-side retransmit store (`shm.retransmit`) — the real-bytes
 //! mirror of the simulator's ack/retransmit protocol.
 
-use crate::integrity::{crc32c, crc_fail_counter, retransmit_counter, PoisonPlan};
+use crate::integrity::{crc32c, PoisonPlan};
+use crate::metrics::{SHM_CRC_FAIL, SHM_RETRANSMIT};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -118,7 +119,9 @@ impl Network {
         (Network { senders, poison }, boxes)
     }
 
-    /// Send `data` from `from` to `to` with `tag`.
+    /// Send `data` from `from` to `to` with `tag`. Ranks fail-stop: a
+    /// send to a rank whose [`Mailbox`] is gone is dropped, and the
+    /// survivors' deadline-guarded receives report the dead peer.
     pub fn send(&self, from: usize, to: usize, tag: u64, mut data: Vec<f64>) {
         let crc = crc32c(&data);
         if let Some(state) = &self.poison {
@@ -128,14 +131,12 @@ impl Network {
                 state.plan.flip_bit(&mut data, draw);
             }
         }
-        self.senders[to]
-            .send(Msg {
-                from,
-                tag,
-                data,
-                crc,
-            })
-            .expect("receiver alive");
+        let _ = self.senders[to].send(Msg {
+            from,
+            tag,
+            data,
+            crc,
+        });
     }
 
     /// Number of ranks.
@@ -176,14 +177,14 @@ impl Mailbox {
         if crc32c(&m.data) == m.crc {
             return m.data;
         }
-        crc_fail_counter().inc();
+        SHM_CRC_FAIL.inc();
         let state = self
             .poison
             .as_ref()
             .expect("corrupt frame on an unpoisoned network");
         let clean = state.take_clean(m.from, self.rank, m.tag);
         debug_assert_eq!(crc32c(&clean), m.crc, "retransmit copy must be clean");
-        retransmit_counter().inc();
+        SHM_RETRANSMIT.inc();
         clean
     }
 
@@ -215,6 +216,15 @@ impl Mailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn send_to_a_dropped_mailbox_is_dropped_not_a_panic() {
+        let (net, mut boxes) = Network::new(2);
+        drop(boxes.pop());
+        net.send(0, 1, 3, vec![1.0]);
+        net.send(1, 0, 3, vec![2.0]);
+        assert_eq!(boxes[0].recv_from(1, 3), vec![2.0]);
+    }
 
     #[test]
     fn direct_delivery() {
@@ -262,8 +272,7 @@ mod tests {
 
     #[test]
     fn poisoned_send_recovers_clean_payload() {
-        let reg = crate::metrics::global();
-        let before = reg.snapshot();
+        let before = [SHM_CRC_FAIL.get(), SHM_RETRANSMIT.get()];
         let (net, mut boxes) = Network::with_poison(
             2,
             PoisonPlan {
@@ -274,11 +283,8 @@ mod tests {
         let payload: Vec<f64> = (0..256).map(|i| i as f64 * 0.5 - 3.0).collect();
         net.send(0, 1, 9, payload.clone());
         assert_eq!(boxes[1].recv_from(0, 9), payload);
-        let after = reg.snapshot();
-        let fails = after.counter("shm.crc_fail").unwrap_or(0)
-            - before.counter("shm.crc_fail").unwrap_or(0);
-        let rtx = after.counter("shm.retransmit").unwrap_or(0)
-            - before.counter("shm.retransmit").unwrap_or(0);
+        let fails = SHM_CRC_FAIL.get() - before[0];
+        let rtx = SHM_RETRANSMIT.get() - before[1];
         assert!(fails >= 1, "the flipped bit must fail the CRC");
         assert!(rtx >= 1, "the clean copy must be recovered");
     }

@@ -2,36 +2,59 @@
 //!
 //! The simulator side of this workspace reports virtual time; the thread
 //! runtime here runs real data movement, and these are its observability
-//! primitives: lock-free [`Counter`]s and log2-bucketed [`Histogram`]s
-//! registered by name in a [`Registry`]. Hot paths touch a single relaxed
-//! atomic per event; [`Registry::snapshot`] reads a consistent-enough view
-//! at any time without stopping the threads.
+//! primitives: lock-free [`Counter`]s and log2-bucketed [`Histogram`]s.
+//! Both are `const`-constructible, so a fixed set of metrics is a set of
+//! `static`s and a hot path touches a single relaxed atomic per event,
+//! with no lookup. A [`MetricsSnapshot`] reads a consistent-enough view at
+//! any time without stopping the threads.
 //!
-//! The runtime records, per process-wide [`global`] registry:
+//! The runtime's five metrics are the statics below, and [`snapshot`]
+//! is their one name table:
 //!
 //! * `barrier.wait_ns` — spin-barrier wait time per arrival (histogram),
-//! * `shm.copy_bytes` — bytes moved through shared-memory slots (counter),
-//! * `shm.reduce_ops` — element reduction operations performed (counter),
+//! * `shm.copy_bytes` — bytes moved through shared-memory slots,
 //! * `shm.crc_fail` — payloads/publishes that failed their CRC32C check
-//!   (counter; see [`crate::integrity`]),
+//!   (see [`crate::integrity`]),
+//! * `shm.reduce_ops` — element reduction operations performed,
 //! * `shm.retransmit` — clean-copy recoveries and partition re-reductions
-//!   after a checksum failure (counter).
+//!   after a checksum failure.
 //!
-//! On top of the live registry sits a **time-series layer** for
-//! continuous telemetry (`dpml-serve`'s `watch` verb and `dpml top`): a
-//! fixed-capacity [`TimeSeriesRing`] of timestamped [`MetricsSnapshot`]s
-//! plus [`rates_between`], which derives per-second counter rates and
-//! windowed histogram quantiles from the *deltas* between two snapshots —
+//! For continuous telemetry (`dpml-serve`'s `watch` verb and `dpml top`),
+//! [`rates_between`] derives per-second counter rates and windowed
+//! histogram quantiles from the *deltas* between two [`TimedSnapshot`]s,
 //! so a dashboard shows "what happened in the last sample interval", not
 //! since process start.
 
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// Number of log2 buckets: values up to `2^63` land in the last bucket.
 const BUCKETS: usize = 64;
+
+/// Spin-barrier wait per arrival, nanoseconds.
+pub static BARRIER_WAIT_NS: Histogram = Histogram::new();
+/// Bytes moved through shared-memory slots.
+pub static SHM_COPY_BYTES: Counter = Counter::new();
+/// Payloads and publishes that failed their CRC32C check.
+pub static SHM_CRC_FAIL: Counter = Counter::new();
+/// Element reduction operations performed.
+pub static SHM_REDUCE_OPS: Counter = Counter::new();
+/// Clean-copy recoveries and partition re-reductions.
+pub static SHM_RETRANSMIT: Counter = Counter::new();
+
+/// The runtime's metrics under their names, sorted by name.
+static COUNTERS: [(&str, &Counter); 4] = [
+    ("shm.copy_bytes", &SHM_COPY_BYTES),
+    ("shm.crc_fail", &SHM_CRC_FAIL),
+    ("shm.reduce_ops", &SHM_REDUCE_OPS),
+    ("shm.retransmit", &SHM_RETRANSMIT),
+];
+static HISTOGRAMS: [(&str, &Histogram); 1] = [("barrier.wait_ns", &BARRIER_WAIT_NS)];
+
+/// Snapshot of the runtime's process-wide metrics.
+pub fn snapshot() -> MetricsSnapshot {
+    MetricsSnapshot::of(&COUNTERS, &HISTOGRAMS)
+}
 
 /// A monotonically increasing atomic counter.
 #[derive(Debug, Default)]
@@ -41,8 +64,10 @@ pub struct Counter {
 
 impl Counter {
     /// New counter at zero.
-    pub fn new() -> Self {
-        Counter::default()
+    pub const fn new() -> Self {
+        Counter {
+            value: AtomicU64::new(0),
+        }
     }
 
     /// Add `n` to the counter.
@@ -60,15 +85,10 @@ impl Counter {
         self.value.load(Ordering::Relaxed)
     }
 
-    /// Set to an absolute value — for counters that publish a measured
+    /// Set to an absolute value — for gauges that publish a measured
     /// level (journal bytes on disk) rather than accumulate deltas.
     pub fn set(&self, v: u64) {
         self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Reset to zero.
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -83,11 +103,7 @@ pub struct Histogram {
 
 impl Default for Histogram {
     fn default() -> Self {
-        Histogram {
-            buckets: [const { AtomicU64::new(0) }; BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
+        Histogram::new()
     }
 }
 
@@ -118,29 +134,15 @@ fn bucket_width(i: usize) -> u64 {
     }
 }
 
-/// How [`Histogram::quantile_with`] reads a value out of the bucket
-/// holding the `q`-th sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuantileMode {
-    /// Legacy behavior: report the bucket's inclusive lower bound. A
-    /// log2 floor systematically *understates* — by up to 2× when the
-    /// true sample sits near the bucket's upper edge. Kept under this
-    /// flag so callers pinned to historical outputs (golden files,
-    /// committed baselines) can stay bit-stable.
-    BucketFloor,
-    /// Linear interpolation within the bucket (Prometheus
-    /// `histogram_quantile` convention): assuming samples are uniform in
-    /// the bucket, the reported value is `floor + width * rank / count`.
-    /// The result always lies within the true sample's bucket
-    /// `[2^(i-1), 2^i]`, so the worst-case relative error is < 2× in
-    /// either direction (vs. a guaranteed understatement before) and is
-    /// exact when in-bucket samples are uniformly spread.
-    Interpolated,
-}
-
-/// Quantile over raw bucket counts (shared by live histograms and the
-/// time-series delta path). `total` must equal `counts.iter().sum()`.
-fn quantile_from_counts(counts: &[u64], total: u64, q: f64, mode: QuantileMode) -> u64 {
+/// Quantile `q` over raw bucket counts (shared by live histograms and
+/// the time-series delta path), linearly interpolated within the bucket
+/// holding the `q`-th sample (the Prometheus `histogram_quantile`
+/// convention): assuming samples are uniform in the bucket, the value is
+/// `floor + width * rank / count`. It always lies within that sample's
+/// bucket `[2^(i-1), 2^i]`, so the relative error is < 2× in either
+/// direction, and exact when in-bucket samples are uniformly spread.
+fn quantile_from_counts(counts: &[u64; BUCKETS], q: f64) -> u64 {
+    let total: u64 = counts.iter().sum();
     if total == 0 {
         return 0;
     }
@@ -152,16 +154,10 @@ fn quantile_from_counts(counts: &[u64], total: u64, q: f64, mode: QuantileMode) 
         }
         seen += c;
         if seen >= target {
-            return match mode {
-                QuantileMode::BucketFloor => bucket_floor(i),
-                QuantileMode::Interpolated => {
-                    let rank = target - (seen - c); // 1-based rank within the bucket
-                    let v =
-                        bucket_floor(i) as f64 + bucket_width(i) as f64 * (rank as f64 / c as f64);
-                    // Stay inside the bucket's closed upper edge.
-                    (v as u64).min(bucket_floor(i) + bucket_width(i))
-                }
-            };
+            let rank = target - (seen - c); // 1-based rank within the bucket
+            let v = bucket_floor(i) as f64 + bucket_width(i) as f64 * (rank as f64 / c as f64);
+            // Stay inside the bucket's closed upper edge.
+            return (v as u64).min(bucket_floor(i) + bucket_width(i));
         }
     }
     bucket_floor(BUCKETS - 1)
@@ -169,8 +165,12 @@ fn quantile_from_counts(counts: &[u64], total: u64, q: f64, mode: QuantileMode) 
 
 impl Histogram {
     /// New empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
+    pub const fn new() -> Self {
+        Histogram {
+            buckets: [const { AtomicU64::new(0) }; BUCKETS],
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+        }
     }
 
     /// Record one sample.
@@ -200,28 +200,14 @@ impl Histogram {
         }
     }
 
-    /// Approximate quantile `q` in `0.0..=1.0`, linearly interpolated
-    /// within the log2 bucket holding the `q`-th sample (see
-    /// [`QuantileMode::Interpolated`] for the error bound).
+    /// Approximate quantile `q` in `0.0..=1.0`, interpolated within its
+    /// log2 bucket (error < 2×; see `quantile_from_counts`).
     pub fn quantile(&self, q: f64) -> u64 {
-        self.quantile_with(q, QuantileMode::Interpolated)
-    }
-
-    /// Legacy quantile: the lower bound of the bucket holding the `q`-th
-    /// sample (can understate by up to 2×; see [`QuantileMode`]).
-    pub fn quantile_floor(&self, q: f64) -> u64 {
-        self.quantile_with(q, QuantileMode::BucketFloor)
-    }
-
-    /// Quantile under an explicit [`QuantileMode`].
-    pub fn quantile_with(&self, q: f64, mode: QuantileMode) -> u64 {
-        let counts = self.bucket_counts();
-        let total: u64 = counts.iter().sum();
-        quantile_from_counts(&counts, total, q, mode)
+        quantile_from_counts(&self.bucket_counts(), q)
     }
 
     /// Raw per-bucket counts (a relaxed-atomic snapshot).
-    pub fn bucket_counts(&self) -> [u64; BUCKETS] {
+    fn bucket_counts(&self) -> [u64; BUCKETS] {
         let mut out = [0u64; BUCKETS];
         for (o, b) in out.iter_mut().zip(self.buckets.iter()) {
             *o = b.load(Ordering::Relaxed);
@@ -229,32 +215,29 @@ impl Histogram {
         out
     }
 
-    /// Reset all buckets.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
+    /// Point-in-time summary of this histogram under `name`.
+    pub fn sample(&self, name: &str) -> HistogramSample {
+        let counts = self.bucket_counts();
+        HistogramSample {
+            name: name.to_string(),
+            count: self.count(),
+            sum: self.sum(),
+            mean: self.mean(),
+            p50: quantile_from_counts(&counts, 0.5),
+            p99: quantile_from_counts(&counts, 0.99),
+            buckets: counts
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &c)| (c > 0).then_some((i as u32, c)))
+                .collect(),
         }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-    }
-
-    /// Non-empty buckets as `(lower_bound, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let c = b.load(Ordering::Relaxed);
-                (c > 0).then_some((bucket_floor(i), c))
-            })
-            .collect()
     }
 }
 
-/// Point-in-time value of one counter.
+/// Point-in-time value of one counter (or gauge).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterSample {
-    /// Registered name.
+    /// Metric name.
     pub name: String,
     /// Value at snapshot time.
     pub value: u64,
@@ -263,7 +246,7 @@ pub struct CounterSample {
 /// Point-in-time summary of one histogram.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSample {
-    /// Registered name.
+    /// Metric name.
     pub name: String,
     /// Samples recorded.
     pub count: u64,
@@ -271,9 +254,9 @@ pub struct HistogramSample {
     pub sum: u64,
     /// Mean sample.
     pub mean: f64,
-    /// Approximate median (interpolated; see [`QuantileMode`]).
+    /// Approximate median (interpolated within its log2 bucket).
     pub p50: u64,
-    /// Approximate 99th percentile (interpolated; see [`QuantileMode`]).
+    /// Approximate 99th percentile (interpolated within its log2 bucket).
     pub p99: u64,
     /// Non-empty raw buckets as `(bucket_index, count)` pairs, so the
     /// time-series layer can compute quantiles over *deltas* between two
@@ -282,122 +265,44 @@ pub struct HistogramSample {
     pub buckets: Vec<(u32, u64)>,
 }
 
-/// A consistent-enough view of every registered metric.
+/// A consistent-enough view of a set of metrics.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
-    /// All counters, sorted by name.
+    /// Counters and gauges, in their table's order.
     pub counters: Vec<CounterSample>,
-    /// All histograms, sorted by name.
+    /// Histograms, in their table's order.
     pub histograms: Vec<HistogramSample>,
 }
 
 impl MetricsSnapshot {
-    /// Value of a counter by name, if registered.
-    pub fn counter(&self, name: &str) -> Option<u64> {
+    /// Snapshot a table of named counters and histograms.
+    pub fn of(counters: &[(&str, &Counter)], histograms: &[(&str, &Histogram)]) -> Self {
+        MetricsSnapshot {
+            counters: counters
+                .iter()
+                .map(|(name, c)| CounterSample {
+                    name: name.to_string(),
+                    value: c.get(),
+                })
+                .collect(),
+            histograms: histograms.iter().map(|(name, h)| h.sample(name)).collect(),
+        }
+    }
+
+    /// Value of a counter by name, if present.
+    pub fn counter(&self, name: impl AsRef<str>) -> Option<u64> {
+        let name = name.as_ref();
         self.counters
             .iter()
             .find(|c| c.name == name)
             .map(|c| c.value)
     }
 
-    /// Histogram summary by name, if registered.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSample> {
+    /// Histogram summary by name, if present.
+    pub fn histogram(&self, name: impl AsRef<str>) -> Option<&HistogramSample> {
+        let name = name.as_ref();
         self.histograms.iter().find(|h| h.name == name)
     }
-}
-
-/// A named collection of live metrics.
-#[derive(Debug, Default)]
-pub struct Registry {
-    counters: Mutex<Vec<(String, Arc<Counter>)>>,
-    histograms: Mutex<Vec<(String, Arc<Histogram>)>>,
-}
-
-impl Registry {
-    /// New empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Get or create the counter named `name`.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut guard = self.counters.lock().expect("metrics registry poisoned");
-        if let Some((_, c)) = guard.iter().find(|(n, _)| n == name) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(Counter::new());
-        guard.push((name.to_string(), Arc::clone(&c)));
-        c
-    }
-
-    /// Get or create the histogram named `name`.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut guard = self.histograms.lock().expect("metrics registry poisoned");
-        if let Some((_, h)) = guard.iter().find(|(n, _)| n == name) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(Histogram::new());
-        guard.push((name.to_string(), Arc::clone(&h)));
-        h
-    }
-
-    /// Snapshot every registered metric, sorted by name.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: Vec<CounterSample> = self
-            .counters
-            .lock()
-            .expect("metrics registry poisoned")
-            .iter()
-            .map(|(n, c)| CounterSample {
-                name: n.clone(),
-                value: c.get(),
-            })
-            .collect();
-        counters.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut histograms: Vec<HistogramSample> = self
-            .histograms
-            .lock()
-            .expect("metrics registry poisoned")
-            .iter()
-            .map(|(n, h)| {
-                let counts = h.bucket_counts();
-                HistogramSample {
-                    name: n.clone(),
-                    count: h.count(),
-                    sum: h.sum(),
-                    mean: h.mean(),
-                    p50: h.quantile(0.5),
-                    p99: h.quantile(0.99),
-                    buckets: counts
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, &c)| (c > 0).then_some((i as u32, c)))
-                        .collect(),
-                }
-            })
-            .collect();
-        histograms.sort_by(|a, b| a.name.cmp(&b.name));
-        MetricsSnapshot {
-            counters,
-            histograms,
-        }
-    }
-
-    /// Reset every registered metric to zero (names stay registered).
-    pub fn reset(&self) {
-        for (_, c) in self.counters.lock().expect("poisoned").iter() {
-            c.reset();
-        }
-        for (_, h) in self.histograms.lock().expect("poisoned").iter() {
-            h.reset();
-        }
-    }
-}
-
-/// The process-wide registry the runtime records into.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
 }
 
 /// A [`MetricsSnapshot`] stamped with wall-clock time (unix epoch ms).
@@ -405,79 +310,8 @@ pub fn global() -> &'static Registry {
 pub struct TimedSnapshot {
     /// Sample time, milliseconds since the unix epoch.
     pub t_ms: u64,
-    /// Registry contents at that time.
+    /// Metric values at that time.
     pub snap: MetricsSnapshot,
-}
-
-/// Fixed-capacity ring of [`TimedSnapshot`]s: the continuous-telemetry
-/// buffer a sampler pushes into and a dashboard reads windows out of.
-/// Oldest entries are dropped once `capacity` is reached. All methods
-/// take `&self`; the ring is internally locked.
-#[derive(Debug)]
-pub struct TimeSeriesRing {
-    cap: usize,
-    ring: Mutex<VecDeque<TimedSnapshot>>,
-}
-
-impl TimeSeriesRing {
-    /// New ring holding at most `cap` snapshots (min 2, so a rate window
-    /// always fits).
-    pub fn new(cap: usize) -> Self {
-        TimeSeriesRing {
-            cap: cap.max(2),
-            ring: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// Append a snapshot, dropping the oldest when full.
-    pub fn push(&self, t_ms: u64, snap: MetricsSnapshot) {
-        let mut g = self.ring.lock().expect("time-series ring poisoned");
-        if g.len() == self.cap {
-            g.pop_front();
-        }
-        g.push_back(TimedSnapshot { t_ms, snap });
-    }
-
-    /// Most recent snapshot, if any.
-    pub fn latest(&self) -> Option<TimedSnapshot> {
-        self.ring
-            .lock()
-            .expect("time-series ring poisoned")
-            .back()
-            .cloned()
-    }
-
-    /// The two most recent snapshots as `(older, newer)` — the natural
-    /// input to [`rates_between`]. `None` until two samples exist.
-    pub fn last_two(&self) -> Option<(TimedSnapshot, TimedSnapshot)> {
-        let g = self.ring.lock().expect("time-series ring poisoned");
-        if g.len() < 2 {
-            return None;
-        }
-        Some((g[g.len() - 2].clone(), g[g.len() - 1].clone()))
-    }
-
-    /// Up to the `n` most recent snapshots, oldest first.
-    pub fn recent(&self, n: usize) -> Vec<TimedSnapshot> {
-        let g = self.ring.lock().expect("time-series ring poisoned");
-        let skip = g.len().saturating_sub(n);
-        g.iter().skip(skip).cloned().collect()
-    }
-
-    /// Snapshots currently held.
-    pub fn len(&self) -> usize {
-        self.ring.lock().expect("time-series ring poisoned").len()
-    }
-
-    /// True when no snapshot has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Maximum snapshots held.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
 }
 
 /// Per-second rate of one counter over a window.
@@ -505,12 +339,13 @@ pub struct WindowedHistogram {
     pub p99: u64,
 }
 
-/// Derived rates and windowed quantiles between two snapshots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Derived rates and windowed quantiles between two snapshots. The
+/// default (empty, `dt_ms` 0) stands for "no window yet".
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RateReport {
     /// Window length in milliseconds.
     pub dt_ms: u64,
-    /// Per-counter rates, in the newer snapshot's name order.
+    /// Per-counter rates, in the newer snapshot's order.
     pub rates: Vec<RateSample>,
     /// Per-histogram windowed summaries, in the newer snapshot's order.
     pub windows: Vec<WindowedHistogram>,
@@ -518,7 +353,8 @@ pub struct RateReport {
 
 impl RateReport {
     /// Per-second rate of a counter by name, if present.
-    pub fn per_sec(&self, name: &str) -> Option<f64> {
+    pub fn per_sec(&self, name: impl AsRef<str>) -> Option<f64> {
+        let name = name.as_ref();
         self.rates
             .iter()
             .find(|r| r.name == name)
@@ -526,14 +362,15 @@ impl RateReport {
     }
 
     /// Windowed histogram summary by name, if present.
-    pub fn window(&self, name: &str) -> Option<&WindowedHistogram> {
+    pub fn window(&self, name: impl AsRef<str>) -> Option<&WindowedHistogram> {
+        let name = name.as_ref();
         self.windows.iter().find(|w| w.name == name)
     }
 }
 
 /// Derive per-second counter rates and windowed histogram quantiles from
 /// the deltas between two snapshots. Counters absent from `older` are
-/// treated as starting at zero; decreases (a [`Registry::reset`] between
+/// treated as starting at zero; decreases (a gauge that fell between
 /// samples) saturate to zero rather than reporting negative rates. The
 /// window length is floored at 1 ms so a zero/backwards clock cannot
 /// divide by zero.
@@ -572,12 +409,11 @@ pub fn rates_between(older: &TimedSnapshot, newer: &TimedSnapshot) -> RateReport
                     }
                 }
             }
-            let total: u64 = counts.iter().sum();
             WindowedHistogram {
                 name: h.name.clone(),
-                count: total,
-                p50: quantile_from_counts(&counts, total, 0.5, QuantileMode::Interpolated),
-                p99: quantile_from_counts(&counts, total, 0.99, QuantileMode::Interpolated),
+                count: counts.iter().sum(),
+                p50: quantile_from_counts(&counts, 0.5),
+                p99: quantile_from_counts(&counts, 0.99),
             }
         })
         .collect();
@@ -594,28 +430,27 @@ mod tests {
 
     #[test]
     fn counter_accumulates_across_threads() {
-        let reg = Registry::new();
-        let c = reg.counter("bytes");
+        let c = Counter::new();
         std::thread::scope(|s| {
             for _ in 0..8 {
-                let c = Arc::clone(&c);
-                s.spawn(move || {
+                s.spawn(|| {
                     for _ in 0..1000 {
                         c.add(3);
                     }
                 });
             }
         });
-        assert_eq!(reg.snapshot().counter("bytes"), Some(24_000));
+        assert_eq!(c.get(), 24_000);
     }
 
     #[test]
-    fn counter_is_shared_by_name() {
-        let reg = Registry::new();
-        reg.counter("x").add(5);
-        reg.counter("x").add(7);
-        assert_eq!(reg.snapshot().counter("x"), Some(12));
-        assert_eq!(reg.snapshot().counter("y"), None);
+    fn runtime_table_names_every_static_once_in_order() {
+        let snap = snapshot();
+        let names: Vec<&str> = snap.counters.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names.len(), 4);
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+        assert_eq!(snap.histograms.len(), 1);
+        assert_eq!(snap.counter("nope"), None);
     }
 
     #[test]
@@ -639,13 +474,9 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 115);
         assert!((h.mean() - 23.0).abs() < 1e-12);
-        // Legacy mode: bucket floors. Median sample 4 → floor 4; p99
-        // lands in 100's bucket [64, 128) → floor 64.
-        assert_eq!(h.quantile_floor(0.5), 4);
-        assert_eq!(h.quantile_floor(0.99), 64);
-        // Interpolated mode: a lone sample in its bucket interpolates to
-        // the bucket's upper edge — still within [2^(i-1), 2^i], i.e.
-        // within 2× of the true sample in either direction.
+        // A lone sample in its bucket interpolates to the bucket's upper
+        // edge — still within [2^(i-1), 2^i], i.e. within 2× of the true
+        // sample in either direction.
         assert_eq!(h.quantile(0.5), 8);
         assert_eq!(h.quantile(0.99), 128);
     }
@@ -663,8 +494,6 @@ mod tests {
         assert_eq!(h.quantile(0.5), 6);
         // target rank 99: 4 + 4*0.99 = 7.96 → 7.
         assert_eq!(h.quantile(0.99), 7);
-        // Legacy floor collapses everything to the lower bound.
-        assert_eq!(h.quantile_floor(0.99), 4);
     }
 
     #[test]
@@ -673,37 +502,30 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.quantile(0.99), 0);
-        assert!(h.nonzero_buckets().is_empty());
+        assert!(h.sample("h").buckets.is_empty());
     }
 
     #[test]
     fn quantile_edge_cases_empty_and_clamped_q() {
         let h = Histogram::new();
-        // Empty: every quantile in both modes is 0, including the ends.
+        // Empty: every quantile is 0, including the ends.
         for q in [0.0, 0.5, 1.0] {
             assert_eq!(h.quantile(q), 0);
-            assert_eq!(h.quantile_floor(q), 0);
         }
         // Out-of-range q is clamped to [0, 1], never a panic or garbage.
         h.record(10);
         assert_eq!(h.quantile(-3.0), h.quantile(0.0));
         assert_eq!(h.quantile(7.5), h.quantile(1.0));
-        assert_eq!(h.quantile_floor(-1.0), h.quantile_floor(0.0));
-        assert_eq!(h.quantile_floor(2.0), h.quantile_floor(1.0));
     }
 
     #[test]
     fn quantile_single_bucket_stays_inside_it() {
-        // All mass in one bucket [8, 16): the legacy floor pins every
-        // quantile to 8; interpolation walks the bucket but never
-        // leaves its closed range.
+        // All mass in one bucket [8, 16): interpolation walks the bucket
+        // but never leaves its closed range.
         let h = Histogram::new();
         for v in 8..16u64 {
             h.record(v);
         }
-        assert_eq!(h.quantile_floor(0.0), 8);
-        assert_eq!(h.quantile_floor(0.5), 8);
-        assert_eq!(h.quantile_floor(1.0), 8);
         assert!(h.quantile(0.0) >= 8);
         assert!(h.quantile(0.5) > 8, "mid-bucket rank must move the value");
         assert_eq!(h.quantile(1.0), 16, "closed upper edge of [8, 16)");
@@ -717,87 +539,21 @@ mod tests {
         for _ in 0..4 {
             h.record(u64::MAX);
         }
-        assert_eq!(h.quantile_floor(0.5), 1u64 << 62);
         assert_eq!(h.quantile(1.0), 1u64 << 63);
         let mid = h.quantile(0.5);
         assert!((1u64 << 62..=1u64 << 63).contains(&mid));
     }
 
     #[test]
-    fn interpolated_quantile_dominates_the_legacy_floor() {
-        // Ordering invariant across modes: interpolation starts at the
-        // bucket floor and only moves up, so for every q it must be >=
-        // the legacy `quantile_floor` on the same data.
-        let h = Histogram::new();
-        let mut x = 0x5eedu64;
-        for _ in 0..500 {
-            x = x.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17) ^ 0x1234;
-            h.record(x % 1_000_000);
-        }
-        for i in 0..=100u32 {
-            let q = f64::from(i) / 100.0;
-            assert!(
-                h.quantile(q) >= h.quantile_floor(q),
-                "q={q}: interpolated understates the legacy floor"
-            );
-        }
-    }
-
-    #[test]
-    fn reset_clears_values_but_keeps_names() {
-        let reg = Registry::new();
-        reg.counter("a").add(10);
-        reg.histogram("b").record(42);
-        reg.reset();
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("a"), Some(0));
-        assert_eq!(snap.histogram("b").unwrap().count, 0);
-    }
-
-    #[test]
-    fn snapshot_is_sorted_by_name() {
-        let reg = Registry::new();
-        reg.counter("zeta").inc();
-        reg.counter("alpha").inc();
-        let snap = reg.snapshot();
-        let names: Vec<&str> = snap.counters.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, vec!["alpha", "zeta"]);
-    }
-
-    #[test]
-    fn global_registry_is_a_singleton() {
-        global().counter("test.global.counter").add(1);
-        assert!(global().snapshot().counter("test.global.counter").is_some());
-    }
-
-    #[test]
-    fn time_series_ring_wraps_dropping_oldest() {
-        let ring = TimeSeriesRing::new(3);
-        assert!(ring.is_empty());
-        for t in 0..5u64 {
-            ring.push(t, MetricsSnapshot::default());
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.capacity(), 3);
-        let recent = ring.recent(10);
-        let times: Vec<u64> = recent.iter().map(|s| s.t_ms).collect();
-        assert_eq!(times, vec![2, 3, 4]);
-        assert_eq!(ring.latest().unwrap().t_ms, 4);
-        let (older, newer) = ring.last_two().unwrap();
-        assert_eq!((older.t_ms, newer.t_ms), (3, 4));
-    }
-
-    #[test]
     fn rates_between_derives_per_second_deltas() {
-        let reg = Registry::new();
-        let c = reg.counter("req");
-        let h = reg.histogram("lat");
+        let (c, h) = (Counter::new(), Histogram::new());
+        let snap = || MetricsSnapshot::of(&[("req", &c)], &[("lat", &h)]);
         c.add(10);
         h.record(1);
         h.record(1);
         let older = TimedSnapshot {
             t_ms: 1_000,
-            snap: reg.snapshot(),
+            snap: snap(),
         };
         c.add(30);
         for _ in 0..4 {
@@ -805,7 +561,7 @@ mod tests {
         }
         let newer = TimedSnapshot {
             t_ms: 3_000,
-            snap: reg.snapshot(),
+            snap: snap(),
         };
         let report = rates_between(&older, &newer);
         assert_eq!(report.dt_ms, 2_000);
@@ -819,45 +575,43 @@ mod tests {
     }
 
     #[test]
-    fn rates_between_saturates_after_reset() {
-        let reg = Registry::new();
-        reg.counter("req").add(10);
+    fn rates_between_saturates_when_a_gauge_falls() {
+        let level = Counter::new();
+        level.set(10);
         let older = TimedSnapshot {
             t_ms: 0,
-            snap: reg.snapshot(),
+            snap: MetricsSnapshot::of(&[("level", &level)], &[]),
         };
-        reg.reset();
-        reg.counter("req").add(3);
+        level.set(3);
         let newer = TimedSnapshot {
             t_ms: 1_000,
-            snap: reg.snapshot(),
+            snap: MetricsSnapshot::of(&[("level", &level)], &[]),
         };
-        let report = rates_between(&older, &newer);
-        // 3 < 10: a reset happened mid-window; report zero, not negative.
-        assert_eq!(report.per_sec("req"), Some(0.0));
+        // 3 < 10: the level fell mid-window; report zero, not negative.
+        assert_eq!(rates_between(&older, &newer).per_sec("level"), Some(0.0));
     }
 
     #[test]
     fn rates_between_treats_new_counters_as_zero_based() {
-        let reg = Registry::new();
+        let late = Counter::new();
         let older = TimedSnapshot {
             t_ms: 0,
-            snap: reg.snapshot(),
+            snap: MetricsSnapshot::default(),
         };
-        reg.counter("late").add(8);
+        late.add(8);
         let newer = TimedSnapshot {
             t_ms: 4_000,
-            snap: reg.snapshot(),
+            snap: MetricsSnapshot::of(&[("late", &late)], &[]),
         };
         assert_eq!(rates_between(&older, &newer).per_sec("late"), Some(2.0));
     }
 
     #[test]
     fn snapshot_serde_roundtrip_preserves_buckets() {
-        let reg = Registry::new();
-        reg.counter("a").add(7);
-        reg.histogram("b").record(100);
-        let snap = reg.snapshot();
+        let (c, h) = (Counter::new(), Histogram::new());
+        c.add(7);
+        h.record(100);
+        let snap = MetricsSnapshot::of(&[("a", &c)], &[("b", &h)]);
         let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);

@@ -1,9 +1,9 @@
 //! Concurrency coverage for `dpml_shm::metrics`: snapshots taken while
-//! writers are hot, `Registry::reset` racing cached `Arc<Counter>`
-//! handles, and the time-series ring under concurrent push/read.
+//! writers are hot, and windowed rates from a sampler that keeps only its
+//! previous snapshot.
 
-use dpml_shm::metrics::{rates_between, MetricsSnapshot, Registry, TimeSeriesRing, TimedSnapshot};
-use std::sync::Arc;
+use dpml_shm::metrics::{rates_between, MetricsSnapshot, TimedSnapshot};
+use dpml_shm::{Counter, Histogram};
 
 const WRITERS: usize = 8;
 const INCREMENTS: u64 = 20_000;
@@ -13,33 +13,29 @@ const INCREMENTS: u64 = 20_000;
 /// seen so far) and monotone across successive snapshots.
 #[test]
 fn snapshot_while_recording_is_monotone_and_bounded() {
-    let reg = Arc::new(Registry::new());
+    let (hot, lat) = (Counter::new(), Histogram::new());
+    let snapshot = || MetricsSnapshot::of(&[("hot", &hot)], &[("lat", &lat)]);
+    let total = WRITERS as u64 * INCREMENTS;
     std::thread::scope(|s| {
         for _ in 0..WRITERS {
-            let reg = Arc::clone(&reg);
-            s.spawn(move || {
-                let c = reg.counter("hot");
-                let h = reg.histogram("lat");
+            s.spawn(|| {
                 for i in 0..INCREMENTS {
-                    c.inc();
-                    h.record(i % 1024);
+                    hot.inc();
+                    lat.record(i % 1024);
                 }
             });
         }
-        let reg2 = Arc::clone(&reg);
-        s.spawn(move || {
-            let total = WRITERS as u64 * INCREMENTS;
+        s.spawn(|| {
             let mut last = 0u64;
             loop {
-                let snap = reg2.snapshot();
+                let snap = snapshot();
                 let v = snap.counter("hot").unwrap_or(0);
                 assert!(v >= last, "counter went backwards: {last} -> {v}");
                 assert!(v <= total, "counter overshot: {v} > {total}");
-                if let Some(h) = snap.histogram("lat") {
-                    assert!(h.count <= total);
-                    let bucket_sum: u64 = h.buckets.iter().map(|&(_, c)| c).sum();
-                    assert!(bucket_sum <= total);
-                }
+                let h = snap.histogram("lat").expect("histogram in table");
+                assert!(h.count <= total);
+                let bucket_sum: u64 = h.buckets.iter().map(|&(_, c)| c).sum();
+                assert!(bucket_sum <= total);
                 last = v;
                 if v == total {
                     break;
@@ -48,142 +44,47 @@ fn snapshot_while_recording_is_monotone_and_bounded() {
             }
         });
     });
-    assert_eq!(
-        reg.snapshot().counter("hot"),
-        Some(WRITERS as u64 * INCREMENTS)
-    );
+    assert_eq!(snapshot().counter("hot"), Some(total));
 }
 
-/// `Registry::reset` must race safely against writers holding cached
-/// `Arc<Counter>` handles from before the reset: no panics, no torn
-/// values, and a final quiesced reset really zeroes everything.
+/// End-to-end: a sampler that swaps its previous snapshot for a fresh one
+/// while a writer records produces sane windowed rates.
 #[test]
-fn reset_races_cached_counter_handles() {
-    let reg = Arc::new(Registry::new());
+fn previous_sample_plus_rates_under_load() {
+    let work = Counter::new();
+    let sample = |t_ms| TimedSnapshot {
+        t_ms,
+        snap: MetricsSnapshot::of(&[("work", &work)], &[]),
+    };
+    let first = sample(0);
+    let mut prev = first.clone();
+    let mut window = None;
     std::thread::scope(|s| {
-        for _ in 0..WRITERS {
-            // Handles cached *before* any reset — the interesting case.
-            let c = reg.counter("raced");
-            let h = reg.histogram("raced.lat");
-            s.spawn(move || {
-                for i in 0..INCREMENTS {
-                    c.add(1);
-                    h.record(i);
-                }
-            });
-        }
-        let reg2 = Arc::clone(&reg);
-        s.spawn(move || {
-            for _ in 0..200 {
-                reg2.reset();
-                let snap = reg2.snapshot();
-                // Post-reset the value can only reflect writes since the
-                // reset, never more than the lifetime total.
-                let v = snap.counter("raced").unwrap_or(0);
-                assert!(v <= WRITERS as u64 * INCREMENTS);
-                std::thread::yield_now();
-            }
-        });
-    });
-    // Quiesced: one final reset must zero everything while names persist.
-    reg.reset();
-    let snap = reg.snapshot();
-    assert_eq!(snap.counter("raced"), Some(0));
-    assert_eq!(snap.histogram("raced.lat").unwrap().count, 0);
-    assert!(snap.histogram("raced.lat").unwrap().buckets.is_empty());
-}
-
-/// Cached handles stay live (same underlying atomic) across `reset`:
-/// writes through an old `Arc` land in the registry's counter, not a
-/// detached orphan.
-#[test]
-fn cached_handle_still_registered_after_reset() {
-    let reg = Registry::new();
-    let cached = reg.counter("sticky");
-    cached.add(5);
-    reg.reset();
-    cached.add(2);
-    assert_eq!(reg.snapshot().counter("sticky"), Some(2));
-    assert_eq!(reg.counter("sticky").get(), 2);
-}
-
-/// Concurrent pushers never grow the ring past capacity, and a reader
-/// always sees a consistent window (timestamps monotone per pusher order
-/// is not guaranteed across threads, but lengths and capacity are).
-#[test]
-fn time_series_ring_concurrent_push_holds_capacity() {
-    let ring = Arc::new(TimeSeriesRing::new(8));
-    std::thread::scope(|s| {
-        for t in 0..4u64 {
-            let ring = Arc::clone(&ring);
-            s.spawn(move || {
-                for i in 0..500u64 {
-                    ring.push(t * 1_000_000 + i, MetricsSnapshot::default());
-                }
-            });
-        }
-        let ring2 = Arc::clone(&ring);
-        s.spawn(move || {
-            for _ in 0..500 {
-                assert!(ring2.len() <= ring2.capacity());
-                let recent = ring2.recent(8);
-                assert!(recent.len() <= 8);
-                std::thread::yield_now();
-            }
-        });
-    });
-    assert_eq!(ring.len(), 8);
-}
-
-/// End-to-end: a sampler loop pushing live snapshots into the ring while
-/// writers record produces sane windowed rates.
-#[test]
-fn ring_plus_rates_under_load() {
-    let reg = Arc::new(Registry::new());
-    let ring = TimeSeriesRing::new(16);
-    std::thread::scope(|s| {
-        let reg2 = Arc::clone(&reg);
-        s.spawn(move || {
-            let c = reg2.counter("work");
+        s.spawn(|| {
             for _ in 0..50_000 {
-                c.inc();
+                work.inc();
             }
         });
         let mut t_ms = 0u64;
-        while ring
-            .latest()
-            .and_then(|ts| ts.snap.counter("work"))
-            .unwrap_or(0)
-            < 50_000
-        {
+        while prev.snap.counter("work").unwrap_or(0) < 50_000 {
             t_ms += 100; // synthetic clock: deterministic dt windows
-            ring.push(t_ms, reg.snapshot());
+            let newer = sample(t_ms);
+            window = Some(rates_between(&prev, &newer));
+            prev = newer;
             std::thread::yield_now();
         }
-        if ring.len() < 2 {
-            // Writer outran the sampler: take one more sample so a
-            // rate window exists.
-            ring.push(t_ms + 100, reg.snapshot());
-        }
     });
-    let (older, newer) = ring.last_two().expect("at least two samples");
-    let report = rates_between(&older, &newer);
-    assert!(report.dt_ms >= 1);
-    let rate = report.per_sec("work").unwrap();
-    assert!(rate >= 0.0);
+    let report = window.expect("at least one window");
+    assert_eq!(report.dt_ms, 100);
+    assert!(report.per_sec("work").unwrap() >= 0.0);
     // Whole-run cross-check against the first/last window.
-    let first = ring.recent(ring.capacity()).first().cloned().unwrap();
-    let last = TimedSnapshot {
-        t_ms: newer.t_ms,
-        snap: reg.snapshot(),
-    };
-    let whole = rates_between(&first, &last);
+    let whole = rates_between(&first, &sample(prev.t_ms + 100));
     assert_eq!(
         whole
             .rates
             .iter()
             .find(|r| r.name == "work")
             .map(|r| r.delta),
-        Some(50_000 - first.snap.counter("work").unwrap_or(0))
+        Some(50_000)
     );
 }

@@ -883,7 +883,7 @@ fn cmd_top(args: &[String]) -> Result<(), CliError> {
     client
         .watch_start(interval_ms, frames)
         .map_err(|e| CliError::Internal(e.to_string()))?;
-    let mut dash = dpml::serve::top::Dashboard::new();
+    let mut dash = dpml::serve::top::Dashboard::default();
     let mut seen = 0u32;
     loop {
         match client.next_frame() {
