@@ -10,7 +10,7 @@
 //! Usage: `ablate_sharp_groups [--nodes N]`
 
 use dpml_bench::{arg_num, fmt_bytes, fmt_us, save_results, Table};
-use dpml_core::algorithms::extensions::emit_sharp_per_dpml_leader;
+use dpml_core::algorithms::sharp_designs::emit_sharp_per_dpml_leader;
 use dpml_core::algorithms::Algorithm;
 use dpml_core::run::{run, simulate, Exec, Scenario};
 use dpml_engine::program::{ByteRange, ProgramBuilder, WorldProgram};

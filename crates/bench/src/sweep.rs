@@ -53,7 +53,7 @@ impl SizeBand {
 }
 
 /// Powers of two from `lo` to `hi` inclusive.
-pub fn pow2_range(lo: u64, hi: u64) -> Vec<u64> {
+fn pow2_range(lo: u64, hi: u64) -> Vec<u64> {
     assert!(lo.is_power_of_two() && hi.is_power_of_two() && lo <= hi);
     let mut out = Vec::new();
     let mut s = lo;

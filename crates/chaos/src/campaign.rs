@@ -49,7 +49,7 @@ impl CampaignConfig {
     /// paths — DPML (healing planner), a flat baseline (integrity
     /// ladder), and a SHArP design on the one fabric that has SHArP
     /// (resilience ladder).
-    pub fn default_menu() -> Vec<Scenario> {
+    fn default_menu() -> Vec<Scenario> {
         let mut menu = Vec::new();
         for (preset, alg) in [
             ("b", "dpml:2"),

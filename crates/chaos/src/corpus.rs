@@ -75,7 +75,7 @@ impl Reproducer {
 
     /// File stem for this reproducer: its signature, sanitized, plus a
     /// short digest tag for uniqueness within a signature.
-    pub fn file_stem(&self) -> String {
+    fn file_stem(&self) -> String {
         let sig: String = self
             .signature
             .chars()

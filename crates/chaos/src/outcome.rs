@@ -63,7 +63,7 @@ impl Scenario {
     }
 
     /// The algorithm family (grammar head), for coverage cells.
-    pub fn alg_family(&self) -> &str {
+    fn alg_family(&self) -> &str {
         self.alg.split(':').next().unwrap_or(&self.alg)
     }
 }

@@ -1,7 +1,6 @@
 //! Allreduce schedule compilers.
 
 pub mod dpml;
-pub mod extensions;
 pub mod flat;
 pub mod hierarchical;
 pub mod sharp_designs;

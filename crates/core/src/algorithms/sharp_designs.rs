@@ -9,6 +9,14 @@
 //! * **Socket-level leader**: one leader per socket. Gather/broadcast stay
 //!   socket-local; the SHArP group doubles in size (2h members) but remains
 //!   far below the fabric's concurrency limits.
+//!
+//! Beside them sits the design the section rejects,
+//! [`emit_sharp_per_dpml_leader`]: SHArP driven by *every* DPML leader (one
+//! group and one concurrent operation per partition). The paper rules it
+//! out because "SHArP can support only a small number of concurrent
+//! operations and SHArP communicators"; with the modeled Switch-IB 2 limits
+//! the schedule serializes on the switch and loses — `ablate_sharp_groups`
+//! quantifies it.
 
 use crate::algorithms::BuildError;
 use dpml_engine::program::{
@@ -117,6 +125,94 @@ pub fn emit_sharp_leader(
     Ok(())
 }
 
+/// The design Section 4.3 rules out: every DPML leader drives its own SHArP
+/// group/operation for its partition. Correct, but the switch's small
+/// concurrent-operation budget serializes the `l` aggregations.
+pub fn emit_sharp_per_dpml_leader(
+    w: &mut WorldProgram,
+    b: &mut ProgramBuilder,
+    map: &RankMap,
+    range: ByteRange,
+    leaders: u32,
+) -> Result<(), BuildError> {
+    let spec = *map.spec();
+    let ppn = spec.ppn;
+    if leaders == 0 || leaders > ppn {
+        return Err(BuildError::TooManyLeaders { leaders, ppn });
+    }
+    let set = LeaderPolicy::PerNode(leaders)
+        .build(map)
+        .map_err(|_| BuildError::TooManyLeaders { leaders, ppn })?;
+    let l = set.leaders_per_node();
+    let parts: Vec<ByteRange> = (0..l).map(|j| range.subrange(l, j)).collect();
+
+    // One SHArP group per leader index.
+    let mut groups = Vec::with_capacity(l as usize);
+    for j in 0..l {
+        let g = b.fresh_group();
+        w.register_sharp_group(g, set.leader_comm(j));
+        groups.push(g);
+    }
+
+    let slot_base = b.fresh_shared(l * ppn);
+    let slot = |j: u32, i: u32| BufKey::Shared(slot_base + j * ppn + i);
+    let bcast_base = b.fresh_shared(l);
+    for node in 0..spec.num_nodes {
+        let node = NodeId(node);
+        let members = map.ranks_on_node(node);
+        let gather_done = b.fresh_barrier();
+        let publish_done = b.fresh_barrier();
+        w.register_barrier(gather_done, members.clone());
+        w.register_barrier(publish_done, members.clone());
+        for (i, &r) in members.iter().enumerate() {
+            let my_socket = map.socket_of(r);
+            let my_leader = set.leader_index(r);
+            let prog = w.rank(r);
+            prog.set_phase(Phase::ShmGather);
+            for j in 0..l {
+                if parts[j as usize].is_empty() {
+                    continue;
+                }
+                let cross = map.socket_of(set.leader_rank(node, j)) != my_socket;
+                prog.copy(BUF_INPUT, slot(j, i as u32), parts[j as usize], cross);
+            }
+            prog.barrier(gather_done);
+            if let Some(j) = my_leader {
+                let part = parts[j as usize];
+                if !part.is_empty() {
+                    prog.set_phase(Phase::LeaderReduce);
+                    prog.copy(slot(j, 0), BUF_RESULT, part, false);
+                    if ppn > 1 {
+                        let srcs: Vec<BufKey> = (1..ppn).map(|i2| slot(j, i2)).collect();
+                        prog.reduce(srcs, BUF_RESULT, part);
+                    }
+                    // Offload the inter-node stage to the switch.
+                    prog.set_phase(Phase::Sharp);
+                    prog.sharp(groups[j as usize], BUF_RESULT, BUF_RESULT, part);
+                    prog.set_phase(Phase::Broadcast);
+                    prog.copy(BUF_RESULT, BufKey::Shared(bcast_base + j), part, false);
+                }
+            }
+            let prog = w.rank(r);
+            prog.set_phase(Phase::Broadcast);
+            prog.barrier(publish_done);
+            for j in 0..l {
+                if Some(j) == my_leader || parts[j as usize].is_empty() {
+                    continue;
+                }
+                let cross = map.socket_of(set.leader_rank(node, j)) != my_socket;
+                prog.copy(
+                    BufKey::Shared(bcast_base + j),
+                    BUF_RESULT,
+                    parts[j as usize],
+                    cross,
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,7 +221,14 @@ mod tests {
     use dpml_sharp::SharpFabric;
     use dpml_topology::ClusterSpec;
 
-    fn run(nodes: u32, ppn: u32, n: u64, policy: LeaderPolicy) -> dpml_engine::RunReport {
+    /// Emit an `n`-byte schedule on cluster A at `nodes x ppn`, run it
+    /// with the SHArP oracle and verify the allreduce.
+    fn run_emitted(
+        nodes: u32,
+        ppn: u32,
+        n: u64,
+        emit: impl FnOnce(&mut WorldProgram, &mut ProgramBuilder, &RankMap, ByteRange),
+    ) -> dpml_engine::RunReport {
         let preset = cluster_a();
         let spec = ClusterSpec::new(nodes, 2, 14, ppn).unwrap();
         let map = RankMap::block(&spec);
@@ -135,12 +238,18 @@ mod tests {
             cfg.tree.clone(),
             map.clone(),
         );
-        let mut w = dpml_engine::WorldProgram::new(map.world_size(), n);
+        let mut w = WorldProgram::new(map.world_size(), n);
         let mut b = ProgramBuilder::new();
-        emit_sharp_leader(&mut w, &mut b, &map, ByteRange::whole(n), policy).unwrap();
+        emit(&mut w, &mut b, &map, ByteRange::whole(n));
         let rep = Simulator::new(&cfg).with_sharp(&oracle).run(&w).unwrap();
         rep.verify_allreduce().unwrap();
         rep
+    }
+
+    fn run(nodes: u32, ppn: u32, n: u64, policy: LeaderPolicy) -> dpml_engine::RunReport {
+        run_emitted(nodes, ppn, n, |w, b, map, range| {
+            emit_sharp_leader(w, b, map, range, policy).unwrap()
+        })
     }
 
     #[test]
@@ -181,5 +290,24 @@ mod tests {
     #[test]
     fn odd_ppn_socket_leader() {
         run(3, 5, 500, LeaderPolicy::SocketLevel);
+    }
+
+    #[test]
+    fn sharp_per_dpml_leader_is_correct_but_serializes() {
+        let run_l = |l: u32| {
+            let rep = run_emitted(8, 28, 2048, |w, b, map, range| {
+                emit_sharp_per_dpml_leader(w, b, map, range, l).unwrap()
+            });
+            assert_eq!(rep.stats.sharp_ops, l as u64);
+            rep.latency_us()
+        };
+        let t2 = run_l(2);
+        let t16 = run_l(16);
+        // 16 ops over a 2-op switch budget serialize: per-unit-data time
+        // must degrade relative to 2 leaders despite 8x smaller partitions.
+        assert!(
+            t16 > 0.6 * t2,
+            "expected switch serialization to erase the partitioning win: l2={t2} l16={t16}"
+        );
     }
 }

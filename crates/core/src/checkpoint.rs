@@ -57,7 +57,7 @@ pub struct ScenarioCell {
 
 impl ScenarioCell {
     /// Build a cell from one batch-runner result.
-    pub fn from_result(
+    fn from_result(
         algorithm: String,
         bytes: u64,
         result: &Result<AllreduceReport, RunError>,
@@ -113,7 +113,7 @@ impl ScenarioCell {
 }
 
 /// Seed of the cursor chain for a sweep with the given scenario digest.
-pub fn initial_cursor(digest: &str) -> u64 {
+fn initial_cursor(digest: &str) -> u64 {
     splitmix64(fnv1a64(digest.as_bytes()))
 }
 

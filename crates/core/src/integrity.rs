@@ -74,7 +74,7 @@ impl Default for IntegrityPolicy {
 
 impl IntegrityPolicy {
     /// Virtual-time cost of one rank checksumming `bytes` of result.
-    pub fn verify_secs(&self, bytes: u64) -> f64 {
+    fn verify_secs(&self, bytes: u64) -> f64 {
         self.verify_base_us * 1e-6 + bytes as f64 / self.verify_bw
     }
 }

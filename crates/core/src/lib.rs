@@ -4,8 +4,11 @@
 //! Algorithms are *schedule compilers*: given a cluster shape and a message
 //! size they emit per-rank instruction programs
 //! ([`dpml_engine::WorldProgram`]) which the discrete-event engine executes,
-//! times, and verifies. The same algorithm definitions are mirrored by the
-//! real-threads runtime in `dpml-shm` for numerical validation.
+//! times, and verifies. Three of the nine variants —
+//! [`Algorithm::RecursiveDoubling`], [`Algorithm::Dpml`] and
+//! [`Algorithm::DpmlPipelined`] — also have hand-written real-threads
+//! copies in `dpml-shm`, used for numerical validation; the other six are
+//! checked only symbolically, by the engine's coverage verification.
 //!
 //! | Algorithm | Paper role |
 //! |---|---|
@@ -25,7 +28,6 @@
 
 pub mod algorithms;
 pub mod checkpoint;
-pub mod collectives;
 pub mod heal;
 pub mod integrity;
 pub mod profile;
@@ -47,4 +49,4 @@ pub use integrity::{
 pub use profile::{profile_allreduce, CostBreakdown, PhaseBreakdown, ProfileReport, ProfiledRun};
 pub use resilience::{run_allreduce_resilient, FaultPolicy, ResilientReport};
 pub use run::{run, run_batch, simulate, AllreduceReport, Exec, RunError, Scenario};
-pub use selector::{FabricHealth, Library};
+pub use selector::Library;

@@ -14,20 +14,6 @@ use dpml_fabric::Preset;
 use dpml_topology::ClusterSpec;
 use serde::{Deserialize, Serialize};
 
-/// Observed health of the in-network aggregation fabric, as fed back by
-/// the resilience layer (see [`crate::resilience`]): once SHArP groups
-/// are being denied or operations keep timing out, a library stops
-/// dispatching to SHArP until the fabric recovers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum FabricHealth {
-    /// In-network aggregation is available.
-    #[default]
-    Healthy,
-    /// SHArP resources are denied or flapping; dispatch host-based
-    /// schedules only.
-    Degraded,
-}
-
 /// A library whose algorithm dispatch we emulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Library {
@@ -53,26 +39,12 @@ impl Library {
     }
 
     /// Choose the algorithm this library would run for `bytes` on the given
-    /// cluster, assuming a healthy fabric.
+    /// cluster.
     pub fn choose(&self, preset: &Preset, spec: &ClusterSpec, bytes: u64) -> Algorithm {
-        self.choose_with(preset, spec, bytes, FabricHealth::Healthy)
-    }
-
-    /// [`Library::choose`] with explicit fabric health: a degraded fabric
-    /// removes the SHArP designs from the candidate set, so the tuned
-    /// dispatch lands on the same host-based schedules it uses on
-    /// SHArP-less clusters.
-    pub fn choose_with(
-        &self,
-        preset: &Preset,
-        spec: &ClusterSpec,
-        bytes: u64,
-        health: FabricHealth,
-    ) -> Algorithm {
         match self {
             Library::Mvapich2 => mvapich2(spec, bytes),
             Library::IntelMpi => intel_mpi(spec, bytes),
-            Library::DpmlTuned => dpml_tuned(preset, spec, bytes, health),
+            Library::DpmlTuned => dpml_tuned(preset, spec, bytes),
         }
     }
 }
@@ -136,9 +108,9 @@ fn intel_mpi(spec: &ClusterSpec, bytes: u64) -> Algorithm {
 /// count per (cluster, message size), SHArP socket-leader for small
 /// messages on SHArP-capable fabrics, DPML-Pipelined for Zone-C sizes on
 /// Omni-Path.
-fn dpml_tuned(preset: &Preset, spec: &ClusterSpec, bytes: u64, health: FabricHealth) -> Algorithm {
+fn dpml_tuned(preset: &Preset, spec: &ClusterSpec, bytes: u64) -> Algorithm {
     let ppn = spec.ppn;
-    let sharp_capable = preset.fabric.has_sharp() && health == FabricHealth::Healthy;
+    let sharp_capable = preset.fabric.has_sharp();
     let omni_path = preset.id == "C" || preset.id == "D";
 
     if bytes <= 512 {
@@ -309,24 +281,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn degraded_fabric_disables_sharp_dispatch() {
-        let a = cluster_a();
-        let s = spec_of(&a, 16);
-        assert!(Library::DpmlTuned.choose(&a, &s, 128).needs_sharp());
-        let degraded = Library::DpmlTuned.choose_with(&a, &s, 128, FabricHealth::Degraded);
-        assert!(!degraded.needs_sharp());
-        // Same host-based dispatch as a SHArP-less cluster.
-        let b = cluster_b();
-        let sb = spec_of(&b, 16);
-        assert_eq!(degraded, Library::DpmlTuned.choose(&b, &sb, 128));
-        // Large messages never depended on SHArP; health must not change them.
-        assert_eq!(
-            Library::DpmlTuned.choose(&a, &s, 1 << 20),
-            Library::DpmlTuned.choose_with(&a, &s, 1 << 20, FabricHealth::Degraded)
-        );
     }
 
     #[test]

@@ -5,10 +5,15 @@
 //! buffer currently holds. A correct allreduce must end with every rank
 //! holding the full set `{0..p}` over the whole vector `[0, n)`.
 //!
-//! Tracking is exact (byte-range granularity, bitset rank sets), so schedule
-//! bugs — a missing wait, a partition copied to the wrong leader, a
-//! double-reduced segment — surface as verification failures rather than
+//! Tracking is exact (byte-range granularity, bitset rank sets), so a
+//! schedule bug that leaves some byte range of some rank's result without
+//! a contribution — a missing wait, a partition copied to the wrong leader,
+//! a skipped phase — surfaces as a verification failure rather than
 //! silently producing plausible timings.
+//!
+//! A contribution folded in twice is *not* caught yet: a rank set records
+//! membership, not multiplicity, and union is idempotent, so a
+//! double-reduced segment holds the same set as a correct one and passes.
 
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
@@ -19,7 +24,7 @@ use std::sync::Arc;
 /// buffer snapshot, message payload and SHArP fan-out — bumps a count
 /// instead of copying `p / 64` words, and a set computed once is held by
 /// every buffer it reaches. Operations that change the set install a new
-/// allocation (or an operand's existing one, see [`RankSet::union_with`]).
+/// allocation (or an operand's existing one, see `RankSet::union_with`).
 /// The word-vector length is part of the value: `==`, `Hash` and the
 /// serialized `{"words":[...]}` form all see it, while [`RankSet::set_eq`]
 /// ignores trailing zero words. `Arc`'s `==` returns early on a shared
@@ -76,7 +81,7 @@ impl RankSet {
     /// existing allocation when that operand already contains the other
     /// one and is at least as wide; a fresh set is allocated only when
     /// neither does. The result is as wide as the wider operand.
-    pub fn union_with(&mut self, other: &RankSet) {
+    fn union_with(&mut self, other: &RankSet) {
         let (a, b) = (&*self.words, &*other.words);
         if Arc::ptr_eq(&self.words, &other.words) || (a.len() >= b.len() && contains_words(a, b)) {
             return;
@@ -95,14 +100,6 @@ impl RankSet {
     /// Set cardinality.
     pub fn count(&self) -> u32 {
         self.words.iter().map(|w| w.count_ones()).sum()
-    }
-
-    /// True if this set intersects `other`.
-    pub fn intersects(&self, other: &RankSet) -> bool {
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .any(|(a, b)| a & b != 0)
     }
 
     /// True if empty.
@@ -190,19 +187,9 @@ impl CoverageMap {
         }
     }
 
-    /// Number of internal segments (for tests / diagnostics).
-    pub fn num_segments(&self) -> usize {
-        self.segs.len()
-    }
-
     /// True if nothing is held.
     pub fn is_empty(&self) -> bool {
         self.segs.is_empty()
-    }
-
-    /// Total bytes covered (by at least one contribution).
-    pub fn covered_bytes(&self) -> u64 {
-        self.segs.iter().map(|(s, e, _)| e - s).sum()
     }
 
     /// Index of the first segment whose end is past `at` (candidate
@@ -286,14 +273,6 @@ impl CoverageMap {
             self.segs[idx].1 = self.segs[idx + 1].1;
             self.segs.remove(idx + 1);
         }
-    }
-
-    /// Remove all coverage within `[start, end)`.
-    pub fn clear_range(&mut self, start: u64, end: u64) {
-        if start >= end {
-            return;
-        }
-        self.splice_window(start, end, Vec::new());
     }
 
     /// Overwrite `[start, end)` with `src`'s contents over the same range
@@ -437,6 +416,11 @@ fn push_coalesced(out: &mut Vec<(u64, u64, RankSet)>, seg: (u64, u64, RankSet)) 
 mod tests {
     use super::*;
 
+    /// Total bytes covered (by at least one contribution).
+    fn covered_bytes(m: &CoverageMap) -> u64 {
+        m.segments().map(|(s, e, _)| e - s).sum()
+    }
+
     #[test]
     fn rankset_basics() {
         let mut s = RankSet::singleton(3);
@@ -475,7 +459,7 @@ mod tests {
     fn singleton_map_and_restrict() {
         let m = CoverageMap::singleton(2, 0, 100);
         let r = m.restrict(25, 75);
-        assert_eq!(r.covered_bytes(), 50);
+        assert_eq!(covered_bytes(&r), 50);
         assert!(r.covers_exactly(25, 75, &RankSet::singleton(2)));
         assert!(!r.covers_exactly(0, 75, &RankSet::singleton(2)));
     }
@@ -494,14 +478,14 @@ mod tests {
         assert!(m.covers_exactly(0, 40, &RankSet::singleton(0)));
         assert!(m.covers_exactly(40, 60, &RankSet::singleton(1)));
         assert!(m.covers_exactly(60, 100, &RankSet::singleton(0)));
-        assert_eq!(m.covered_bytes(), 100);
+        assert_eq!(covered_bytes(&m), 100);
     }
 
     #[test]
     fn overwrite_with_uncovered_src_clears() {
         let mut m = CoverageMap::singleton(0, 0, 100);
         m.overwrite(&CoverageMap::empty(), 10, 20);
-        assert_eq!(m.covered_bytes(), 90);
+        assert_eq!(covered_bytes(&m), 90);
         assert!(m.at(15).is_none());
     }
 
@@ -513,7 +497,7 @@ mod tests {
         let mut both = RankSet::singleton(0);
         both.insert(1);
         assert!(m.covers_exactly(0, 100, &both));
-        assert_eq!(m.num_segments(), 1, "coalescing failed");
+        assert_eq!(m.segments().count(), 1, "coalescing failed");
     }
 
     #[test]
@@ -534,16 +518,8 @@ mod tests {
         let mut m = CoverageMap::empty();
         let src = CoverageMap::singleton(1, 0, 100);
         m.union_merge(&src, 30, 40);
-        assert_eq!(m.covered_bytes(), 10);
+        assert_eq!(covered_bytes(&m), 10);
         assert!(m.covers_exactly(30, 40, &RankSet::singleton(1)));
-    }
-
-    #[test]
-    fn clear_range_splits_segments() {
-        let mut m = CoverageMap::singleton(0, 0, 100);
-        m.clear_range(30, 40);
-        assert_eq!(m.covered_bytes(), 90);
-        assert_eq!(m.num_segments(), 2);
     }
 
     #[test]
@@ -820,7 +796,6 @@ mod tests {
             copy.union_merge(&b, 0, N);
             copy.overwrite(&b, s, e);
             copy.union_merge(&a, s, N);
-            copy.clear_range(s / 2, e);
             copy.overwrite_owned(b.clone(), 0, s);
             for (_, _, set) in a.segments().chain(b.segments()) {
                 let mut c = set.clone();

@@ -92,7 +92,7 @@ impl FlightRecorder {
     }
 
     /// Record an event with an explicit timestamp (tests, replays).
-    pub fn record_at(&self, t_ms: u64, kind: &str, job: Option<u64>, detail: impl Into<String>) {
+    fn record_at(&self, t_ms: u64, kind: &str, job: Option<u64>, detail: impl Into<String>) {
         let ev = FlightEvent {
             t_ms,
             kind: kind.to_string(),

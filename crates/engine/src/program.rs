@@ -150,17 +150,6 @@ pub enum Instr {
         dst: BufKey,
         range: ByteRange,
     },
-    /// Non-blocking SHArP participation: same semantics as
-    /// [`Instr::Sharp`], but the rank continues immediately and the
-    /// operation completes through a request waited on with
-    /// [`Instr::WaitAll`] — the primitive behind offloaded non-blocking
-    /// collectives (the paper's Section 8 future work).
-    ISharp {
-        group: u32,
-        src: BufKey,
-        dst: BufKey,
-        range: ByteRange,
-    },
 }
 
 /// The program of a single rank.
@@ -188,11 +177,6 @@ impl Program {
     /// Tag subsequently pushed instructions with `phase`.
     pub fn set_phase(&mut self, phase: Phase) {
         self.current_phase = phase;
-    }
-
-    /// The phase instructions are currently being tagged with.
-    pub fn current_phase(&self) -> Phase {
-        self.current_phase
     }
 
     /// The phase of instruction `pc` ([`Phase::Unknown`] when untagged).
@@ -293,16 +277,6 @@ impl Program {
             range,
         });
     }
-
-    /// Non-blocking SHArP participation.
-    pub fn isharp(&mut self, group: u32, src: BufKey, dst: BufKey, range: ByteRange) -> ReqId {
-        self.push_req(Instr::ISharp {
-            group,
-            src,
-            dst,
-            range,
-        })
-    }
 }
 
 /// A complete job: one program per rank plus group metadata.
@@ -350,13 +324,6 @@ impl WorldProgram {
     /// Mutable access to one rank's program.
     pub fn rank(&mut self, r: Rank) -> &mut Program {
         &mut self.programs[r.index()]
-    }
-
-    /// Tag subsequently pushed instructions of *every* rank with `phase`.
-    pub fn set_phase_all(&mut self, phase: Phase) {
-        for p in &mut self.programs {
-            p.set_phase(phase);
-        }
     }
 
     /// Register a barrier's membership; returns its id.

@@ -136,9 +136,7 @@ impl RunReport {
     /// Verify an allreduce: every rank's result buffer must hold every
     /// rank's contribution over the whole vector.
     pub fn verify_allreduce(&self) -> Result<(), VerifyError> {
-        let p = self.finish_times.len() as u32;
-        let full = RankSet::full(p);
-        self.verify_result_equals(&full)
+        self.verify_allreduce_excluding(&[])
     }
 
     /// Verify an allreduce for the survivors of a fail-stop fault: every
@@ -165,75 +163,6 @@ impl RunReport {
                     expected_bytes: self.vector_bytes,
                 });
             }
-        }
-        Ok(())
-    }
-
-    /// Verify that every rank's result equals an arbitrary expected
-    /// contribution set (e.g. a subset for partial reductions).
-    pub fn verify_result_equals(&self, expected: &RankSet) -> Result<(), VerifyError> {
-        for (r, cov) in self.result_coverage.iter().enumerate() {
-            if !cov.covers_exactly(0, self.vector_bytes, expected) {
-                let correct = cov
-                    .segments()
-                    .filter(|(_, _, set)| set.set_eq(expected))
-                    .map(|(s, e, _)| e - s)
-                    .sum();
-                return Err(VerifyError::IncompleteResult {
-                    rank: r as u32,
-                    correct_bytes: correct,
-                    expected_bytes: self.vector_bytes,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Verify an arbitrary per-rank coverage pattern: rank `rank`'s result
-    /// buffer must hold exactly `expected[i].1` over each byte range
-    /// `expected[i].0` (ranges outside the list are unconstrained). This is
-    /// the primitive behind the allgather / reduce-scatter / alltoall
-    /// checks in `dpml-core::collectives`.
-    pub fn verify_rank_segments(
-        &self,
-        rank: u32,
-        expected: &[((u64, u64), RankSet)],
-    ) -> Result<(), VerifyError> {
-        let cov = &self.result_coverage[rank as usize];
-        for ((start, end), set) in expected {
-            if !cov.covers_exactly(*start, *end, set) {
-                let correct = cov
-                    .restrict(*start, *end)
-                    .segments()
-                    .filter(|(_, _, s)| s.set_eq(set))
-                    .map(|(s, e, _)| e - s)
-                    .sum();
-                return Err(VerifyError::IncompleteResult {
-                    rank,
-                    correct_bytes: correct,
-                    expected_bytes: end - start,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Verify a rooted reduce: only `root` must hold the full result.
-    pub fn verify_reduce_at(&self, root: u32) -> Result<(), VerifyError> {
-        let p = self.finish_times.len() as u32;
-        let full = RankSet::full(p);
-        let cov = &self.result_coverage[root as usize];
-        if !cov.covers_exactly(0, self.vector_bytes, &full) {
-            let correct = cov
-                .segments()
-                .filter(|(_, _, set)| set.set_eq(&full))
-                .map(|(s, e, _)| e - s)
-                .sum();
-            return Err(VerifyError::IncompleteResult {
-                rank: root,
-                correct_bytes: correct,
-                expected_bytes: self.vector_bytes,
-            });
         }
         Ok(())
     }
@@ -293,13 +222,6 @@ mod tests {
                 assert_eq!(expected_bytes, 64);
             }
         }
-    }
-
-    #[test]
-    fn verify_reduce_at_checks_only_root() {
-        let r = report(4, 64, false); // rank 1 incomplete
-        assert!(r.verify_reduce_at(0).is_ok());
-        assert!(r.verify_reduce_at(1).is_err());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! hashing — visited marks are generation stamps, membership removal is an
 //! O(1) swap-remove via per-claim back-pointers. When the dirty set grows
 //! past [`FULL_SOLVE_THRESHOLD`] of all resources the incremental walk
-//! stops paying for itself and [`FluidSystem::recompute_full`] re-levels
+//! stops paying for itself and `FluidSystem::recompute_full` re-levels
 //! every component from scratch instead. Both paths run the identical
 //! per-component progressive fill in flow-id order, so they agree to the
 //! bit — `prop_incremental_matches_scratch_to_0_ulp` holds them to 0 ULP.
@@ -87,7 +87,7 @@ pub struct FluidSystem<T> {
     flows: Vec<Option<FlowState<T>>>,
     free_slots: Vec<u32>,
     /// Public-id → slot (only consulted at the FlowId-keyed API edge:
-    /// add/remove/rate_of; every hot loop walks the slab directly).
+    /// add/remove; every hot loop walks the slab directly).
     slot_of: HashMap<u64, u32>,
     live: usize,
     /// Per-resource flow index: the slots of the flows claiming each
@@ -387,7 +387,7 @@ impl<T> FluidSystem<T> {
     /// threshold; also the reference the incremental path is property-
     /// tested against (they must agree to 0 ULP — fills run the same
     /// arithmetic in the same order either way).
-    pub fn recompute_full(&mut self) {
+    fn recompute_full(&mut self) {
         self.dirty = false;
         self.dirty_resources.clear();
         let mut order: Vec<(u64, u32)> = self
@@ -561,12 +561,14 @@ impl<T> FluidSystem<T> {
     }
 
     /// Current rate of a flow (test/diagnostic).
+    #[cfg(test)]
     pub fn rate_of(&self, id: FlowId) -> Option<f64> {
         let slot = *self.slot_of.get(&id.0)?;
         self.flows[slot as usize].as_ref().map(|f| f.rate)
     }
 
     /// Aggregate current rate over all flows (test/diagnostic).
+    #[cfg(test)]
     pub fn total_rate(&self) -> f64 {
         self.flows.iter().flatten().map(|f| f.rate).sum()
     }

@@ -237,7 +237,6 @@ const RECOMPUTE_QUANTUM: f64 = 25e-9;
 enum ReqState {
     SendPending,
     RecvPending { dst: BufKey },
-    SharpPending,
     Done,
 }
 
@@ -346,10 +345,8 @@ struct SharpOpState {
     arrived: u32,
     accum: CoverageMap,
     range: Option<ByteRange>,
-    /// `(rank, destination buffer, request index)` — the request index is
-    /// `None` for blocking participants (resumed directly) and `Some` for
-    /// non-blocking ones (completed through their request).
-    dsts: Vec<(Rank, BufKey, Option<u32>)>,
+    /// `(rank, destination buffer)` of every member, resumed on completion.
+    dsts: Vec<(Rank, BufKey)>,
     started: bool,
     done: bool,
     /// Last member to join and when — the op's release dependency for the
@@ -1015,20 +1012,8 @@ impl<'a> SimState<'a> {
                 } => {
                     self.ranks[r as usize].pc += 1;
                     self.begin_span(r, SpanKind::Sharp, range.len(), phase);
-                    self.exec_sharp(r, *group, *src, *dst, *range, None)?;
+                    self.exec_sharp(r, *group, *src, *dst, *range)?;
                     return Ok(());
-                }
-                Instr::ISharp {
-                    group,
-                    src,
-                    dst,
-                    range,
-                } => {
-                    self.ranks[r as usize].pc += 1;
-                    let req_idx = self.ranks[r as usize].reqs.len() as u32;
-                    self.ranks[r as usize].reqs.push(ReqState::SharpPending);
-                    self.exec_sharp(r, *group, *src, *dst, *range, Some(req_idx))?;
-                    // Non-blocking: continue interpreting.
                 }
             }
         }
@@ -1549,7 +1534,6 @@ impl<'a> SimState<'a> {
         src: BufKey,
         dst: BufKey,
         range: ByteRange,
-        req: Option<u32>,
     ) -> Result<(), SimError> {
         if self.oracle.is_none() {
             return Err(SimError::NoSharpOracle);
@@ -1592,12 +1576,10 @@ impl<'a> SimState<'a> {
         }
         op.range = Some(range);
         op.accum.union_merge(&payload, range.start, range.end);
-        op.dsts.push((Rank(r), dst, req));
+        op.dsts.push((Rank(r), dst));
         op.arrived += 1;
         op.last_join = Some((r, self.now));
-        if req.is_none() {
-            self.ranks[r as usize].status = Status::OnSharp;
-        }
+        self.ranks[r as usize].status = Status::OnSharp;
         if op.arrived == total {
             self.sharp_queue.push_back(op_idx);
             self.try_start_sharp();
@@ -1648,23 +1630,15 @@ impl<'a> SimState<'a> {
             rank,
             at: at.seconds(),
         });
-        for (rank, dst, req) in dsts {
+        for (rank, dst) in dsts {
             if matches!(self.ranks[rank.index()].status, Status::Dead) {
                 continue; // joined the op, then died before it completed
             }
             self.buf_apply(rank.0, dst, range, accum.clone(), &ApplyKind::Overwrite);
-            match req {
-                None => {
-                    if self.trace.is_some() {
-                        self.ranks[rank.index()].last_release = release;
-                    }
-                    self.push(self.now, Ev::Resume(rank.0));
-                }
-                Some(idx) => {
-                    self.ranks[rank.index()].reqs[idx as usize] = ReqState::Done;
-                    self.maybe_unblock_wait(rank.0, release);
-                }
+            if self.trace.is_some() {
+                self.ranks[rank.index()].last_release = release;
             }
+            self.push(self.now, Ev::Resume(rank.0));
         }
         self.sharp_active -= 1;
         self.stats.sharp_ops += 1;
@@ -2704,6 +2678,57 @@ mod tests {
             .run(&w)
             .unwrap();
         rep.verify_allreduce().unwrap();
+    }
+
+    /// A member that dies after joining a SHArP op but before the switch
+    /// finishes it is skipped at completion: the survivors get the result
+    /// and resume, and the run reports the crash with its ledger.
+    #[test]
+    fn crash_after_sharp_join_skips_dead_member() {
+        let cfg = config(4, 1);
+        let n = 256;
+        let mut w = WorldProgram::new(4, n);
+        w.register_sharp_group(0, (0..4).map(Rank).collect());
+        for r in 0..4u32 {
+            w.rank(Rank(r))
+                .sharp(0, BUF_INPUT, BUF_RESULT, ByteRange::whole(n));
+        }
+        // After the op, rank 0 waits on a message from the victim.
+        let q = w.rank(Rank(0)).irecv(Rank(2), 0, BufKey::Priv(2));
+        w.rank(Rank(0)).wait_all(vec![q]);
+        let s = w
+            .rank(Rank(2))
+            .isend(Rank(0), 0, BUF_RESULT, ByteRange::whole(n));
+        w.rank(Rank(2)).wait_all(vec![s]);
+        let oracle = FixedOracle(5e-6, 2);
+        let plan = FaultPlan {
+            process: ProcessFaults::single(2, 2e-6),
+            ..FaultPlan::zero()
+        };
+        let err = Simulator::new(&cfg)
+            .with_sharp(&oracle)
+            .with_faults(&plan)
+            .run(&w)
+            .unwrap_err();
+        // The victim died inside the op (pc 1 = past its `sharp`). Rank 0
+        // got the result and moved on to its wait; ranks 1 and 3 finished,
+        // so they are not in the ledger.
+        let op = |rank, pc, what: &str| PendingOp {
+            rank,
+            pc,
+            what: what.into(),
+        };
+        assert_eq!(
+            err,
+            SimError::RankDead {
+                rank: 2,
+                time: 2e-6,
+                pending_ops: vec![
+                    op(2, 1, "crashed (OnSharp)"),
+                    op(0, 2, "survivor blocked (OnWait)"),
+                ],
+            }
+        );
     }
 
     #[test]

@@ -217,18 +217,6 @@ impl Trace {
             .sum()
     }
 
-    /// Spans of one rank, in start order.
-    pub fn rank_timeline(&self, rank: u32) -> Vec<Span> {
-        let mut v: Vec<Span> = self
-            .spans
-            .iter()
-            .copied()
-            .filter(|s| s.rank == rank)
-            .collect();
-        v.sort_by(|a, b| a.start.total_cmp(&b.start));
-        v
-    }
-
     /// Export as Chrome tracing JSON (load in `chrome://tracing` or
     /// Perfetto; one "thread" per rank, microsecond timestamps). Spans
     /// carry their phase as the category and `bytes`/`phase` in `args`;
@@ -318,14 +306,6 @@ mod tests {
         assert!((t.total_phase_time(Phase::ShmGather) - 3e-6).abs() < 1e-18);
         assert!((t.total_phase_time(Phase::LeaderReduce) - 2e-6).abs() < 1e-18);
         assert_eq!(t.total_phase_time(Phase::Unknown), 0.0);
-    }
-
-    #[test]
-    fn rank_timeline_is_sorted_and_filtered() {
-        let t = sample();
-        let tl = t.rank_timeline(0);
-        assert_eq!(tl.len(), 2);
-        assert!(tl[0].start <= tl[1].start);
     }
 
     #[test]

@@ -75,12 +75,6 @@ impl MemoryModel {
     pub fn isolated_copy_time(&self, bytes: u64, cross_socket: bool) -> f64 {
         self.copy_latency(cross_socket) + bytes as f64 / self.copy_bw(cross_socket)
     }
-
-    /// How many concurrent same-socket copies the node sustains before the
-    /// memory bus, rather than per-process bandwidth, becomes the limit.
-    pub fn copy_saturation_procs(&self) -> f64 {
-        self.node_mem_bw / self.per_proc_copy_bw
-    }
 }
 
 #[cfg(test)]
@@ -117,13 +111,6 @@ mod tests {
         assert!(m.isolated_copy_time(65536, true) > m.isolated_copy_time(65536, false));
         assert!(m.copy_latency(true) > m.copy_latency(false));
         assert!(m.copy_bw(true) < m.copy_bw(false));
-    }
-
-    #[test]
-    fn saturation_allows_many_concurrent_copies() {
-        // 12 concurrent copies before the bus saturates: wide-and-shallow
-        // hierarchies win, per Fig 1(a).
-        assert!((mem().copy_saturation_procs() - 12.0).abs() < 1e-9);
     }
 
     #[test]

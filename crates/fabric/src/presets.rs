@@ -55,7 +55,7 @@ impl WatchdogLimits {
     /// Limits for a fabric whose cores are several times slower than a
     /// Xeon (KNL): everything legitimately takes longer, so the hang
     /// detector must too.
-    pub fn slow_cores() -> Self {
+    fn slow_cores() -> Self {
         WatchdogLimits {
             barrier_ms: 6_000,
             recv_ms: 6_000,

@@ -83,7 +83,7 @@ impl RetryPlan {
     /// the draw keyed by `(seed, attempt)` only — never by wall clock or
     /// call order, so a replay reproduces the schedule bit for bit.
     #[inline]
-    pub fn jitter_factor(&self, attempt: u32) -> f64 {
+    fn jitter_factor(&self, attempt: u32) -> f64 {
         if self.jitter == 0.0 {
             return 1.0;
         }

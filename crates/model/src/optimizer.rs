@@ -18,7 +18,7 @@ pub struct LeaderPoint {
 }
 
 /// Candidate leader counts: powers of two up to `ppn`, always including 1.
-pub fn candidate_leader_counts(ppn: u32) -> Vec<u32> {
+fn candidate_leader_counts(ppn: u32) -> Vec<u32> {
     let mut out = Vec::new();
     let mut l = 1u32;
     while l <= ppn {

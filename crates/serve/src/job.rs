@@ -290,7 +290,7 @@ impl JobCtx {
 
     /// Milliseconds left before `deadline_ms`, or `None` when no deadline.
     /// `Some(0)` means the deadline has passed.
-    pub fn remaining_ms(&self, deadline_ms: u64) -> Option<u64> {
+    fn remaining_ms(&self, deadline_ms: u64) -> Option<u64> {
         if deadline_ms == 0 {
             return None;
         }
@@ -328,7 +328,7 @@ impl Default for JobCtx {
 }
 
 /// Map the remaining wall-clock deadline onto engine budgets.
-pub fn budgets_for(remaining_ms: Option<u64>) -> Exec<'static> {
+fn budgets_for(remaining_ms: Option<u64>) -> Exec<'static> {
     Exec {
         event_budget: remaining_ms.map(|ms| ms.saturating_mul(EVENTS_PER_DEADLINE_MS).max(1)),
         time_budget_s: Some(VIRTUAL_TIME_GUARD_S),

@@ -10,8 +10,7 @@
 //! * **fault isolation** — jobs run under `catch_unwind` on dedicated
 //!   workers that are respawned after a panic ([`server`]),
 //! * **deadlines & cancellation** — wall deadlines map onto the engine's
-//!   event/time budgets, with cooperative cancel checkpoints ([`job`],
-//!   [`deadline`]),
+//!   event/time budgets, with cooperative cancel checkpoints ([`job`]),
 //! * **deterministic retries** — transient failures back off on a
 //!   seeded, capped-exponential, jittered [`dpml_faults::RetryPlan`],
 //! * **crash-safe journaling** — CRC32C-framed admit/start/finish
@@ -32,7 +31,6 @@
 pub mod cache;
 pub mod checkpoint;
 pub mod client;
-pub mod deadline;
 pub mod frame;
 pub mod job;
 pub mod journal;

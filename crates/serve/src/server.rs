@@ -24,7 +24,6 @@
 
 use crate::cache::ResultCache;
 use crate::checkpoint::CheckpointStore;
-use crate::deadline::watchdog_config;
 use crate::job::{execute, JobCtx, JobError, JobKind, JobOutcome, JobSpec, SWEEP_CHUNK};
 use crate::journal::{Journal, Record, Replay};
 use crate::protocol::{self, reject, Request, Response, WatchFrame};
@@ -296,11 +295,6 @@ impl ServerState {
         self.storage_faults.as_ref().map(|f| f.counts())
     }
 
-    /// The durable checkpoint store (chaos campaigns audit its files).
-    pub fn checkpoint_store(&self) -> &CheckpointStore {
-        &self.checkpoints
-    }
-
     /// Every metric, with the scheduler gauges read now.
     pub fn stats(&self) -> MetricsSnapshot {
         self.refresh_sched_gauges();
@@ -335,7 +329,7 @@ impl ServerState {
 
     /// Build one `watch` frame: sample now, derive rates against the
     /// previous sample.
-    pub fn watch_frame(&self, seq: u64) -> WatchFrame {
+    fn watch_frame(&self, seq: u64) -> WatchFrame {
         let (older, newer) = self.sample();
         WatchFrame {
             seq,
@@ -415,7 +409,7 @@ impl ServerState {
     }
 
     /// Stop admission and wake everyone; returns jobs still admitted.
-    pub fn begin_drain(&self) -> u64 {
+    fn begin_drain(&self) -> u64 {
         let mut s = self.sched.lock().expect("sched lock poisoned");
         s.draining = true;
         let pending = s.admitted() as u64;
@@ -1127,6 +1121,15 @@ impl ServerHandle {
     }
 }
 
+/// The scheduler's condvar poll interval: the recv half of the preset's
+/// watchdog limits, so a stuck queue is re-examined on the same cadence
+/// the preset considers "hung". An unknown preset polls every 100 ms.
+fn poll_interval(preset_id: &str) -> Duration {
+    Preset::by_id(preset_id)
+        .map(|p| Duration::from_millis(p.watchdog.recv_ms))
+        .unwrap_or(Duration::from_millis(100))
+}
+
 /// Bind, replay the journal (re-queueing every admitted-but-unfinished
 /// job exactly once and warming the cache from finished results), and
 /// start workers plus the accept loop.
@@ -1152,9 +1155,7 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
-    let poll = Preset::by_id(&cfg.watchdog_preset)
-        .map(|p| watchdog_config(&p.watchdog).recv)
-        .unwrap_or(Duration::from_millis(100));
+    let poll = poll_interval(&cfg.watchdog_preset);
     let cache = ResultCache::new(cfg.cache_capacity);
     let next_id = replay.max_id() + 1;
     let workers = cfg.workers.max(1);
@@ -1372,5 +1373,22 @@ fn conn_loop(state: Arc<ServerState>, stream: TcpStream) {
             }
             Err(_) => return, // torn frame / reset: jobs run on
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dpml_fabric::presets::{cluster_b, cluster_d};
+
+    #[test]
+    fn preset_limits_flow_into_the_poll_interval() {
+        let b = poll_interval("b");
+        assert_eq!(b, Duration::from_millis(cluster_b().watchdog.recv_ms));
+        // Cluster D's slow cores get a looser limit than B's Xeons.
+        let d = poll_interval("D");
+        assert_eq!(d, Duration::from_millis(cluster_d().watchdog.recv_ms));
+        assert!(d > b);
+        assert_eq!(poll_interval("no-such-preset"), Duration::from_millis(100));
     }
 }

@@ -14,7 +14,7 @@ pub const SPARK_WIDTH: usize = 32;
 /// Unicode block sparkline of `values` scaled to the series' own max.
 /// Empty input renders as an empty string; an all-zero series renders
 /// as all-minimum blocks.
-pub fn sparkline(values: &[f64]) -> String {
+fn sparkline(values: &[f64]) -> String {
     const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     let max = values.iter().cloned().fold(0.0f64, f64::max);
     values
@@ -31,7 +31,7 @@ pub fn sparkline(values: &[f64]) -> String {
 }
 
 /// Human-scale a rate: `1234567.0` → `"1.2M"`.
-pub fn fmt_rate(v: f64) -> String {
+fn fmt_rate(v: f64) -> String {
     if v >= 1e9 {
         format!("{:.1}G", v / 1e9)
     } else if v >= 1e6 {

@@ -36,7 +36,7 @@ impl SharpFabric {
     }
 
     /// Aggregation-tree depth (levels above the hosts) for a member set.
-    pub fn tree_depth(&self, members: &[Rank]) -> u32 {
+    fn tree_depth(&self, members: &[Rank]) -> u32 {
         let nodes: Vec<NodeId> = members.iter().map(|&r| self.map.node_of(r)).collect();
         let (root, leaves) = self
             .tree

@@ -2,11 +2,11 @@
 //! CRC32C and a seeded bit-flip injector.
 //!
 //! The simulator models corruption symbolically; this crate carries real
-//! bytes, so detection has to be real too. Every mailbox frame and every
-//! published shared-memory partition is covered by a CRC32C (Castagnoli
-//! polynomial, the checksum iWARP/SCTP/NVMe use), and fault-injection
-//! tests flip actual payload bits to prove the guards catch them —
-//! mirroring the engine-side `DataFaults` wire model numerically.
+//! bytes, so detection has to be real too. Every published shared-memory
+//! partition is covered by a CRC32C (Castagnoli polynomial, the checksum
+//! iWARP/SCTP/NVMe use), and fault-injection tests flip actual payload
+//! bits to prove the guards catch them — mirroring the engine-side
+//! `DataFaults` shared-memory bit-flip model numerically.
 
 /// CRC32C (Castagnoli) lookup table, reflected polynomial `0x82F63B78`.
 const fn build_table() -> [u32; 256] {

@@ -15,7 +15,7 @@ pub trait Reducible: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static 
 }
 
 /// A reduction operator over elements of type `T` — the `MPI_Op`
-/// equivalent. [`reduce_into_op`] and friends are generic over this, so
+/// equivalent. `reduce_into_op` and friends are generic over this, so
 /// `MPI_SUM`, `MPI_MAX`, `MPI_MIN`, and `MPI_PROD` share one kernel.
 pub trait ReduceOp<T: Copy>: Copy + Send + Sync + 'static {
     /// The operator's identity element.
@@ -103,7 +103,7 @@ impl ReduceOp<i64> for MinOp {
 /// `acc[i] = op(acc[i], src[i])` — one reduction pass under an arbitrary
 /// operator.
 #[inline]
-pub fn reduce_into_op<T: Copy, O: ReduceOp<T>>(op: O, acc: &mut [T], src: &[T]) {
+fn reduce_into_op<T: Copy, O: ReduceOp<T>>(op: O, acc: &mut [T], src: &[T]) {
     assert_eq!(acc.len(), src.len(), "operand length mismatch");
     for (a, s) in acc.iter_mut().zip(src.iter()) {
         *a = op.apply(*a, *s);

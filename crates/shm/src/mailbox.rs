@@ -5,19 +5,9 @@
 //! and a [`Network`] handle holding senders to all ranks. Matching is by
 //! `(from, tag)` in FIFO order per pair, mirroring MPI and the simulator's
 //! matching semantics.
-//!
-//! Every frame carries a CRC32C of its payload. A network built with
-//! [`Network::with_poison`] deterministically corrupts a fraction of sent
-//! payloads (single bit flips, seeded); the receiver's checksum catches
-//! each one (`shm.crc_fail`) and recovers the clean bytes from the
-//! sender-side retransmit store (`shm.retransmit`) — the real-bytes
-//! mirror of the simulator's ack/retransmit protocol.
 
-use crate::integrity::{crc32c, PoisonPlan};
-use crate::metrics::{SHM_CRC_FAIL, SHM_RETRANSMIT};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::collections::VecDeque;
 
 /// One in-flight message.
 #[derive(Debug, Clone)]
@@ -28,115 +18,35 @@ pub struct Msg {
     pub tag: u64,
     /// Payload.
     pub data: Vec<f64>,
-    /// CRC32C of the payload *as sent by the application* — a poisoned
-    /// frame carries the clean checksum, so the receiver can tell.
-    pub crc: u32,
-}
-
-/// Sender-side poison injection plus the retransmit store the receiver
-/// recovers clean payloads from. Shared by the [`Network`] handle and
-/// every [`Mailbox`] of the same fabric.
-#[derive(Debug)]
-struct PoisonState {
-    plan: PoisonPlan,
-    /// Global draw counter: one draw per sent payload.
-    draws: Mutex<u64>,
-    /// Clean copies of poisoned payloads, keyed `(from, to, tag)` in
-    /// FIFO order (matching the per-pair channel order).
-    store: Mutex<RetransmitStore>,
-}
-
-/// Clean payloads awaiting recovery, keyed `(from, to, tag)`.
-type RetransmitStore = HashMap<(usize, usize, u64), VecDeque<Vec<f64>>>;
-
-impl PoisonState {
-    fn next_draw(&self) -> u64 {
-        let mut g = self.draws.lock().expect("poison draws poisoned");
-        let d = *g;
-        *g += 1;
-        d
-    }
-
-    fn keep_clean(&self, from: usize, to: usize, tag: u64, data: Vec<f64>) {
-        self.store
-            .lock()
-            .expect("retransmit store poisoned")
-            .entry((from, to, tag))
-            .or_default()
-            .push_back(data);
-    }
-
-    fn take_clean(&self, from: usize, to: usize, tag: u64) -> Vec<f64> {
-        self.store
-            .lock()
-            .expect("retransmit store poisoned")
-            .get_mut(&(from, to, tag))
-            .and_then(VecDeque::pop_front)
-            .expect("corrupt frame with no retransmit copy")
-    }
 }
 
 /// Cloneable handle for sending to any rank.
 #[derive(Debug, Clone)]
 pub struct Network {
     senders: Vec<Sender<Msg>>,
-    poison: Option<Arc<PoisonState>>,
 }
 
 impl Network {
     /// Build a network of `ranks` mailboxes.
     pub fn new(ranks: usize) -> (Network, Vec<Mailbox>) {
-        Network::build(ranks, None)
-    }
-
-    /// Build a network whose sends are deterministically poisoned per
-    /// `plan`: each struck payload has one bit flipped on the wire while
-    /// a clean copy is parked for the receiver's recovery.
-    pub fn with_poison(ranks: usize, plan: PoisonPlan) -> (Network, Vec<Mailbox>) {
-        Network::build(
-            ranks,
-            Some(Arc::new(PoisonState {
-                plan,
-                draws: Mutex::new(0),
-                store: Mutex::new(HashMap::new()),
-            })),
-        )
-    }
-
-    fn build(ranks: usize, poison: Option<Arc<PoisonState>>) -> (Network, Vec<Mailbox>) {
-        let mut senders = Vec::with_capacity(ranks);
-        let mut boxes = Vec::with_capacity(ranks);
-        for rank in 0..ranks {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            boxes.push(Mailbox {
-                rank,
-                rx,
-                pending: VecDeque::new(),
-                poison: poison.clone(),
-            });
-        }
-        (Network { senders, poison }, boxes)
+        let (senders, boxes) = (0..ranks)
+            .map(|_| {
+                let (tx, rx) = unbounded();
+                let mailbox = Mailbox {
+                    rx,
+                    pending: VecDeque::new(),
+                };
+                (tx, mailbox)
+            })
+            .unzip();
+        (Network { senders }, boxes)
     }
 
     /// Send `data` from `from` to `to` with `tag`. Ranks fail-stop: a
     /// send to a rank whose [`Mailbox`] is gone is dropped, and the
     /// survivors' deadline-guarded receives report the dead peer.
-    pub fn send(&self, from: usize, to: usize, tag: u64, mut data: Vec<f64>) {
-        let crc = crc32c(&data);
-        if let Some(state) = &self.poison {
-            let draw = state.next_draw();
-            if !data.is_empty() && state.plan.strikes(draw) {
-                state.keep_clean(from, to, tag, data.clone());
-                state.plan.flip_bit(&mut data, draw);
-            }
-        }
-        let _ = self.senders[to].send(Msg {
-            from,
-            tag,
-            data,
-            crc,
-        });
+    pub fn send(&self, from: usize, to: usize, tag: u64, data: Vec<f64>) {
+        let _ = self.senders[to].send(Msg { from, tag, data });
     }
 
     /// Number of ranks.
@@ -148,10 +58,8 @@ impl Network {
 /// Per-rank receive endpoint with out-of-order buffering.
 #[derive(Debug)]
 pub struct Mailbox {
-    rank: usize,
     rx: Receiver<Msg>,
     pending: VecDeque<Msg>,
-    poison: Option<Arc<PoisonState>>,
 }
 
 impl Mailbox {
@@ -159,33 +67,15 @@ impl Mailbox {
     /// buffering non-matching arrivals.
     pub fn recv_from(&mut self, from: usize, tag: u64) -> Vec<f64> {
         if let Some(m) = self.take_pending(from, tag) {
-            return self.deliver(m);
+            return m.data;
         }
         loop {
             let m = self.rx.recv().expect("sender alive");
             if m.from == from && m.tag == tag {
-                return self.deliver(m);
+                return m.data;
             }
             self.pending.push_back(m);
         }
-    }
-
-    /// Checksum gate every receive path funnels through: a payload whose
-    /// CRC fails is counted (`shm.crc_fail`) and replaced by the clean
-    /// copy from the retransmit store (`shm.retransmit`).
-    pub(crate) fn deliver(&self, m: Msg) -> Vec<f64> {
-        if crc32c(&m.data) == m.crc {
-            return m.data;
-        }
-        SHM_CRC_FAIL.inc();
-        let state = self
-            .poison
-            .as_ref()
-            .expect("corrupt frame on an unpoisoned network");
-        let clean = state.take_clean(m.from, self.rank, m.tag);
-        debug_assert_eq!(crc32c(&clean), m.crc, "retransmit copy must be clean");
-        SHM_RETRANSMIT.inc();
-        clean
     }
 
     /// Number of buffered out-of-order messages (diagnostics).
@@ -268,49 +158,5 @@ mod tests {
         net.send(0, 1, 0, vec![20.0]);
         assert_eq!(b0.recv_from(1, 0), vec![10.0]);
         assert_eq!(h.join().unwrap(), vec![20.0]);
-    }
-
-    #[test]
-    fn poisoned_send_recovers_clean_payload() {
-        let before = [SHM_CRC_FAIL.get(), SHM_RETRANSMIT.get()];
-        let (net, mut boxes) = Network::with_poison(
-            2,
-            PoisonPlan {
-                seed: 11,
-                rate: 1.0,
-            },
-        );
-        let payload: Vec<f64> = (0..256).map(|i| i as f64 * 0.5 - 3.0).collect();
-        net.send(0, 1, 9, payload.clone());
-        assert_eq!(boxes[1].recv_from(0, 9), payload);
-        let fails = SHM_CRC_FAIL.get() - before[0];
-        let rtx = SHM_RETRANSMIT.get() - before[1];
-        assert!(fails >= 1, "the flipped bit must fail the CRC");
-        assert!(rtx >= 1, "the clean copy must be recovered");
-    }
-
-    #[test]
-    fn poisoned_out_of_order_frames_recover_in_order() {
-        let (net, mut boxes) = Network::with_poison(3, PoisonPlan { seed: 4, rate: 1.0 });
-        net.send(2, 0, 1, vec![2.0, 2.5]);
-        net.send(1, 0, 1, vec![1.0, 1.5]);
-        net.send(1, 0, 1, vec![7.0, 7.5]);
-        assert_eq!(boxes[0].recv_from(1, 1), vec![1.0, 1.5]);
-        assert_eq!(boxes[0].recv_from(1, 1), vec![7.0, 7.5]);
-        assert_eq!(boxes[0].recv_from(2, 1), vec![2.0, 2.5]);
-    }
-
-    #[test]
-    fn zero_rate_poison_never_fires() {
-        // (Counters are global and other tests bump them concurrently,
-        // so assert on behavior: payloads arrive intact and the store
-        // stays empty — nothing was ever parked for retransmission.)
-        let (net, mut boxes) = Network::with_poison(2, PoisonPlan { seed: 8, rate: 0.0 });
-        for i in 0..50 {
-            net.send(0, 1, i, vec![i as f64]);
-            assert_eq!(boxes[1].recv_from(0, i), vec![i as f64]);
-        }
-        let state = net.poison.as_ref().unwrap();
-        assert!(state.store.lock().unwrap().is_empty());
     }
 }

@@ -13,11 +13,10 @@
 //!
 //! * `barrier.wait_ns` — spin-barrier wait time per arrival (histogram),
 //! * `shm.copy_bytes` — bytes moved through shared-memory slots,
-//! * `shm.crc_fail` — payloads/publishes that failed their CRC32C check
+//! * `shm.crc_fail` — partition publishes that failed their CRC32C check
 //!   (see [`crate::integrity`]),
 //! * `shm.reduce_ops` — element reduction operations performed,
-//! * `shm.retransmit` — clean-copy recoveries and partition re-reductions
-//!   after a checksum failure.
+//! * `shm.retransmit` — partition re-reductions after a checksum failure.
 //!
 //! For continuous telemetry (`dpml-serve`'s `watch` verb and `dpml top`),
 //! [`rates_between`] derives per-second counter rates and windowed

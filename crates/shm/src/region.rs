@@ -13,7 +13,6 @@ use std::cell::UnsafeCell;
 /// A bank of equally sized `f64` slots in (conceptually) shared memory.
 pub struct SharedSlots {
     data: Vec<UnsafeCell<Box<[f64]>>>,
-    slot_len: usize,
 }
 
 // SAFETY: concurrent access is governed by the documented discipline —
@@ -28,18 +27,7 @@ impl SharedSlots {
             data: (0..slots)
                 .map(|_| UnsafeCell::new(vec![0.0; slot_len].into_boxed_slice()))
                 .collect(),
-            slot_len,
         }
-    }
-
-    /// Number of slots.
-    pub fn num_slots(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Slot length in elements.
-    pub fn slot_len(&self) -> usize {
-        self.slot_len
     }
 
     /// Mutable access to one slot.
@@ -75,10 +63,9 @@ mod tests {
     #[test]
     fn shape() {
         let s = SharedSlots::new(6, 128);
-        assert_eq!(s.num_slots(), 6);
-        assert_eq!(s.slot_len(), 128);
         // SAFETY: single-threaded test, no concurrent access.
         unsafe {
+            assert_eq!(s.slot(5).len(), 128);
             assert!(s.slot(3).iter().all(|&v| v == 0.0));
         }
     }

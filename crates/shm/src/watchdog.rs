@@ -23,9 +23,7 @@ use std::time::{Duration, Instant};
 /// Historically every call site hardcoded its own `Duration`; runtimes
 /// that host many jobs (the `dpml-serve` daemon) need the timeouts to
 /// come from configuration — a fabric preset carries default limits
-/// (`dpml_fabric::WatchdogLimits`), and a per-job deadline can tighten
-/// them further via [`WatchdogConfig::tightened`] so a job never waits
-/// on a barrier longer than it has left to live.
+/// (`dpml_fabric::WatchdogLimits`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WatchdogConfig {
     /// Deadline for a [`SpinBarrier`] arrival.
@@ -48,20 +46,10 @@ impl Default for WatchdogConfig {
 impl WatchdogConfig {
     /// Config from millisecond limits (the representation fabric presets
     /// carry, kept integral so presets stay serializable and comparable).
-    pub const fn from_millis(barrier_ms: u64, recv_ms: u64) -> Self {
+    const fn from_millis(barrier_ms: u64, recv_ms: u64) -> Self {
         WatchdogConfig {
             barrier: Duration::from_millis(barrier_ms),
             recv: Duration::from_millis(recv_ms),
-        }
-    }
-
-    /// Cap both deadlines at `remaining` — how a job-level deadline
-    /// tightens the preset's limits without ever loosening them.
-    #[must_use]
-    pub fn tightened(&self, remaining: Duration) -> Self {
-        WatchdogConfig {
-            barrier: self.barrier.min(remaining),
-            recv: self.recv.min(remaining),
         }
     }
 }
@@ -139,7 +127,7 @@ impl Mailbox {
     /// [`ShmTimeout::Recv`] if no matching message arrives within
     /// `timeout`. Non-matching arrivals are still buffered, so a later
     /// receive (timed or not) observes them in order.
-    pub fn recv_from_timeout(
+    fn recv_from_timeout(
         &mut self,
         from: usize,
         tag: u64,
@@ -147,13 +135,13 @@ impl Mailbox {
     ) -> Result<Vec<f64>, ShmTimeout> {
         let deadline = Instant::now() + timeout;
         if let Some(m) = self.take_pending(from, tag) {
-            return Ok(self.deliver(m));
+            return Ok(m.data);
         }
         loop {
             match self.recv_deadline(deadline) {
                 Some(m) => {
                     if m.from == from && m.tag == tag {
-                        return Ok(self.deliver(m));
+                        return Ok(m.data);
                     }
                     self.buffer(m);
                 }
@@ -166,31 +154,6 @@ impl Mailbox {
                 }
             }
         }
-    }
-}
-
-impl SpinBarrier {
-    /// [`SpinBarrier::wait_timeout`] with the deadline taken from a
-    /// [`WatchdogConfig`] instead of a per-call constant.
-    pub fn wait_watchdog(
-        &self,
-        local_sense: &mut bool,
-        cfg: &WatchdogConfig,
-    ) -> Result<(), ShmTimeout> {
-        self.wait_timeout(local_sense, cfg.barrier)
-    }
-}
-
-impl Mailbox {
-    /// [`Mailbox::recv_from_timeout`] with the deadline taken from a
-    /// [`WatchdogConfig`].
-    pub fn recv_from_watchdog(
-        &mut self,
-        from: usize,
-        tag: u64,
-        cfg: &WatchdogConfig,
-    ) -> Result<Vec<f64>, ShmTimeout> {
-        self.recv_from_timeout(from, tag, cfg.recv)
     }
 }
 
@@ -210,20 +173,6 @@ pub fn exchange_with_deadline(
     mbox.recv_from_timeout(peer, tag, timeout)
 }
 
-/// [`exchange_with_deadline`] with the receive deadline taken from a
-/// [`WatchdogConfig`].
-pub fn exchange_with_config(
-    net: &crate::mailbox::Network,
-    mbox: &mut Mailbox,
-    me: usize,
-    peer: usize,
-    tag: u64,
-    data: Vec<f64>,
-    cfg: &WatchdogConfig,
-) -> Result<Vec<f64>, ShmTimeout> {
-    exchange_with_deadline(net, mbox, me, peer, tag, data, cfg.recv)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,42 +185,13 @@ mod tests {
     // orders of magnitude above any plausible scheduling delay.
 
     #[test]
-    fn config_defaults_and_tightening() {
+    fn config_defaults_and_millis() {
         let cfg = WatchdogConfig::default();
         assert_eq!(cfg.barrier, Duration::from_millis(DEFAULT_WATCHDOG_MS));
         assert_eq!(cfg.recv, Duration::from_millis(DEFAULT_WATCHDOG_MS));
         let custom = WatchdogConfig::from_millis(500, 1500);
-        // Tightening caps both deadlines at the remaining budget...
-        let tight = custom.tightened(Duration::from_millis(200));
-        assert_eq!(tight.barrier, Duration::from_millis(200));
-        assert_eq!(tight.recv, Duration::from_millis(200));
-        // ...but a generous remaining budget never loosens them.
-        let loose = custom.tightened(Duration::from_secs(60));
-        assert_eq!(loose, custom);
-    }
-
-    #[test]
-    fn config_drives_barrier_and_recv_deadlines() {
-        let cfg = WatchdogConfig::from_millis(50, 50);
-        let b = SpinBarrier::new(2);
-        let mut sense = false;
-        let err = b.wait_watchdog(&mut sense, &cfg).unwrap_err();
-        assert_eq!(
-            err,
-            ShmTimeout::Barrier {
-                waited: cfg.barrier
-            }
-        );
-        let (_net, mut boxes) = Network::new(2);
-        let err = boxes[0].recv_from_watchdog(1, 9, &cfg).unwrap_err();
-        assert_eq!(
-            err,
-            ShmTimeout::Recv {
-                from: 1,
-                tag: 9,
-                waited: cfg.recv
-            }
-        );
+        assert_eq!(custom.barrier, Duration::from_millis(500));
+        assert_eq!(custom.recv, Duration::from_millis(1500));
     }
 
     #[test]
@@ -281,7 +201,12 @@ mod tests {
         let err = b
             .wait_timeout(&mut sense, Duration::from_millis(50))
             .unwrap_err();
-        assert!(matches!(err, ShmTimeout::Barrier { .. }));
+        assert_eq!(
+            err,
+            ShmTimeout::Barrier {
+                waited: Duration::from_millis(50)
+            }
+        );
         assert!(err.to_string().contains("poisoned"));
     }
 

@@ -63,7 +63,7 @@ impl ClusterSpec {
 
     /// Total cores per node.
     #[inline]
-    pub fn cores_per_node(&self) -> u32 {
+    fn cores_per_node(&self) -> u32 {
         self.sockets_per_node * self.cores_per_socket
     }
 

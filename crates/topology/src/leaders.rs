@@ -54,7 +54,7 @@ impl LeaderPolicy {
 
     /// The local ranks acting as leaders on any node (identical across
     /// nodes), ordered by leader index.
-    pub fn local_leaders(&self, spec: &ClusterSpec) -> Vec<LocalRank> {
+    fn local_leaders(&self, spec: &ClusterSpec) -> Vec<LocalRank> {
         match *self {
             LeaderPolicy::PerNode(l) => {
                 let l = l.min(spec.ppn).max(1);
@@ -116,12 +116,6 @@ impl LeaderSet {
         self.locals.len() as u32
     }
 
-    /// The local ranks that lead (same on every node).
-    #[inline]
-    pub fn local_leaders(&self) -> &[LocalRank] {
-        &self.locals
-    }
-
     /// Leader index of a rank, if it is a leader. A rank displaced by
     /// [`LeaderSet::heal`] is no longer a leader; a rank serving two
     /// indices after redistribution reports the lowest.
@@ -137,12 +131,6 @@ impl LeaderSet {
         }
         let node = self.map.node_of(rank);
         (0..self.leaders_per_node()).find(|&j| self.leader_rank(node, j) == rank)
-    }
-
-    /// True if the rank is a leader on its node.
-    #[inline]
-    pub fn is_leader(&self, rank: Rank) -> bool {
-        self.leader_index(rank).is_some()
     }
 
     /// The global rank of leader `j` on `node`, honoring any re-election
@@ -312,8 +300,8 @@ mod tests {
         let map = RankMap::block(&spec);
         let set = LeaderPolicy::PerNode(4).build(&map).unwrap();
         assert_eq!(set.leader_index(Rank(1)), None);
-        assert!(set.is_leader(Rank(0)));
-        assert!(set.is_leader(Rank(7)));
+        assert!(set.leader_index(Rank(0)).is_some());
+        assert!(set.leader_index(Rank(7)).is_some());
     }
 
     #[test]
@@ -323,7 +311,7 @@ mod tests {
         let set = LeaderPolicy::PerNode(8).build(&map).unwrap();
         assert_eq!(set.leaders_per_node(), 8);
         for r in map.ranks_on_node(NodeId(1)) {
-            assert!(set.is_leader(r));
+            assert!(set.leader_index(r).is_some());
         }
     }
 
@@ -343,7 +331,7 @@ mod tests {
         assert_ne!(new_leader, dead);
         assert_eq!(map.node_of(new_leader), NodeId(1));
         assert_eq!(healed.leader_index(new_leader), Some(1));
-        assert!(!set.is_leader(new_leader), "promotion, not reuse");
+        assert_eq!(set.leader_index(new_leader), None, "promotion, not reuse");
         for n in [0u32, 2, 3] {
             assert_eq!(
                 healed.leader_rank(NodeId(n), 1),

@@ -102,7 +102,7 @@ impl RankMap {
 
     /// True if two ranks share a node.
     #[inline]
-    pub fn same_node(&self, a: Rank, b: Rank) -> bool {
+    fn same_node(&self, a: Rank, b: Rank) -> bool {
         self.node_of(a) == self.node_of(b)
     }
 

@@ -105,12 +105,6 @@ impl SwitchTree {
         self.spec.num_core
     }
 
-    /// Total number of switches (leaves + cores).
-    #[inline]
-    pub fn num_switches(&self) -> u32 {
-        self.num_leaves + self.spec.num_core
-    }
-
     /// The leaf switch a node is cabled to.
     pub fn leaf_of(&self, node: NodeId) -> Result<SwitchId, TopologyError> {
         if node.0 >= self.num_nodes {
@@ -121,19 +115,6 @@ impl SwitchTree {
             });
         }
         Ok(SwitchId(node.0 / self.spec.nodes_per_leaf))
-    }
-
-    /// Nodes cabled to a leaf switch.
-    pub fn nodes_under_leaf(&self, leaf: SwitchId) -> Vec<NodeId> {
-        let start = leaf.0 * self.spec.nodes_per_leaf;
-        let end = (start + self.spec.nodes_per_leaf).min(self.num_nodes);
-        (start..end).map(NodeId).collect()
-    }
-
-    /// True if the switch id refers to a core switch.
-    #[inline]
-    pub fn is_core(&self, sw: SwitchId) -> bool {
-        sw.0 >= self.num_leaves
     }
 
     /// Number of switch-to-switch / node-to-switch hops on the path between
@@ -230,9 +211,9 @@ mod tests {
         let t = tree();
         let p = t.path(NodeId(0), NodeId(25)).unwrap();
         assert_eq!(p.len(), 3);
-        assert!(!t.is_core(p[0]));
-        assert!(t.is_core(p[1]));
-        assert!(!t.is_core(p[2]));
+        assert!(p[0].0 < t.num_leaves);
+        assert!(p[1].0 >= t.num_leaves, "middle hop is a core switch");
+        assert!(p[2].0 < t.num_leaves);
     }
 
     #[test]
@@ -254,7 +235,7 @@ mod tests {
         let t = tree();
         let members: Vec<NodeId> = (0..160).step_by(10).map(NodeId).collect();
         let (root, leaves) = t.aggregation_tree(&members).unwrap();
-        assert!(t.is_core(root));
+        assert!(root.0 >= t.num_leaves, "root is a core switch");
         assert_eq!(leaves.len(), 8);
     }
 
@@ -264,12 +245,5 @@ mod tests {
             (SwitchTreeSpec::opa_oversubscribed().core_bandwidth_fraction() - 0.8).abs() < 1e-12
         );
         assert!((SwitchTreeSpec::default().core_bandwidth_fraction() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nodes_under_leaf_truncates_at_cluster_edge() {
-        let t = SwitchTree::build(45, SwitchTreeSpec::opa_oversubscribed()).unwrap();
-        assert_eq!(t.num_leaves(), 3);
-        assert_eq!(t.nodes_under_leaf(SwitchId(2)).len(), 5);
     }
 }

@@ -74,7 +74,7 @@ pub struct AppReport {
 
 /// Compile an application profile into a world program, dispatching each
 /// allreduce through `choose` (size → algorithm).
-pub fn build_app(
+fn build_app(
     map: &RankMap,
     profile: &AppProfile,
     choose: &dyn Fn(u64) -> Algorithm,

@@ -8,20 +8,15 @@
 //! * **miniAMR** (adaptive mesh refinement): its refinement step issues
 //!   allreduces whose size grows with the global block count — the
 //!   medium/large regime where DPML shines (Fig. 11(b)).
-//! * **DNN training** ([`dnn`], beyond the paper's evaluation but squarely
-//!   its introduction's motivation): data-parallel SGD allreduces every
-//!   gradient bucket each step.
 //!
 //! Both apps matter to the collectives only through their *allreduce
 //! size/frequency profile* interleaved with local compute, which is exactly
 //! what [`app::AppProfile`] captures and [`app::run_app`] simulates.
 
 pub mod app;
-pub mod dnn;
 pub mod hpcg;
 pub mod miniamr;
 
 pub use app::{AppProfile, AppReport, AppStep};
-pub use dnn::DnnConfig;
 pub use hpcg::HpcgConfig;
 pub use miniamr::MiniAmrConfig;

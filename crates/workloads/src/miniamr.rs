@@ -48,7 +48,7 @@ impl MiniAmrConfig {
     }
 
     /// Stencil compute time per sweep, seconds (7-point stencil).
-    pub fn sweep_seconds(&self) -> f64 {
+    fn sweep_seconds(&self) -> f64 {
         let cells = self.blocks_per_rank as f64 * (self.block_edge as f64).powi(3);
         cells * 8.0 / self.core_flops
     }

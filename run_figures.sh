@@ -1,10 +1,13 @@
 #!/bin/bash
-# Regenerate every figure of the paper; outputs under results/.
+# Regenerate every figure of the paper, the ablations and the fault,
+# recovery and profile artifacts; outputs under results/ of the checkout
+# this script lives in. Every output is deterministic, so a run on an
+# unchanged tree leaves `git status results/` clean.
 set -e
-cd /root/repo
+cd "$(dirname "$0")"
+cargo build --release -p dpml-bench
+BIN=${CARGO_TARGET_DIR:-target}/release
 mkdir -p results
-BIN=target/release
-run() { echo "=== $* ==="; "$@" | tee "results/$(basename $1)_$2$3.txt" >/dev/null; }
 $BIN/fig1 | tee results/fig1.txt >/dev/null
 echo fig1 done
 for c in a b c d; do
@@ -24,6 +27,13 @@ echo model_check done
 $BIN/ablate_fairness | tee results/ablate_fairness.txt >/dev/null
 $BIN/ablate_pipeline | tee results/ablate_pipeline.txt >/dev/null
 $BIN/ablate_sharp_groups | tee results/ablate_sharp_groups.txt >/dev/null
-$BIN/recovery | tee results/recovery.txt >/dev/null
+# These four write only their JSON artifact; the tables go to stdout.
+$BIN/ablate_placement >/dev/null
+echo ablations done
+$BIN/recovery >/dev/null
 echo recovery done
+$BIN/resilience >/dev/null
+echo resilience done
+$BIN/profile >/dev/null
+echo profile done
 echo ALL_FIGURES_DONE
