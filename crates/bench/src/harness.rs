@@ -1,4 +1,4 @@
-//! Shared runner + tiny CLI helpers for the figure binaries.
+//! Shared runner for the figure registry + tiny CLI helpers for `serve_bench`.
 
 use dpml_core::algorithms::Algorithm;
 use dpml_core::run::{run, Exec, Scenario};

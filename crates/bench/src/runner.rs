@@ -1,6 +1,6 @@
 //! Scenario-parallel sweep runner.
 //!
-//! Every fig/bench/integrity binary walks a matrix of independent sweep
+//! Every figure-registry entry and bench walks a matrix of independent sweep
 //! points (cluster × algorithm × size × seed). Each point is a closed
 //! world — its own `SimConfig`, its own fault plan, its own RNG stream —
 //! so the points can run on worker threads with **zero** cross-talk. The

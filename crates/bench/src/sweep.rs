@@ -3,10 +3,8 @@
 //! Figures 4–7 and 9 present three panels each: small (4B–2KB), medium
 //! (4KB–64KB), and large (128KB–1MB) messages, on power-of-two sizes.
 
-use serde::{Deserialize, Serialize};
-
 /// Which panel of a figure a size belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SizeBand {
     /// 4B – 2KB.
     Small,
@@ -39,17 +37,6 @@ impl SizeBand {
     pub fn all() -> [SizeBand; 3] {
         [SizeBand::Small, SizeBand::Medium, SizeBand::Large]
     }
-
-    /// The band containing `bytes`.
-    pub fn of(bytes: u64) -> SizeBand {
-        if bytes <= 2 * 1024 {
-            SizeBand::Small
-        } else if bytes <= 64 * 1024 {
-            SizeBand::Medium
-        } else {
-            SizeBand::Large
-        }
-    }
 }
 
 /// Powers of two from `lo` to `hi` inclusive.
@@ -67,11 +54,6 @@ fn pow2_range(lo: u64, hi: u64) -> Vec<u64> {
 /// Every size the paper sweeps (union of the three panels).
 pub fn paper_sizes() -> Vec<u64> {
     SizeBand::all().iter().flat_map(|b| b.sizes()).collect()
-}
-
-/// A thinned sweep for quick runs (one size per octave pair).
-pub fn quick_sizes() -> Vec<u64> {
-    paper_sizes().into_iter().step_by(2).collect()
 }
 
 #[cfg(test)]
@@ -97,21 +79,5 @@ mod tests {
         let s = paper_sizes();
         assert!(s.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(s.len(), 10 + 5 + 4);
-    }
-
-    #[test]
-    fn band_classification() {
-        assert_eq!(SizeBand::of(4), SizeBand::Small);
-        assert_eq!(SizeBand::of(2048), SizeBand::Small);
-        assert_eq!(SizeBand::of(4096), SizeBand::Medium);
-        assert_eq!(SizeBand::of(1 << 20), SizeBand::Large);
-    }
-
-    #[test]
-    fn quick_sizes_subset() {
-        let q = quick_sizes();
-        let p = paper_sizes();
-        assert!(q.iter().all(|s| p.contains(s)));
-        assert!(q.len() < p.len());
     }
 }

@@ -23,16 +23,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no data rows have been added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render with space-padded columns.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -65,11 +55,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-
-    /// Print to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 }
 
@@ -109,7 +94,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("size"));
         assert!(lines[3].starts_with("1048576"));
-        assert_eq!(t.len(), 2);
     }
 
     #[test]

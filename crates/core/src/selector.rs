@@ -17,8 +17,9 @@ use serde::{Deserialize, Serialize};
 /// A library whose algorithm dispatch we emulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Library {
-    /// MVAPICH2-2.2-style dispatch: shared-memory single-leader design for
-    /// small/medium messages, flat reduce-scatter + allgather for large.
+    /// MVAPICH2-2.2-style dispatch: the shared-memory single-leader design
+    /// at every size when ppn > 1; flat recursive doubling or
+    /// reduce-scatter + allgather only at one process per node.
     Mvapich2,
     /// Intel MPI 2017-style dispatch: similar structure, more aggressive
     /// switch to bandwidth-optimal algorithms for large messages.
