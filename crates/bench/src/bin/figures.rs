@@ -1,7 +1,6 @@
 //! Regenerate every artifact of the figure registry
 //! ([`dpml_bench::figures::ALL`]): the paper's figures, the cost-model
-//! check, the ablations and the fault, recovery, profile and integrity
-//! sweeps.
+//! check, the ablations and the fault, profile and integrity sweeps.
 //!
 //! Usage: `figures [--only ID] [--check]`
 //!

@@ -1,127 +1,19 @@
-//! Beyond the paper: fail-stop recovery, degradation under injected
-//! faults, and end-to-end data integrity (DESIGN.md §7, §8 and §10).
+//! Beyond the paper: degradation under injected faults and end-to-end
+//! data integrity (DESIGN.md §7 and §10).
 
 use super::{dpml, say, Output, Report};
-use crate::{fmt_bytes, fmt_us, latency_us, sweep, Table};
+use crate::{fmt_bytes, fmt_us, sweep, Table};
 use dpml_core::algorithms::{Algorithm, FlatAlg};
-use dpml_core::heal::{run_dpml_failstop, FailstopOutcome};
 use dpml_core::integrity::{
     run_allreduce_verified, IntegrityErrorKind, IntegrityPolicy, VerifiedError,
 };
 use dpml_core::resilience::{run_allreduce_resilient, FaultPolicy};
 use dpml_fabric::presets::{cluster_a, cluster_b};
-use dpml_faults::{DataFaults, FaultPlan, ProcessFaults, SharpFaults};
+use dpml_faults::{DataFaults, FaultPlan, SharpFaults};
 use dpml_shm::kernels::SumOp;
 use dpml_shm::metrics::{SHM_CRC_FAIL, SHM_RETRANSMIT};
 use dpml_shm::{IntraAlgo, NodeRuntime, PoisonPlan};
 use serde::Serialize;
-
-/// Fail-stop recovery sweep — what does healing a crashed DPML leader
-/// cost compared to restarting the collective from scratch?
-///
-/// On Cluster A, 4 nodes, crashes leader index 1 (node 1) at several
-/// points of the fault-free timeline, across message sizes and
-/// leaders-per-node, and reports the healed end-to-end latency
-/// (detection + re-plan + continuation) against the cold-restart
-/// alternative (detection + full re-run). Early crashes — before the dead
-/// rank finished its phase-1 shared-memory deposits — are unrecoverable
-/// and fall back to the cold restart, which the sweep shows explicitly.
-pub(super) fn recovery() -> Output {
-    #[derive(Serialize)]
-    struct Point {
-        leaders: u32,
-        bytes: u64,
-        crash_rank: u32,
-        crash_frac: f64,
-        crash_at_us: f64,
-        outcome: String,
-        detected_at_us: f64,
-        healed_latency_us: f64,
-        cold_restart_latency_us: f64,
-        restart_over_healed: f64,
-        replanned_ranks: usize,
-    }
-
-    #[derive(Serialize)]
-    struct Results {
-        nodes: u32,
-        ppn: u32,
-        sweep: Vec<Point>,
-    }
-
-    let nodes = 4u32;
-    let preset = cluster_a();
-    let spec = preset.spec(nodes, 28).expect("spec");
-    let ppn = spec.ppn;
-    let mut r = Report::default();
-    let fabric = &preset.fabric.name;
-    say!(
-        r,
-        "fail-stop recovery sweep on {fabric} ({nodes} nodes x {ppn} ppn)"
-    );
-
-    let mut sweep = Vec::new();
-    let mut table = Table::new([
-        "leaders", "bytes", "crash@", "outcome", "healed", "restart", "ratio",
-    ]);
-    for leaders in [2u32, 8] {
-        for bytes in [64 * 1024u64, 1 << 20] {
-            let clean_us = latency_us(&preset, &spec, dpml(leaders), bytes);
-            // Leader index 1 on node 1 (leaders sit at locals j*ppn/l).
-            let crash_rank = ppn + ppn / leaders;
-            for frac in [0.1, 0.6, 0.85] {
-                let plan = FaultPlan {
-                    process: ProcessFaults::single(crash_rank, frac * clean_us * 1e-6),
-                    ..FaultPlan::zero()
-                };
-                let out = run_dpml_failstop(
-                    &preset,
-                    &spec,
-                    leaders,
-                    FlatAlg::RecursiveDoubling,
-                    bytes,
-                    &plan,
-                )
-                .expect("fail-stop run");
-                let (outcome, recovery) = match &out {
-                    FailstopOutcome::Clean { .. } => {
-                        panic!("crash at {frac} of the timeline cannot be clean")
-                    }
-                    FailstopOutcome::Healed { recovery, .. } => ("healed", recovery),
-                    FailstopOutcome::ColdRestart { recovery, .. } => ("cold-restart", recovery),
-                };
-                let ratio = recovery.cold_restart_latency_us / recovery.healed_latency_us;
-                table.row([
-                    format!("{leaders}"),
-                    fmt_bytes(bytes),
-                    format!("{:.0}%", frac * 100.0),
-                    outcome.to_string(),
-                    fmt_us(recovery.healed_latency_us),
-                    fmt_us(recovery.cold_restart_latency_us),
-                    format!("{ratio:.2}x"),
-                ]);
-                sweep.push(Point {
-                    leaders,
-                    bytes,
-                    crash_rank,
-                    crash_frac: frac,
-                    crash_at_us: frac * clean_us,
-                    outcome: outcome.to_string(),
-                    detected_at_us: recovery.detected_at_us,
-                    healed_latency_us: recovery.healed_latency_us,
-                    cold_restart_latency_us: recovery.cold_restart_latency_us,
-                    restart_over_healed: ratio,
-                    replanned_ranks: recovery.replanned_ranks.len(),
-                });
-            }
-        }
-    }
-    r.table(&table);
-
-    let path = r.json("recovery", &Results { nodes, ppn, sweep });
-    say!(r, "\nwrote {path}");
-    r.into_stdout()
-}
 
 /// Resilience sweep — how gracefully does each design degrade under
 /// injected faults?

@@ -1,6 +1,6 @@
 //! The registry of every artifact under `results/`: the paper's figures,
-//! the Section 5 cost-model check, the ablations and the fault, recovery,
-//! profile and integrity sweeps.
+//! the Section 5 cost-model check, the ablations and the fault, profile
+//! and integrity sweeps.
 //!
 //! Each [`Figure`] runs at fixed parameters and returns its artifacts as
 //! bytes; the `figures` binary writes them to `results/` or, with
@@ -71,7 +71,6 @@ pub const ALL: &[Figure] = &[
     entry("ablate_pipeline", &["ablate_pipeline.json", "ablate_pipeline.txt"], ablations::pipeline),
     entry("ablate_sharp_groups", &["ablate_sharp_groups.json", "ablate_sharp_groups.txt"], ablations::sharp_groups),
     entry("ablate_placement", &["ablate_placement.json"], ablations::placement),
-    entry("recovery", &["recovery.json"], faults::recovery),
     entry("resilience", &["resilience.json"], faults::resilience),
     entry("profile", &["profile.json"], paper::profile),
     entry("integrity", &["integrity.json"], faults::integrity),

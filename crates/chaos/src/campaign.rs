@@ -46,7 +46,7 @@ pub struct CampaignConfig {
 
 impl CampaignConfig {
     /// The default chaos geometry: small worlds across the recovery
-    /// paths — DPML (healing planner), a flat baseline (integrity
+    /// paths — DPML (fail-stop restart), a flat baseline (integrity
     /// ladder), and a SHArP design on the one fabric that has SHArP
     /// (resilience ladder).
     fn default_menu() -> Vec<Scenario> {

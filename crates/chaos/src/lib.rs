@@ -6,7 +6,7 @@
 //! This crate replaces blind sampling with a search (DESIGN.md §13):
 //!
 //! * [`outcome`] — runs one `(scenario, fault plan)` case through the
-//!   full recovery machinery (integrity ladder, fail-stop healing, SHArP
+//!   full recovery machinery (integrity ladder, fail-stop restart, SHArP
 //!   resilience) and classifies what happened into **outcome-coverage
 //!   cells**: which degradation-ladder rungs fired, which `SimError`
 //!   variants surfaced, which recovery paths ran.

@@ -4,8 +4,8 @@
 //! message size) plus a [`FaultPlan`]. Running a case drives it through
 //! whichever recovery machinery owns its fault classes:
 //!
-//! * fail-stop process faults on a DPML schedule → the healing planner
-//!   (`dpml_core::heal`): heal / cold-restart / clean;
+//! * fail-stop process faults on a DPML schedule → the fail-stop runner
+//!   (`dpml_core::failstop`): cold-restart / clean;
 //! * SHArP designs → the resilience ladder (`dpml_core::resilience`):
 //!   retry / fallback;
 //! * everything else → the self-verifying integrity ladder
@@ -13,7 +13,7 @@
 //!   re-reduce → restart → structured error.
 //!
 //! The outcome is classified into **coverage cells** — strings like
-//! `class:healed`, `rung:retransmit`, `pair:ok|restart` — which the
+//! `class:cold-restart`, `rung:retransmit`, `pair:ok|restart` — which the
 //! campaign engine treats as the territory to be explored. A case also
 //! yields a *signature* (its triage key) and a *digest* (a bit-exact
 //! fingerprint including latency bits and recovery counters) that the
@@ -71,7 +71,7 @@ impl Scenario {
 /// What one case execution came to.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CaseOutcome {
-    /// Outcome class: `ok`, `healed`, `cold-restart`, `sharp-fallback`,
+    /// Outcome class: `ok`, `cold-restart`, `sharp-fallback`,
     /// `err:<label>`, `invalid:<what>`, or `panic`.
     pub class: String,
     /// Triage key: the class (panics fold in a message prefix). The
@@ -197,47 +197,27 @@ fn run_case_inner(sc: &Scenario, plan: &FaultPlan) -> Classified {
         }
     };
 
-    // Fail-stop faults on a DPML schedule go through the healing
-    // planner; everything else would surface them as structured
-    // `rank-dead` errors below.
+    // Fail-stop faults on a DPML schedule go through the fail-stop
+    // runner; everything else surfaces them as structured `rank-dead`
+    // errors below.
     if let Algorithm::Dpml { leaders, inner } = alg {
         if !plan.process.is_zero() {
             return match run_dpml_failstop(&preset, &spec, leaders, inner, sc.bytes, plan) {
                 Ok(out) => {
-                    let mut rungs = stats_rungs(&out.report().report.stats);
-                    let class = match &out {
-                        FailstopOutcome::Clean { .. } => "ok",
-                        FailstopOutcome::Healed { recovery, .. } => {
-                            rungs.push("heal");
-                            if !recovery.reelections.is_empty() {
-                                rungs.push("reelect");
-                            }
-                            "healed"
-                        }
-                        FailstopOutcome::ColdRestart { .. } => {
+                    let stats = &out.report().report.stats;
+                    let mut rungs = stats_rungs(stats);
+                    let (class, dead) = match &out {
+                        FailstopOutcome::Clean { .. } => ("ok", String::new()),
+                        FailstopOutcome::ColdRestart { recovery, .. } => {
                             rungs.push("cold-restart");
-                            "cold-restart"
+                            ("cold-restart", format!("dead={:?}", recovery.dead_ranks))
                         }
                     };
-                    let recovery_detail = out
-                        .recovery()
-                        .map(|r| {
-                            format!(
-                                "dead={:?} replanned={}",
-                                r.dead_ranks,
-                                r.replanned_ranks.len()
-                            )
-                        })
-                        .unwrap_or_default();
                     Classified {
                         class: class.into(),
                         rungs,
                         latency_us: out.total_latency_us(),
-                        detail: format!(
-                            "{} {}",
-                            stats_detail(&out.report().report.stats),
-                            recovery_detail
-                        ),
+                        detail: format!("{} {dead}", stats_detail(stats)),
                         violation: None,
                     }
                 }
@@ -441,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    fn dpml_crash_heals() {
+    fn dpml_crash_cold_restarts() {
         // Crash mid-collective: halfway through the clean run's latency.
         let clean = run_case(&sc("dpml:2"), &FaultPlan::zero());
         assert_eq!(clean.class, "ok");
@@ -453,11 +433,8 @@ mod tests {
         });
         plan.process.detection_timeout = 1e-4;
         let out = run_case(&sc("dpml:2"), &plan);
-        assert!(
-            out.class == "healed" || out.class == "cold-restart",
-            "crash on DPML must recover, got {}",
-            out.class
-        );
+        assert_eq!(out.class, "cold-restart", "crash on DPML must recover");
+        assert!(out.cells.contains("rung:cold-restart"));
     }
 
     #[test]

@@ -28,7 +28,7 @@
 
 pub mod algorithms;
 pub mod checkpoint;
-pub mod heal;
+pub mod failstop;
 pub mod integrity;
 pub mod profile;
 pub mod resilience;
@@ -41,7 +41,7 @@ pub use checkpoint::{
     run_allreduce_checkpointed, ChunkControl, ScenarioCell, SweepCheckpoint, SweepEnd,
     CHECKPOINT_SCHEMA,
 };
-pub use heal::{run_dpml_failstop, FailstopOutcome, RecoveryReport};
+pub use failstop::{run_dpml_failstop, FailstopOutcome, RecoveryReport};
 pub use integrity::{
     run_allreduce_verified, IntegrityError, IntegrityErrorKind, IntegrityPolicy, IntegrityReport,
     LadderRung, PartitionRecovery, VerifiedError,

@@ -163,7 +163,7 @@ pub fn run(scenario: &Scenario, exec: &Exec) -> Result<AllreduceReport, RunError
 /// Execute a compiled world on the cluster. A world with SHArP groups gets
 /// the fabric's SHArP oracle, or [`RunError::NoSharpOnFabric`] when the
 /// fabric has none. The result is not verified: custom worlds (apps,
-/// healing continuations) verify by their own rules.
+/// integrity continuations) verify by their own rules.
 pub fn simulate(
     preset: &Preset,
     map: &RankMap,

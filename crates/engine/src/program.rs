@@ -292,13 +292,14 @@ pub struct WorldProgram {
     /// initialization).
     pub vector_bytes: u64,
     /// Checkpointed private-buffer state applied before execution:
-    /// `(rank, buffer id, coverage)`. Used by continuation worlds (healing
-    /// after a fail-stop crash) to resume from surviving state instead of
-    /// empty buffers. Later entries replace earlier ones for the same
-    /// buffer.
+    /// `(rank, buffer id, coverage)`. Lets a continuation world resume
+    /// from surviving state instead of empty buffers. Later entries
+    /// replace earlier ones for the same buffer.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub preset_priv: Vec<(u32, u32, CoverageMap)>,
     /// Checkpointed shared-memory state: `(node, buffer id, coverage)`.
+    /// The integrity ladder's partition re-reduce presets the phase-1
+    /// deposits and the other partitions' published results here.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub preset_shared: Vec<(u32, u32, CoverageMap)>,
 }

@@ -136,21 +136,9 @@ impl RunReport {
     /// Verify an allreduce: every rank's result buffer must hold every
     /// rank's contribution over the whole vector.
     pub fn verify_allreduce(&self) -> Result<(), VerifyError> {
-        self.verify_allreduce_excluding(&[])
-    }
-
-    /// Verify an allreduce for the survivors of a fail-stop fault: every
-    /// rank *not* listed in `dead` must hold the full contribution set —
-    /// including the dead ranks' contributions, which a healed DPML
-    /// schedule recovers from the shared-memory deposits the dead ranks
-    /// made before crashing.
-    pub fn verify_allreduce_excluding(&self, dead: &[u32]) -> Result<(), VerifyError> {
         let p = self.finish_times.len() as u32;
         let full = RankSet::full(p);
         for (r, cov) in self.result_coverage.iter().enumerate() {
-            if dead.contains(&(r as u32)) {
-                continue;
-            }
             if !cov.covers_exactly(0, self.vector_bytes, &full) {
                 let correct = cov
                     .segments()

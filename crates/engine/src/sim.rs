@@ -647,8 +647,8 @@ impl<'a> SimState<'a> {
         for r in 0..p {
             st.push(SimTime::ZERO, Ev::Resume(r));
         }
-        // Continuation worlds (healing planner) start ranks and nodes from
-        // checkpointed buffer state instead of empty buffers.
+        // Continuation worlds (the partition re-reduce) start ranks and
+        // nodes from checkpointed buffer state instead of empty buffers.
         for (r, id, cov) in &world.preset_priv {
             if *r < p {
                 st.ranks[*r as usize].bufs.insert(*id, cov.clone());

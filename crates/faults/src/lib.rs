@@ -178,16 +178,15 @@ pub struct ProcessFault {
 /// Fail-stop faults: individual process crashes plus permanent node loss.
 ///
 /// Unlike the slowdown faults above, these are not absorbed by waiting —
-/// the engine surfaces a structured `RankDead` outcome and `dpml-core`'s
-/// healing planner decides whether the collective can be completed by the
-/// survivors (see `dpml-core::heal`).
+/// the engine surfaces a structured `RankDead` outcome, and for DPML
+/// `dpml-core` restarts the collective once the failure is detected (see
+/// `dpml-core::failstop`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProcessFaults {
     /// Individual rank crashes, each at its own virtual time.
     pub crashes: Vec<ProcessFault>,
     /// Nodes lost outright: every rank bound to the node is dead from
-    /// `t = 0` and the node's shared memory is gone (no healing possible
-    /// from its gather slots).
+    /// `t = 0` and the node's shared memory is gone.
     pub lost_nodes: Vec<u32>,
     /// Virtual seconds survivors take to notice a peer's death (heartbeat
     /// timeout). Accounted into `RecoveryReport::detected_at_us`.

@@ -91,7 +91,6 @@ impl LeaderPolicy {
         Ok(LeaderSet {
             locals: self.local_leaders(map.spec()),
             map: map.clone(),
-            overrides: Vec::new(),
         })
     }
 }
@@ -102,11 +101,6 @@ impl LeaderPolicy {
 pub struct LeaderSet {
     locals: Vec<LocalRank>,
     map: RankMap,
-    /// Per-node re-elections from [`LeaderSet::heal`]: `(node, leader
-    /// index, replacement local rank)`. Empty on a freshly built set;
-    /// healing breaks the cross-node symmetry of `locals`, so lookups
-    /// consult these first. Later entries win.
-    overrides: Vec<(NodeId, u32, LocalRank)>,
 }
 
 impl LeaderSet {
@@ -116,80 +110,18 @@ impl LeaderSet {
         self.locals.len() as u32
     }
 
-    /// Leader index of a rank, if it is a leader. A rank displaced by
-    /// [`LeaderSet::heal`] is no longer a leader; a rank serving two
-    /// indices after redistribution reports the lowest.
+    /// Leader index of a rank, if it is a leader.
     pub fn leader_index(&self, rank: Rank) -> Option<u32> {
-        if self.overrides.is_empty() {
-            // Fast path: symmetric set, same locals on every node.
-            let local = self.map.local_of(rank);
-            return self
-                .locals
-                .iter()
-                .position(|&l| l == local)
-                .map(|i| i as u32);
-        }
-        let node = self.map.node_of(rank);
-        (0..self.leaders_per_node()).find(|&j| self.leader_rank(node, j) == rank)
-    }
-
-    /// The global rank of leader `j` on `node`, honoring any re-election
-    /// overrides for that node.
-    pub fn leader_rank(&self, node: NodeId, j: u32) -> Rank {
-        let local = self
-            .overrides
+        let local = self.map.local_of(rank);
+        self.locals
             .iter()
-            .rev()
-            .find(|(n, jj, _)| *n == node && *jj == j)
-            .map(|(_, _, l)| *l)
-            .unwrap_or(self.locals[j as usize]);
-        self.map.rank_at(node, local)
+            .position(|&l| l == local)
+            .map(|i| i as u32)
     }
 
-    /// Re-elect leaders after fail-stop deaths: for each dead rank that
-    /// held a leader index, promote the first surviving local rank on its
-    /// node that is not already serving an index; if every survivor is
-    /// already a leader, redistribute the index onto one of them (double
-    /// duty). The original set is untouched — healing returns a new set
-    /// whose `leader_comm` / `leader_rank` views route around the dead.
-    ///
-    /// Panics if a dead leader's node has no surviving ranks at all:
-    /// whole-node loss also loses the node's shared-memory state, which no
-    /// leader re-election can recover — callers must treat that case as a
-    /// cold restart before asking for a heal.
-    pub fn heal(&self, dead: &[Rank]) -> LeaderSet {
-        let mut healed = self.clone();
-        let ppn = self.map.spec().ppn;
-        for &d in dead {
-            let Some(j) = healed.leader_index(d) else {
-                continue; // non-leader deaths need no re-election
-            };
-            let node = healed.map.node_of(d);
-            let serving: Vec<LocalRank> = (0..healed.leaders_per_node())
-                .map(|jj| healed.map.local_of(healed.leader_rank(node, jj)))
-                .collect();
-            let alive = |l: LocalRank| !dead.contains(&healed.map.rank_at(node, l));
-            let replacement = (0..ppn)
-                .map(LocalRank)
-                .find(|&l| alive(l) && !serving.contains(&l))
-                .or_else(|| (0..ppn).map(LocalRank).find(|&l| alive(l)));
-            let Some(l) = replacement else {
-                panic!(
-                    "node {} has no survivors to take over leader index {j} \
-                     (whole-node loss requires a cold restart, not a heal)",
-                    node.0
-                );
-            };
-            healed.overrides.push((node, j, l));
-        }
-        healed
-    }
-
-    /// The re-elections applied by [`LeaderSet::heal`], in order:
-    /// `(node, leader index, replacement local rank)`.
-    #[inline]
-    pub fn replacements(&self) -> &[(NodeId, u32, LocalRank)] {
-        &self.overrides
+    /// The global rank of leader `j` on `node`.
+    pub fn leader_rank(&self, node: NodeId, j: u32) -> Rank {
+        self.map.rank_at(node, self.locals[j as usize])
     }
 
     /// The "leader communicator" for leader index `j`: the global ranks of
@@ -313,80 +245,6 @@ mod tests {
         for r in map.ranks_on_node(NodeId(1)) {
             assert!(set.leader_index(r).is_some());
         }
-    }
-
-    #[test]
-    fn heal_promotes_surviving_non_leader() {
-        let spec = ClusterSpec::new(4, 2, 4, 8).unwrap();
-        let map = RankMap::block(&spec);
-        let set = LeaderPolicy::PerNode(2).build(&map).unwrap();
-        // Leaders on node 1 are locals 0 and 4 → ranks 8 and 12.
-        let dead = Rank(12);
-        assert_eq!(set.leader_index(dead), Some(1));
-        let healed = set.heal(&[dead]);
-        // The dead rank is no longer a leader; someone on node 1 took
-        // index 1; other nodes are untouched.
-        assert_eq!(healed.leader_index(dead), None);
-        let new_leader = healed.leader_rank(NodeId(1), 1);
-        assert_ne!(new_leader, dead);
-        assert_eq!(map.node_of(new_leader), NodeId(1));
-        assert_eq!(healed.leader_index(new_leader), Some(1));
-        assert_eq!(set.leader_index(new_leader), None, "promotion, not reuse");
-        for n in [0u32, 2, 3] {
-            assert_eq!(
-                healed.leader_rank(NodeId(n), 1),
-                set.leader_rank(NodeId(n), 1)
-            );
-        }
-        // The healed leader comm for index 1 spans all nodes and routes
-        // around the dead rank.
-        let comm = healed.leader_comm(1);
-        assert_eq!(comm.len(), 4);
-        assert!(!comm.contains(&dead));
-        assert_eq!(healed.replacements().len(), 1);
-        // The original set is unchanged.
-        assert_eq!(set.leader_rank(NodeId(1), 1), dead);
-    }
-
-    #[test]
-    fn heal_redistributes_when_all_survivors_lead() {
-        // ppn == leaders: every local is a leader, so a death forces
-        // double duty on a surviving leader of the same node.
-        let spec = ClusterSpec::new(2, 1, 2, 2).unwrap();
-        let map = RankMap::block(&spec);
-        let set = LeaderPolicy::PerNode(2).build(&map).unwrap();
-        let dead = Rank(1); // node 0, leader index 1
-        let healed = set.heal(&[dead]);
-        let replacement = healed.leader_rank(NodeId(0), 1);
-        assert_eq!(replacement, Rank(0), "surviving leader takes index 1");
-        // Rank 0 now serves both indices; leader_index reports the lowest.
-        assert_eq!(healed.leader_index(Rank(0)), Some(0));
-        assert_eq!(healed.leader_index(dead), None);
-        assert!(healed.leader_comm(1).iter().all(|r| *r != dead));
-    }
-
-    #[test]
-    fn heal_ignores_non_leader_deaths() {
-        let spec = spec28();
-        let map = RankMap::block(&spec);
-        let set = LeaderPolicy::PerNode(4).build(&map).unwrap();
-        let healed = set.heal(&[Rank(1)]); // local 1 is not a leader
-        assert!(healed.replacements().is_empty());
-        for j in 0..4 {
-            assert_eq!(
-                healed.leader_rank(NodeId(0), j),
-                set.leader_rank(NodeId(0), j)
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "no survivors")]
-    fn heal_panics_on_whole_node_loss() {
-        let spec = ClusterSpec::new(2, 1, 2, 2).unwrap();
-        let map = RankMap::block(&spec);
-        let set = LeaderPolicy::PerNode(1).build(&map).unwrap();
-        let _ = set.heal(&[Rank(0), Rank(1)]); // all of node 0
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! dpml tune     --cluster c --nodes 8  [--out tuned.json]
 //! dpml app      --app hpcg|miniamr --cluster a --nodes 8
 //! dpml faults   --cluster a --nodes 8 --alg sharp-socket --bytes 256 --intensity 0.5
-//! dpml recover  --cluster a --nodes 4 --leaders 2 --bytes 1M --crash-rank 6 --crash-at-us 800
 //! dpml integrity --cluster b --nodes 4 --alg dpml:4 --bytes 256K --corruption 0.05 --drop 0.02
 //! dpml serve    --addr 127.0.0.1:7077 --workers 4 --journal serve.journal
 //! dpml top      --addr 127.0.0.1:7077 --interval 1000 # live telemetry dashboard
@@ -38,7 +37,6 @@ use dpml::chaos::{
     ServeCampaignConfig,
 };
 use dpml::core::algorithms::{Algorithm, FlatAlg};
-use dpml::core::heal::{run_dpml_failstop, FailstopOutcome};
 use dpml::core::integrity::{run_allreduce_verified, IntegrityPolicy, VerifiedError};
 use dpml::core::profile::profile_allreduce;
 use dpml::core::resilience::{run_allreduce_resilient, FaultPolicy};
@@ -46,7 +44,7 @@ use dpml::core::run::{run, run_batch, Exec, RunError, Scenario};
 use dpml::core::selector::Library;
 use dpml::core::tuner::{default_candidates, tune};
 use dpml::fabric::presets::{all_presets, Preset};
-use dpml::faults::{DataFaults, FaultPlan, ProcessFaults, SharpFaults};
+use dpml::faults::{DataFaults, FaultPlan, SharpFaults};
 use dpml::serve::{start, ServeConfig};
 use dpml::topology::ClusterSpec;
 use dpml::workloads::app::run_app;
@@ -600,106 +598,6 @@ fn cmd_faults(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_recover(args: &[String]) -> Result<(), CliError> {
-    let (preset, spec) = cluster_and_spec(args)?;
-    let leaders: u32 = arg_value(args, "--leaders")
-        .map(|v| v.parse().map_err(|e| format!("bad --leaders: {e}")))
-        .transpose()?
-        .unwrap_or(2);
-    let bytes = parse_bytes(&arg_value(args, "--bytes").unwrap_or_else(|| "1M".into()))?;
-    let crash_rank: u32 = arg_value(args, "--crash-rank")
-        .map(|v| v.parse().map_err(|e| format!("bad --crash-rank: {e}")))
-        .transpose()?
-        .unwrap_or(0);
-    if crash_rank >= spec.world_size() {
-        return Err(CliError::Usage(format!(
-            "--crash-rank {crash_rank} out of range (world size {})",
-            spec.world_size()
-        )));
-    }
-    let alg = Algorithm::Dpml {
-        leaders,
-        inner: FlatAlg::RecursiveDoubling,
-    };
-    let clean = run(&Scenario::new(&preset, &spec, alg, bytes), &Exec::default())?;
-    // Default crash time: 60% through the fault-free run (mid-phase-3).
-    let crash_at = arg_value(args, "--crash-at-us")
-        .map(|v| {
-            v.parse::<f64>()
-                .map_err(|e| format!("bad --crash-at-us: {e}"))
-        })
-        .transpose()?
-        .unwrap_or(0.6 * clean.latency_us)
-        * 1e-6;
-    let detect = arg_value(args, "--detect-us")
-        .map(|v| {
-            v.parse::<f64>()
-                .map_err(|e| format!("bad --detect-us: {e}"))
-        })
-        .transpose()?;
-    let mut process = ProcessFaults::single(crash_rank, crash_at);
-    if let Some(d) = detect {
-        process.detection_timeout = d * 1e-6;
-    }
-    let plan = FaultPlan {
-        process,
-        ..FaultPlan::zero()
-    };
-    let out = run_dpml_failstop(
-        &preset,
-        &spec,
-        leaders,
-        FlatAlg::RecursiveDoubling,
-        bytes,
-        &plan,
-    )?;
-
-    println!(
-        "dpml-l{leaders} on {} ({} x {} = {} ranks), {} bytes; rank {} crashes at {:.1}us:",
-        preset.fabric.name,
-        spec.num_nodes,
-        spec.ppn,
-        spec.world_size(),
-        bytes,
-        crash_rank,
-        crash_at * 1e6
-    );
-    println!("  fault-free       {:>12.2} us", clean.latency_us);
-    match out {
-        FailstopOutcome::Clean { .. } => {
-            println!("  outcome          no rank died (crash fell after completion)");
-        }
-        FailstopOutcome::Healed { report, recovery } => {
-            println!("  outcome          healed (survivors verified correct)");
-            println!("  detected at      {:>12.2} us", recovery.detected_at_us);
-            println!("  continuation     {:>12.2} us", report.latency_us);
-            println!("  healed total     {:>12.2} us", recovery.healed_latency_us);
-            println!(
-                "  cold restart     {:>12.2} us ({:.2}x the healed path)",
-                recovery.cold_restart_latency_us,
-                recovery.cold_restart_latency_us / recovery.healed_latency_us
-            );
-            println!(
-                "  replanned        {:>12} ranks",
-                recovery.replanned_ranks.len()
-            );
-            for (node, j, local) in &recovery.reelections {
-                println!("  re-elected       node {node} leader {j} -> local rank {local}");
-            }
-        }
-        FailstopOutcome::ColdRestart {
-            recovery, reason, ..
-        } => {
-            println!("  outcome          cold restart ({reason})");
-            println!(
-                "  restart total    {:>12.2} us",
-                recovery.cold_restart_latency_us
-            );
-        }
-    }
-    Ok(())
-}
-
 fn cmd_integrity(args: &[String]) -> Result<(), CliError> {
     let (preset, spec) = cluster_and_spec(args)?;
     let alg = parse_algorithm(&arg_value(args, "--alg").unwrap_or_else(|| "dpml:4".into()))?;
@@ -1148,7 +1046,6 @@ fn main() {
         "tune" => cmd_tune(rest),
         "app" => cmd_app(rest),
         "faults" => cmd_faults(rest),
-        "recover" => cmd_recover(rest),
         "integrity" => cmd_integrity(rest),
         "serve" => cmd_serve(rest),
         "top" => cmd_top(rest),
@@ -1156,7 +1053,7 @@ fn main() {
         "chaos" => cmd_chaos(rest),
         "help" | "--help" | "-h" => {
             println!(
-                "usage: dpml <info|simulate|profile|sweep|compare|tune|app|faults|recover|integrity|serve|top|metrics|chaos> [options]\n\
+                "usage: dpml <info|simulate|profile|sweep|compare|tune|app|faults|integrity|serve|top|metrics|chaos> [options]\n\
                  try: dpml info\n     \
                  dpml simulate --cluster c --nodes 16 --alg dpml:16 --bytes 64K\n     \
                  dpml profile --cluster a --nodes 8 --alg dpml:4 --bytes 64K [--sweep]\n     \
@@ -1165,8 +1062,6 @@ fn main() {
                  dpml app --app miniamr --cluster c --nodes 8\n     \
                  dpml faults --cluster a --nodes 8 --alg sharp-socket --bytes 256 \
                  --intensity 0.5 [--deny-sharp|--flaky-sharp N]\n     \
-                 dpml recover --cluster a --nodes 4 --leaders 2 --bytes 1M \
-                 --crash-rank 6 [--crash-at-us T] [--detect-us T]\n     \
                  dpml integrity --cluster b --nodes 4 --alg dpml:4 --bytes 256K \
                  --corruption 0.05 --drop 0.02 [--shm-flip R] [--budget N] [--seed S]\n     \
                  dpml serve [--addr H:P] [--workers N] [--queue N] [--client-cap N] \
