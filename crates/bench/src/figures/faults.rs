@@ -7,7 +7,7 @@ use dpml_core::algorithms::{Algorithm, FlatAlg};
 use dpml_core::integrity::{
     run_allreduce_verified, IntegrityErrorKind, IntegrityPolicy, VerifiedError,
 };
-use dpml_core::resilience::{run_allreduce_resilient, FaultPolicy};
+use dpml_core::resilience::run_allreduce_resilient;
 use dpml_fabric::presets::{cluster_a, cluster_b};
 use dpml_faults::{DataFaults, FaultPlan, SharpFaults};
 use dpml_shm::kernels::SumOp;
@@ -62,7 +62,6 @@ pub(super) fn resilience() -> Output {
     let (nodes, seed) = (8u32, 7u64);
     let preset = cluster_a();
     let spec = preset.spec(nodes, 28).expect("spec");
-    let policy = FaultPolicy::default();
 
     // Each design at a size it is actually dispatched for (Section 6.4):
     // SHArP for the latency zone, recursive doubling small/medium, DPML
@@ -93,7 +92,7 @@ pub(super) fn resilience() -> Output {
         let mut baseline_us = None;
         for intensity in [0.0, 0.25, 0.5, 1.0] {
             let plan = FaultPlan::canonical(seed, intensity);
-            let rep = run_allreduce_resilient(&preset, &spec, alg, bytes, &plan, policy)
+            let rep = run_allreduce_resilient(&preset, &spec, alg, bytes, &plan)
                 .expect("faulted run completes");
             let base = *baseline_us.get_or_insert(rep.latency_us);
             let slowdown = rep.latency_us / base;
@@ -153,15 +152,8 @@ pub(super) fn resilience() -> Output {
             sharp,
             ..FaultPlan::zero()
         };
-        let rep = run_allreduce_resilient(
-            &preset,
-            &spec,
-            Algorithm::SharpSocketLeader,
-            256,
-            &plan,
-            policy,
-        )
-        .expect("degraded run completes");
+        let rep = run_allreduce_resilient(&preset, &spec, Algorithm::SharpSocketLeader, 256, &plan)
+            .expect("degraded run completes");
         ladder.row([
             name.to_string(),
             fmt_us(rep.latency_us),

@@ -23,6 +23,9 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
+/// Cap on post-mortem bundles written per directory (crash-loop guard).
+const MAX_POSTMORTEMS: usize = 16;
+
 /// Campaign parameters.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
@@ -40,8 +43,6 @@ pub struct CampaignConfig {
     /// the [`Violation`] carries the bundle path for `chaos mine` to
     /// link from its reproducer.
     pub postmortem_dir: Option<PathBuf>,
-    /// Cap on bundles written per directory (crash-loop guard).
-    pub max_postmortems: usize,
 }
 
 impl CampaignConfig {
@@ -78,7 +79,6 @@ impl CampaignConfig {
             guided: true,
             scenarios: Self::default_menu(),
             postmortem_dir: None,
-            max_postmortems: 16,
         }
     }
 }
@@ -218,7 +218,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                 bundle: None,
             };
             if let Some(dir) = &cfg.postmortem_dir {
-                v.bundle = dump_violation_bundle(dir, cfg.max_postmortems, &v, i);
+                v.bundle = dump_violation_bundle(dir, MAX_POSTMORTEMS, &v, i);
             }
             violations.push(v);
         }

@@ -22,7 +22,6 @@
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use dpml_core::resilience::FaultPolicy;
 use dpml_core::run::RunError;
 use dpml_core::{
     run_allreduce_resilient, run_allreduce_verified, run_dpml_failstop, Algorithm, FailstopOutcome,
@@ -227,14 +226,7 @@ fn run_case_inner(sc: &Scenario, plan: &FaultPlan) -> Classified {
     }
 
     if alg.needs_sharp() {
-        return match run_allreduce_resilient(
-            &preset,
-            &spec,
-            alg,
-            sc.bytes,
-            plan,
-            FaultPolicy::default(),
-        ) {
+        return match run_allreduce_resilient(&preset, &spec, alg, sc.bytes, plan) {
             Ok(rep) => {
                 let mut rungs = stats_rungs(&rep.report.report.stats);
                 let class = if rep.fell_back {

@@ -47,6 +47,6 @@ pub use integrity::{
     LadderRung, PartitionRecovery, VerifiedError,
 };
 pub use profile::{profile_allreduce, CostBreakdown, PhaseBreakdown, ProfileReport, ProfiledRun};
-pub use resilience::{run_allreduce_resilient, FaultPolicy, ResilientReport};
+pub use resilience::{run_allreduce_resilient, ResilientReport};
 pub use run::{run, run_batch, simulate, AllreduceReport, Exec, RunError, Scenario};
 pub use selector::Library;

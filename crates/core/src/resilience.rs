@@ -11,7 +11,7 @@
 //! 1. **Group denial** is detected at setup time → fall back immediately
 //!    to a host-based schedule (no retry can help).
 //! 2. **Operation timeout** is transient → retry the SHArP schedule with
-//!    exponential backoff, up to [`FaultPolicy::max_sharp_retries`].
+//!    exponential backoff, up to [`MAX_SHARP_RETRIES`] times.
 //! 3. **Retries exhausted** → fall back to the host-based schedule.
 //!
 //! Every path still verifies the collective's data movement, so a
@@ -27,23 +27,11 @@ use dpml_faults::FaultPlan;
 use dpml_topology::ClusterSpec;
 use serde::{Deserialize, Serialize};
 
-/// Retry/backoff policy for SHArP resource faults.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FaultPolicy {
-    /// SHArP operation retries before falling back to a host schedule.
-    pub max_sharp_retries: u32,
-    /// Backoff before the first retry, doubling per retry (microseconds).
-    pub backoff_us: f64,
-}
+/// SHArP operation retries before falling back to a host schedule.
+const MAX_SHARP_RETRIES: u32 = 2;
 
-impl Default for FaultPolicy {
-    fn default() -> Self {
-        FaultPolicy {
-            max_sharp_retries: 2,
-            backoff_us: 10.0,
-        }
-    }
-}
+/// Backoff before the first SHArP retry, doubling per retry (microseconds).
+const SHARP_BACKOFF_US: f64 = 10.0;
 
 /// Outcome of a fault-aware run: the verified report plus what the
 /// degradation machinery had to do to get it.
@@ -71,7 +59,6 @@ pub fn run_allreduce_resilient(
     alg: Algorithm,
     bytes: u64,
     plan: &FaultPlan,
-    policy: FaultPolicy,
 ) -> Result<ResilientReport, RunError> {
     let scenario = Scenario::new(preset, spec, alg, bytes);
     if !alg.needs_sharp() {
@@ -93,10 +80,10 @@ pub fn run_allreduce_resilient(
                 // The failed attempt sat on the fabric for the full op
                 // timeout; the retry then waits out the backoff.
                 penalty_us += plan.sharp.op_timeout * 1e6;
-                if retries >= policy.max_sharp_retries {
+                if retries >= MAX_SHARP_RETRIES {
                     return fallback(scenario, plan, retries, penalty_us);
                 }
-                penalty_us += policy.backoff_us * f64::from(1u32 << retries.min(20));
+                penalty_us += SHARP_BACKOFF_US * f64::from(1u32 << retries.min(20));
                 retries += 1;
             }
             Err(RunError::Sim(SimError::SharpDenied(_))) => {
@@ -201,15 +188,8 @@ mod tests {
             },
             ..FaultPlan::zero()
         };
-        let rep = run_allreduce_resilient(
-            &p,
-            &spec,
-            Algorithm::SharpSocketLeader,
-            256,
-            &plan,
-            FaultPolicy::default(),
-        )
-        .unwrap();
+        let rep =
+            run_allreduce_resilient(&p, &spec, Algorithm::SharpSocketLeader, 256, &plan).unwrap();
         assert!(rep.fell_back);
         assert_eq!(rep.sharp_retries, 0);
         assert_eq!(rep.report.report.stats.sharp_fallbacks, 1);
@@ -234,18 +214,8 @@ mod tests {
             },
             ..FaultPlan::zero()
         };
-        let rep = run_allreduce_resilient(
-            &p,
-            &spec,
-            Algorithm::SharpSocketLeader,
-            256,
-            &plan,
-            FaultPolicy {
-                max_sharp_retries: 3,
-                backoff_us: 10.0,
-            },
-        )
-        .unwrap();
+        let rep =
+            run_allreduce_resilient(&p, &spec, Algorithm::SharpSocketLeader, 256, &plan).unwrap();
         assert!(!rep.fell_back);
         assert_eq!(rep.sharp_retries, 2);
         assert_eq!(rep.report.report.stats.sharp_ops, 1);
@@ -265,18 +235,8 @@ mod tests {
             },
             ..FaultPlan::zero()
         };
-        let rep = run_allreduce_resilient(
-            &p,
-            &spec,
-            Algorithm::SharpSocketLeader,
-            256,
-            &plan,
-            FaultPolicy {
-                max_sharp_retries: 2,
-                backoff_us: 10.0,
-            },
-        )
-        .unwrap();
+        let rep =
+            run_allreduce_resilient(&p, &spec, Algorithm::SharpSocketLeader, 256, &plan).unwrap();
         assert!(rep.fell_back);
         assert_eq!(rep.sharp_retries, 2);
         rep.report.report.verify_allreduce().unwrap();
@@ -287,15 +247,7 @@ mod tests {
         let p = cluster_b();
         let spec = p.spec(2, 4).unwrap();
         let plan = FaultPlan::canonical(7, 0.5);
-        let rep = run_allreduce_resilient(
-            &p,
-            &spec,
-            Algorithm::Ring,
-            8 * 1024,
-            &plan,
-            FaultPolicy::default(),
-        )
-        .unwrap();
+        let rep = run_allreduce_resilient(&p, &spec, Algorithm::Ring, 8 * 1024, &plan).unwrap();
         assert!(!rep.fell_back);
         assert_eq!(rep.sharp_retries, 0);
         assert_eq!(rep.completed_with, Algorithm::Ring.name());

@@ -29,7 +29,7 @@ pub mod sharp_params;
 pub use compute::ComputeModel;
 pub use memory::MemoryModel;
 pub use network::NicModel;
-pub use presets::{Preset, WatchdogLimits};
+pub use presets::Preset;
 pub use sharp_params::SharpParams;
 
 use serde::{Deserialize, Serialize};

@@ -24,45 +24,6 @@ use crate::Fabric;
 use dpml_topology::{ClusterSpec, SwitchTreeSpec, TopologyError};
 use serde::{Deserialize, Serialize};
 
-/// Wall-clock deadlines for the real-threads runtime's blocking
-/// primitives (spin barriers, mailbox receives), in milliseconds.
-///
-/// These were hardcoded per call site; carrying them on the preset lets
-/// the serve daemon tighten them per job deadline (a job with 200ms left
-/// must not spin a barrier for 2s) while slow fabrics (KNL) keep more
-/// headroom. Converted to `dpml_shm::WatchdogConfig` by runtimes that
-/// host real threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WatchdogLimits {
-    /// Spin-barrier arrival deadline, milliseconds.
-    pub barrier_ms: u64,
-    /// Mailbox matched-receive deadline, milliseconds.
-    pub recv_ms: u64,
-}
-
-impl Default for WatchdogLimits {
-    fn default() -> Self {
-        // Matches dpml_shm::watchdog::DEFAULT_WATCHDOG_MS (the crates do
-        // not depend on each other; the shm test suite pins the value).
-        WatchdogLimits {
-            barrier_ms: 2_000,
-            recv_ms: 2_000,
-        }
-    }
-}
-
-impl WatchdogLimits {
-    /// Limits for a fabric whose cores are several times slower than a
-    /// Xeon (KNL): everything legitimately takes longer, so the hang
-    /// detector must too.
-    fn slow_cores() -> Self {
-        WatchdogLimits {
-            barrier_ms: 6_000,
-            recv_ms: 6_000,
-        }
-    }
-}
-
 /// A named cluster preset: speed model plus default shape.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Preset {
@@ -80,10 +41,6 @@ pub struct Preset {
     pub default_ppn: u32,
     /// Fat-tree description.
     pub switch: SwitchTreeSpec,
-    /// Real-threads watchdog deadlines (absent in presets serialized
-    /// before they were configurable).
-    #[serde(default)]
-    pub watchdog: WatchdogLimits,
 }
 
 impl Preset {
@@ -183,7 +140,6 @@ pub fn cluster_a() -> Preset {
             oversub_num: 1,
             oversub_den: 1,
         },
-        watchdog: WatchdogLimits::default(),
     }
 }
 
@@ -208,7 +164,6 @@ pub fn cluster_b() -> Preset {
             oversub_num: 1,
             oversub_den: 1,
         },
-        watchdog: WatchdogLimits::default(),
     }
 }
 
@@ -233,7 +188,6 @@ pub fn cluster_c() -> Preset {
             oversub_num: 1,
             oversub_den: 1,
         },
-        watchdog: WatchdogLimits::default(),
     }
 }
 
@@ -263,7 +217,6 @@ pub fn cluster_d() -> Preset {
         max_nodes: 508,
         default_ppn: 32,
         switch: SwitchTreeSpec::opa_oversubscribed(),
-        watchdog: WatchdogLimits::slow_cores(),
     }
 }
 
@@ -331,23 +284,6 @@ mod tests {
         assert_eq!(cluster_c().default_spec(64).unwrap().world_size(), 1792);
         assert_eq!(cluster_d().default_spec(32).unwrap().world_size(), 1024);
         assert_eq!(cluster_d().spec(160, 64).unwrap().world_size(), 10240);
-    }
-
-    #[test]
-    fn watchdog_limits_scale_with_core_speed_and_round_trip() {
-        // KNL's cores are several times slower; its hang detector must
-        // have proportionally more headroom than the Xeon clusters'.
-        for p in [cluster_a(), cluster_b(), cluster_c()] {
-            assert_eq!(p.watchdog, WatchdogLimits::default(), "{}", p.id);
-        }
-        let d = cluster_d();
-        assert!(d.watchdog.barrier_ms > cluster_a().watchdog.barrier_ms);
-        assert!(d.watchdog.recv_ms > cluster_a().watchdog.recv_ms);
-        // Limits round-trip through JSON (what a serve config carries;
-        // the full Preset is serialize-only under the vendored serde).
-        let json = serde_json::to_string(&d.watchdog).unwrap();
-        let q: WatchdogLimits = serde_json::from_str(&json).unwrap();
-        assert_eq!(q, d.watchdog);
     }
 
     #[test]

@@ -18,9 +18,8 @@
 //! * **content-addressed caching** — determinism makes every result
 //!   infinitely cacheable by scenario digest ([`cache`]),
 //! * **continuous telemetry** — every metric is one variant of a typed
-//!   catalogue ([`telemetry::Metric`]); a background ticker keeps the
-//!   previous snapshot, the `watch` verb streams rate frames derived
-//!   against it, the `metrics` verb emits Prometheus-style text, and the
+//!   catalogue ([`telemetry::Metric`]); the `watch` verb streams rate
+//!   frames, each derived against the frame before it, the `metrics` verb emits Prometheus-style text, and the
 //!   flight recorder dumps post-mortem bundles on panics and deadline
 //!   kills (DESIGN.md §14).
 //!

@@ -29,7 +29,6 @@ use crate::journal::{Journal, Record, Replay};
 use crate::protocol::{self, reject, Request, Response, WatchFrame};
 use crate::telemetry::{Metric, Metrics};
 use dpml_engine::flight::{self, PostmortemBundle};
-use dpml_fabric::Preset;
 use dpml_faults::{RetryPlan, StorageFaultCounts, StorageFaultPlan, StorageFaults};
 use dpml_shm::metrics::{rates_between, TimedSnapshot};
 use dpml_shm::MetricsSnapshot;
@@ -47,6 +46,14 @@ const RETRY_CAP_DOUBLINGS: u32 = 4;
 /// Jitter fraction on retry delays (decorrelates retry storms after a
 /// mass worker failure while staying seeded-deterministic).
 const RETRY_JITTER: f64 = 0.25;
+
+/// Seed for the deterministic retry and load-shed jitter.
+const RETRY_SEED: u64 = 0xd931_05ab_5c1e_77f0;
+
+/// How long an idle worker sleeps on the work condvar before it looks at
+/// the queue again. Only a safety net: every enqueue and drain already
+/// notifies the condvar, and retry due-times bound the wait on their own.
+const IDLE_POLL: Duration = Duration::from_secs(2);
 
 /// Floor on the `watch` verb's frame interval: a hostile client must not
 /// turn the daemon into a snapshot treadmill.
@@ -71,13 +78,6 @@ pub struct ServeConfig {
     pub max_retries: u32,
     /// Base retry delay, milliseconds.
     pub retry_base_ms: f64,
-    /// Seed for the deterministic retry jitter.
-    pub retry_seed: u64,
-    /// Preset whose watchdog limits pace the scheduler's stall checks.
-    pub watchdog_preset: String,
-    /// Background telemetry sample interval, milliseconds (0 disables
-    /// the ticker; `watch` subscriptions still sample on their own).
-    pub sample_interval_ms: u64,
     /// Where post-mortem bundles are dumped on panic/deadline failures;
     /// `None` disables dumping (the in-memory flight ring still records).
     pub postmortem_dir: Option<PathBuf>,
@@ -111,9 +111,6 @@ impl Default for ServeConfig {
             cache_capacity: 1024,
             max_retries: 4,
             retry_base_ms: 5.0,
-            retry_seed: 0xd931_05ab_5c1e_77f0,
-            watchdog_preset: "b".into(),
-            sample_interval_ms: 500,
             postmortem_dir: None,
             max_postmortems: 16,
             checkpoint_interval: 1,
@@ -215,13 +212,11 @@ pub struct ServerState {
     compacting: AtomicBool,
     cache: ResultCache,
     metrics: Arc<Metrics>,
-    /// The previous telemetry sample (ticker or `watch`), the older end
-    /// of the next rate window.
+    /// The previous `watch` frame's sample, the older end of the next
+    /// rate window.
     prev_sample: Mutex<Option<TimedSnapshot>>,
     next_id: AtomicU64,
     accept_done: AtomicBool,
-    /// Scheduler stall-check cadence, from the preset watchdog limits.
-    poll: Duration,
 }
 
 impl ServerState {
@@ -311,10 +306,9 @@ impl ServerState {
         self.metrics.set(Metric::Draining, u64::from(s.draining));
     }
 
-    /// Take one timestamped snapshot, keep it as the previous sample, and
-    /// return `(previous, this one)` (the ticker and `watch` streams both
-    /// call this).
-    pub fn sample(&self) -> (Option<TimedSnapshot>, TimedSnapshot) {
+    /// Build one `watch` frame: take a timestamped snapshot, keep it as
+    /// the previous sample, and derive rates against the one it replaces.
+    fn watch_frame(&self, seq: u64) -> WatchFrame {
         let newer = TimedSnapshot {
             t_ms: flight::now_ms(),
             snap: self.stats(),
@@ -324,13 +318,6 @@ impl ServerState {
             .lock()
             .expect("sample lock poisoned")
             .replace(newer.clone());
-        (older, newer)
-    }
-
-    /// Build one `watch` frame: sample now, derive rates against the
-    /// previous sample.
-    fn watch_frame(&self, seq: u64) -> WatchFrame {
-        let (older, newer) = self.sample();
         WatchFrame {
             seq,
             t_ms: newer.t_ms,
@@ -365,7 +352,7 @@ impl ServerState {
             // Budget covers every attempt index we might ask for.
             RETRY_CAP_DOUBLINGS + 1,
         )
-        .with_jitter(RETRY_JITTER, self.cfg.retry_seed ^ salt);
+        .with_jitter(RETRY_JITTER, RETRY_SEED ^ salt);
         plan.delay(attempt)
             .map(|ms| (ms.ceil() as u64).max(1))
             .unwrap_or_else(|| self.cfg.retry_base_ms.ceil() as u64)
@@ -696,8 +683,8 @@ impl ServerState {
                 return None;
             }
             let wait = due
-                .unwrap_or(self.poll)
-                .min(self.poll)
+                .unwrap_or(IDLE_POLL)
+                .min(IDLE_POLL)
                 .max(Duration::from_millis(1));
             let (guard, _) = self
                 .work_cv
@@ -816,7 +803,7 @@ impl ServerState {
             RETRY_CAP_DOUBLINGS,
             self.cfg.max_retries,
         )
-        .with_jitter(RETRY_JITTER, self.cfg.retry_seed ^ job.id);
+        .with_jitter(RETRY_JITTER, RETRY_SEED ^ job.id);
         match plan.delay(job.attempt) {
             Some(delay_ms) => {
                 self.metrics.inc(Metric::Retried);
@@ -1121,15 +1108,6 @@ impl ServerHandle {
     }
 }
 
-/// The scheduler's condvar poll interval: the recv half of the preset's
-/// watchdog limits, so a stuck queue is re-examined on the same cadence
-/// the preset considers "hung". An unknown preset polls every 100 ms.
-fn poll_interval(preset_id: &str) -> Duration {
-    Preset::by_id(preset_id)
-        .map(|p| Duration::from_millis(p.watchdog.recv_ms))
-        .unwrap_or(Duration::from_millis(100))
-}
-
 /// Bind, replay the journal (re-queueing every admitted-but-unfinished
 /// job exactly once and warming the cache from finished results), and
 /// start workers plus the accept loop.
@@ -1155,7 +1133,6 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
-    let poll = poll_interval(&cfg.watchdog_preset);
     let cache = ResultCache::new(cfg.cache_capacity);
     let next_id = replay.max_id() + 1;
     let workers = cfg.workers.max(1);
@@ -1180,30 +1157,12 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         prev_sample: Mutex::new(None),
         next_id: AtomicU64::new(next_id),
         accept_done: AtomicBool::new(false),
-        poll,
     });
 
     seed_from_replay(&state, replay);
 
     for idx in 0..workers {
         spawn_worker(Arc::clone(&state), idx);
-    }
-
-    // Background telemetry ticker: one registry snapshot per interval
-    // into the time-series ring, so `watch` clients and post-mortem
-    // bundles see recent history even when nobody is streaming. Exits
-    // within one interval of the accept loop shutting down.
-    if state.cfg.sample_interval_ms > 0 {
-        let tick_state = Arc::clone(&state);
-        let _ = std::thread::Builder::new()
-            .name("dpml-serve-ticker".into())
-            .spawn(move || {
-                let interval = Duration::from_millis(tick_state.cfg.sample_interval_ms.max(10));
-                while !tick_state.accept_done.load(Ordering::Acquire) {
-                    tick_state.sample();
-                    std::thread::sleep(interval);
-                }
-            });
     }
 
     let accept_state = Arc::clone(&state);
@@ -1373,22 +1332,5 @@ fn conn_loop(state: Arc<ServerState>, stream: TcpStream) {
             }
             Err(_) => return, // torn frame / reset: jobs run on
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dpml_fabric::presets::{cluster_b, cluster_d};
-
-    #[test]
-    fn preset_limits_flow_into_the_poll_interval() {
-        let b = poll_interval("b");
-        assert_eq!(b, Duration::from_millis(cluster_b().watchdog.recv_ms));
-        // Cluster D's slow cores get a looser limit than B's Xeons.
-        let d = poll_interval("D");
-        assert_eq!(d, Duration::from_millis(cluster_d().watchdog.recv_ms));
-        assert!(d > b);
-        assert_eq!(poll_interval("no-such-preset"), Duration::from_millis(100));
     }
 }

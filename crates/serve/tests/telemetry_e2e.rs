@@ -25,8 +25,6 @@ fn base_cfg(name: &str) -> ServeConfig {
     std::fs::remove_file(&journal_path).ok();
     ServeConfig {
         journal_path,
-        // Sample fast so watch windows carry signal within test time.
-        sample_interval_ms: 50,
         ..ServeConfig::default()
     }
 }
@@ -82,8 +80,12 @@ fn watch_streams_frames_with_nonzero_rates_and_top_renders() {
         frames.push(frame);
     }
 
-    // Frames after the first have a real window.
-    assert!(frames.iter().skip(1).all(|f| f.rates.dt_ms > 0));
+    // Frames after the first have a real window, and only `watch` frames
+    // sample: each window spans exactly back to the previous frame.
+    for pair in frames.windows(2) {
+        let dt_ms = pair[1].t_ms.saturating_sub(pair[0].t_ms).max(1);
+        assert_eq!(pair[1].rates.dt_ms, dt_ms, "frame {}", pair[1].seq);
+    }
     // At least one frame saw traffic: a nonzero submitted-rate.
     assert!(
         frames

@@ -36,29 +36,6 @@ impl SpinBarrier {
     /// wrapper.
     pub fn wait(&self, local_sense: &mut bool) {
         let start = std::time::Instant::now();
-        let ok: Result<(), std::convert::Infallible> = self.wait_with(local_sense, |spins| {
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-            Ok(())
-        });
-        // invariant: the backoff closure above never returns Err.
-        ok.unwrap();
-        BARRIER_WAIT_NS.record(start.elapsed().as_nanos() as u64);
-    }
-
-    /// Core arrival/spin loop shared by [`SpinBarrier::wait`] and the
-    /// watchdog's deadline variant: `backoff(spins)` runs once per spin
-    /// iteration and may abort the wait by returning `Err` — after which
-    /// the barrier is poisoned (this thread's arrival was already
-    /// counted) and must not be reused.
-    pub(crate) fn wait_with<E>(
-        &self,
-        local_sense: &mut bool,
-        mut backoff: impl FnMut(u32) -> Result<(), E>,
-    ) -> Result<(), E> {
         *local_sense = !*local_sense;
         if self.count.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last arrival: reset and release everyone.
@@ -68,10 +45,14 @@ impl SpinBarrier {
             let mut spins = 0u32;
             while self.sense.load(Ordering::Acquire) != *local_sense {
                 spins += 1;
-                backoff(spins)?;
+                if spins < 64 {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
             }
         }
-        Ok(())
+        BARRIER_WAIT_NS.record(start.elapsed().as_nanos() as u64);
     }
 }
 

@@ -21,7 +21,6 @@ pub mod kernels;
 pub mod mailbox;
 pub mod metrics;
 pub mod region;
-pub mod watchdog;
 
 pub use barrier::SpinBarrier;
 pub use cluster::ThreadCluster;
@@ -29,4 +28,3 @@ pub use integrity::{crc32c, crc32c_bytes, PoisonPlan};
 pub use intranode::{IntraAlgo, NodeRuntime};
 pub use metrics::{Counter, Histogram, MetricsSnapshot};
 pub use region::SharedSlots;
-pub use watchdog::{ShmTimeout, WatchdogConfig};

@@ -42,9 +42,8 @@ impl Network {
         (Network { senders }, boxes)
     }
 
-    /// Send `data` from `from` to `to` with `tag`. Ranks fail-stop: a
-    /// send to a rank whose [`Mailbox`] is gone is dropped, and the
-    /// survivors' deadline-guarded receives report the dead peer.
+    /// Send `data` from `from` to `to` with `tag`. A send to a rank whose
+    /// [`Mailbox`] is gone is dropped.
     pub fn send(&self, from: usize, to: usize, tag: u64, data: Vec<f64>) {
         let _ = self.senders[to].send(Msg { from, tag, data });
     }
@@ -84,22 +83,12 @@ impl Mailbox {
     }
 
     /// Pop the first buffered message matching `(from, tag)`, if any.
-    pub(crate) fn take_pending(&mut self, from: usize, tag: u64) -> Option<Msg> {
+    fn take_pending(&mut self, from: usize, tag: u64) -> Option<Msg> {
         let pos = self
             .pending
             .iter()
             .position(|m| m.from == from && m.tag == tag)?;
         Some(self.pending.remove(pos).expect("position valid"))
-    }
-
-    /// Receive any message, waiting until `deadline`; `None` on timeout.
-    pub(crate) fn recv_deadline(&mut self, deadline: std::time::Instant) -> Option<Msg> {
-        self.rx.recv_deadline(deadline).ok()
-    }
-
-    /// Buffer a non-matching arrival for a later receive.
-    pub(crate) fn buffer(&mut self, m: Msg) {
-        self.pending.push_back(m);
     }
 }
 

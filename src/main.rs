@@ -39,7 +39,7 @@ use dpml::chaos::{
 use dpml::core::algorithms::{Algorithm, FlatAlg};
 use dpml::core::integrity::{run_allreduce_verified, IntegrityPolicy, VerifiedError};
 use dpml::core::profile::profile_allreduce;
-use dpml::core::resilience::{run_allreduce_resilient, FaultPolicy};
+use dpml::core::resilience::run_allreduce_resilient;
 use dpml::core::run::{run, run_batch, Exec, RunError, Scenario};
 use dpml::core::selector::Library;
 use dpml::core::tuner::{default_candidates, tune};
@@ -142,6 +142,21 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1).cloned())
+}
+
+/// Fail with a usage error on any flag in `args` that `known` does not
+/// list. Every listed flag takes one value, so flags sit at even positions.
+fn check_flags(args: &[String], known: &[&str]) -> Result<(), CliError> {
+    match args
+        .iter()
+        .step_by(2)
+        .find(|a| !known.contains(&a.as_str()))
+    {
+        Some(flag) => Err(CliError::Usage(format!(
+            "unknown flag `{flag}`; try `dpml help`"
+        ))),
+        None => Ok(()),
+    }
 }
 
 fn arg_values(args: &[String], flag: &str) -> Vec<String> {
@@ -568,9 +583,8 @@ fn cmd_faults(args: &[String]) -> Result<(), CliError> {
         };
     }
 
-    let policy = FaultPolicy::default();
-    let clean = run_allreduce_resilient(&preset, &spec, alg, bytes, &FaultPlan::zero(), policy)?;
-    let faulted = run_allreduce_resilient(&preset, &spec, alg, bytes, &plan, policy)?;
+    let clean = run_allreduce_resilient(&preset, &spec, alg, bytes, &FaultPlan::zero())?;
+    let faulted = run_allreduce_resilient(&preset, &spec, alg, bytes, &plan)?;
 
     println!(
         "{} on {} ({} x {} = {} ranks), {} bytes, fault intensity {:.2}, seed {}:",
@@ -697,7 +711,24 @@ fn cmd_integrity(args: &[String]) -> Result<(), CliError> {
     }
 }
 
+/// Every `dpml serve` flag; each takes one value.
+const SERVE_FLAGS: [&str; 12] = [
+    "--addr",
+    "--workers",
+    "--queue",
+    "--client-cap",
+    "--cache",
+    "--max-retries",
+    "--journal",
+    "--postmortem-dir",
+    "--max-postmortems",
+    "--checkpoint-interval",
+    "--checkpoint-dir",
+    "--journal-max-bytes",
+];
+
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
+    check_flags(args, &SERVE_FLAGS)?;
     let mut cfg = ServeConfig {
         addr: arg_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7077".into()),
         ..ServeConfig::default()
@@ -716,15 +747,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     cfg.max_retries = usize_flag("--max-retries", cfg.max_retries as usize)? as u32;
     if let Some(p) = arg_value(args, "--journal") {
         cfg.journal_path = p.into();
-    }
-    if let Some(id) = arg_value(args, "--watchdog-preset") {
-        Preset::by_id(&id).ok_or(format!("unknown watchdog preset `{id}` (a|b|c|d)"))?;
-        cfg.watchdog_preset = id;
-    }
-    if let Some(ms) = arg_value(args, "--sample-interval") {
-        cfg.sample_interval_ms = ms
-            .parse()
-            .map_err(|e| format!("bad --sample-interval: {e}"))?;
     }
     cfg.postmortem_dir = arg_value(args, "--postmortem-dir").map(Into::into);
     cfg.max_postmortems = usize_flag("--max-postmortems", cfg.max_postmortems)?;
@@ -1067,8 +1089,7 @@ fn main() {
                  dpml serve [--addr H:P] [--workers N] [--queue N] [--client-cap N] \
                  [--journal PATH] [--journal-max-bytes B] [--checkpoint-interval N] \
                  [--checkpoint-dir DIR] [--cache N] [--max-retries N] \
-                 [--watchdog-preset a|b|c|d] [--sample-interval MS] [--postmortem-dir DIR] \
-                 [--max-postmortems N]\n     \
+                 [--postmortem-dir DIR] [--max-postmortems N]\n     \
                  dpml top [--addr H:P] [--interval MS] [--frames N]\n     \
                  dpml metrics [--addr H:P]\n     \
                  dpml chaos campaign [--seed S] [--budget N] [--random] [--postmortem-dir DIR]\n     \
@@ -1087,5 +1108,30 @@ fn main() {
     if let Err(e) = result {
         eprintln!("error[{}]: {e}", e.class());
         std::process::exit(e.code());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn serve_rejects_unknown_flags() {
+        let removed = args(&["--addr", "127.0.0.1:0", "--watchdog-preset", "b"]);
+        let err = check_flags(&removed, &SERVE_FLAGS).unwrap_err();
+        assert_eq!(err.code(), 2);
+        assert!(err.to_string().contains("`--watchdog-preset`"), "{err}");
+
+        let misspelled = args(&["--worker", "2"]);
+        let err = check_flags(&misspelled, &SERVE_FLAGS).unwrap_err();
+        assert_eq!(err.code(), 2);
+        assert!(err.to_string().contains("`--worker`"), "{err}");
+
+        let benchmark = args(&["--addr", "127.0.0.1:0", "--journal", "PATH"]);
+        assert!(check_flags(&benchmark, &SERVE_FLAGS).is_ok());
     }
 }

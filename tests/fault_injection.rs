@@ -3,7 +3,7 @@
 //! (denial → fallback, flaky → retry) completes verified collectives.
 
 use dpml::core::algorithms::{Algorithm, FlatAlg};
-use dpml::core::resilience::{host_fallback_algorithm, run_allreduce_resilient, FaultPolicy};
+use dpml::core::resilience::{host_fallback_algorithm, run_allreduce_resilient};
 use dpml::core::run::{run, Exec, Scenario};
 use dpml::fabric::presets::{cluster_a, cluster_c};
 use dpml::faults::{DataFaults, FaultPlan, ProcessFaults, SharpFaults};
@@ -114,15 +114,8 @@ fn sharp_denial_degrades_to_verified_host_run() {
         },
         ..FaultPlan::zero()
     };
-    let rep = run_allreduce_resilient(
-        &p,
-        &spec,
-        Algorithm::SharpSocketLeader,
-        256,
-        &plan,
-        FaultPolicy::default(),
-    )
-    .expect("degraded run completes");
+    let rep = run_allreduce_resilient(&p, &spec, Algorithm::SharpSocketLeader, 256, &plan)
+        .expect("degraded run completes");
     assert!(rep.fell_back);
     assert_eq!(rep.completed_with, host_fallback_algorithm(&spec).name());
     assert_eq!(rep.report.report.stats.sharp_ops, 0);
@@ -145,15 +138,8 @@ fn flaky_sharp_retries_and_accounts_time() {
         },
         ..FaultPlan::zero()
     };
-    let rep = run_allreduce_resilient(
-        &p,
-        &spec,
-        Algorithm::SharpNodeLeader,
-        512,
-        &plan,
-        FaultPolicy::default(),
-    )
-    .expect("flaky run completes");
+    let rep = run_allreduce_resilient(&p, &spec, Algorithm::SharpNodeLeader, 512, &plan)
+        .expect("flaky run completes");
     assert!(!rep.fell_back);
     assert_eq!(rep.sharp_retries, 1);
     assert_eq!(rep.report.report.stats.sharp_retries, 1);
