@@ -10,9 +10,8 @@ use dpml_core::integrity::{
 use dpml_core::resilience::run_allreduce_resilient;
 use dpml_fabric::presets::{cluster_a, cluster_b};
 use dpml_faults::{DataFaults, FaultPlan, SharpFaults};
-use dpml_shm::kernels::SumOp;
 use dpml_shm::metrics::{SHM_CRC_FAIL, SHM_RETRANSMIT};
-use dpml_shm::{IntraAlgo, NodeRuntime, PoisonPlan};
+use dpml_shm::{NodeRuntime, PoisonPlan};
 use serde::Serialize;
 
 /// Resilience sweep — how gracefully does each design degrade under
@@ -430,11 +429,9 @@ pub(super) fn integrity() -> Output {
                     .collect()
             })
             .collect();
-        let algo = IntraAlgo::MultiLeader { leaders: 2 };
-        let clean = rt.allreduce(&inputs, algo);
+        let clean = rt.allreduce(&inputs, 2);
         let before = [SHM_CRC_FAIL.get(), SHM_RETRANSMIT.get()];
-        let poisoned =
-            rt.allreduce_op_checked(SumOp, &inputs, algo, Some(PoisonPlan { seed, rate: 1.0 }));
+        let poisoned = rt.allreduce_checked(&inputs, 2, Some(PoisonPlan { seed, rate: 1.0 }));
         let bit_identical = poisoned == clean;
         if !bit_identical {
             silent_escapes += 1;

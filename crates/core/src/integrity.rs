@@ -832,6 +832,28 @@ mod tests {
         assert_eq!(rep.total_latency_us.to_bits(), 4653409975645272828);
     }
 
+    /// The continuation's presets and re-reduce compute the full sum on
+    /// every rank: exact under the untimed interpreter.
+    #[test]
+    fn partition_continuation_is_lanes_exact() {
+        let p = cluster_b();
+        for (nodes, ppn, leaders) in [(4, 4, 2), (3, 5, 3), (5, 1, 1)] {
+            let map = RankMap::block(&p.spec(nodes, ppn).unwrap());
+            let set = LeaderPolicy::PerNode(leaders).build(&map).unwrap();
+            for inner in [
+                FlatAlg::RecursiveDoubling,
+                FlatAlg::Rabenseifner,
+                FlatAlg::Ring,
+            ] {
+                for j in 0..leaders {
+                    let cont = partition_continuation(&map, &set, j, 997, inner, 1e-6);
+                    dpml_engine::exec::check_allreduce(&cont, &map)
+                        .unwrap_or_else(|e| panic!("{nodes}x{ppn} l{leaders} {inner:?} j{j}: {e}"));
+                }
+            }
+        }
+    }
+
     #[test]
     fn hopeless_wire_degrades_to_structured_error() {
         let p = cluster_b();

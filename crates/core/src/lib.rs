@@ -4,11 +4,9 @@
 //! Algorithms are *schedule compilers*: given a cluster shape and a message
 //! size they emit per-rank instruction programs
 //! ([`dpml_engine::WorldProgram`]) which the discrete-event engine executes,
-//! times, and verifies. Three of the nine variants —
-//! [`Algorithm::RecursiveDoubling`], [`Algorithm::Dpml`] and
-//! [`Algorithm::DpmlPipelined`] — also have hand-written real-threads
-//! copies in `dpml-shm`, used for numerical validation; the other six are
-//! checked only symbolically, by the engine's coverage verification.
+//! times, and verifies. All nine variants are also checked numerically:
+//! the engine's untimed interpreter (`dpml_engine::exec`) runs the same
+//! compiled programs and demands exact lane sums.
 //!
 //! | Algorithm | Paper role |
 //! |---|---|

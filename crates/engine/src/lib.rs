@@ -26,10 +26,13 @@
 //! receives overwrite it, `Reduce` unions it (charging compute time).
 //! [`report::RunReport::verify_allreduce`] then proves that the schedule
 //! delivered every contribution to every rank exactly where it should —
-//! so a simulated collective cannot be "fast but wrong".
+//! so a simulated collective cannot be "fast but wrong". A union is
+//! idempotent, so a contribution folded twice still passes; the untimed
+//! interpreter in [`exec`] computes exact values and catches it.
 
 pub mod coverage;
 pub mod critical;
+pub mod exec;
 pub mod flight;
 pub mod program;
 pub mod queue;

@@ -291,15 +291,12 @@ pub struct WorldProgram {
     /// Logical vector size in bytes (used for verification and input
     /// initialization).
     pub vector_bytes: u64,
-    /// Checkpointed private-buffer state applied before execution:
-    /// `(rank, buffer id, coverage)`. Lets a continuation world resume
+    /// Checkpointed shared-memory state applied before execution:
+    /// `(node, buffer id, coverage)`, so a continuation world resumes
     /// from surviving state instead of empty buffers. Later entries
-    /// replace earlier ones for the same buffer.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub preset_priv: Vec<(u32, u32, CoverageMap)>,
-    /// Checkpointed shared-memory state: `(node, buffer id, coverage)`.
-    /// The integrity ladder's partition re-reduce presets the phase-1
-    /// deposits and the other partitions' published results here.
+    /// replace earlier ones for the same buffer. The integrity ladder's
+    /// partition re-reduce presets the phase-1 deposits and the other
+    /// partitions' published results here.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub preset_shared: Vec<(u32, u32, CoverageMap)>,
 }
@@ -312,7 +309,6 @@ impl WorldProgram {
             barriers: HashMap::new(),
             sharp_groups: HashMap::new(),
             vector_bytes,
-            preset_priv: Vec::new(),
             preset_shared: Vec::new(),
         }
     }
@@ -349,11 +345,6 @@ impl WorldProgram {
     /// The initial coverage of a rank's input buffer.
     pub fn initial_input(&self, r: Rank) -> CoverageMap {
         CoverageMap::singleton(r.0, 0, self.vector_bytes)
-    }
-
-    /// Start `rank`'s private buffer `buf` from `cov` instead of empty.
-    pub fn preset_private(&mut self, rank: Rank, buf: u32, cov: CoverageMap) {
-        self.preset_priv.push((rank.0, buf, cov));
     }
 
     /// Start `node`'s shared buffer `buf` from `cov` instead of empty.

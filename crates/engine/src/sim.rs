@@ -647,13 +647,8 @@ impl<'a> SimState<'a> {
         for r in 0..p {
             st.push(SimTime::ZERO, Ev::Resume(r));
         }
-        // Continuation worlds (the partition re-reduce) start ranks and
-        // nodes from checkpointed buffer state instead of empty buffers.
-        for (r, id, cov) in &world.preset_priv {
-            if *r < p {
-                st.ranks[*r as usize].bufs.insert(*id, cov.clone());
-            }
-        }
+        // Continuation worlds (the partition re-reduce) start nodes from
+        // checkpointed shared-buffer state instead of empty buffers.
         for (node, id, cov) in &world.preset_shared {
             if (*node as usize) < st.shared.len() {
                 st.shared[*node as usize].insert(*id, cov.clone());
@@ -2590,8 +2585,9 @@ mod tests {
         let cfg = config(2, 1);
         let n = 4096u64;
         let mut w = WorldProgram::new(2, n);
-        // Empty programs, but both result buffers preset to the full set:
-        // the checkpointed world verifies as a completed allreduce.
+        // Each node's shared buffer 7 starts fully reduced; copying it
+        // out is the whole program, and the world verifies as an
+        // allreduce.
         let full = {
             let mut m = CoverageMap::empty();
             for r in 0..2 {
@@ -2599,18 +2595,19 @@ mod tests {
             }
             m
         };
-        let result_id = match BUF_RESULT {
-            BufKey::Priv(id) => id,
-            _ => unreachable!(),
-        };
-        for r in 0..2u32 {
-            w.preset_private(Rank(r), result_id, full.clone());
+        for node in 0..2 {
+            w.preset_shared(node, 7, full.clone());
         }
-        // Shared presets are visible to programs that read shared buffers.
-        w.preset_shared(0, 7, CoverageMap::singleton(0, 0, n));
+        for r in 0..2u32 {
+            w.rank(Rank(r))
+                .copy(BufKey::Shared(7), BUF_RESULT, ByteRange::whole(n), false);
+        }
         let rep = Simulator::new(&cfg).run(&w).unwrap();
         rep.verify_allreduce().unwrap();
-        assert_eq!(rep.makespan(), SimTime::ZERO);
+        // A later preset of the same buffer replaces the earlier one.
+        w.preset_shared(1, 7, CoverageMap::singleton(1, 0, n));
+        let rep = Simulator::new(&cfg).run(&w).unwrap();
+        assert!(rep.verify_allreduce().is_err());
     }
 
     #[test]

@@ -8,36 +8,15 @@
 
 use crate::barrier::{BarrierToken, SpinBarrier};
 use crate::integrity::{crc32c, PoisonPlan};
-use crate::kernels::{fold_slots_op, reduce_into, ReduceOp, SumOp};
+use crate::kernels::{fold_slots, reduce_into};
 use crate::metrics::{SHM_COPY_BYTES, SHM_CRC_FAIL, SHM_REDUCE_OPS, SHM_RETRANSMIT};
 use crate::region::SharedSlots;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Intra-node algorithm choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IntraAlgo {
-    /// One leader performs all `ppn - 1` reduction passes.
-    SingleLeader,
-    /// `leaders` leaders each own `1/leaders` of the vector (DPML).
-    MultiLeader {
-        /// Leader count (`l`), `1 ..= ppn`.
-        leaders: usize,
-    },
-}
-
-impl IntraAlgo {
-    fn leader_count(&self) -> usize {
-        match *self {
-            IntraAlgo::SingleLeader => 1,
-            IntraAlgo::MultiLeader { leaders } => leaders,
-        }
-    }
-}
-
 /// Split `n` elements into `parts` contiguous index ranges (earlier parts
 /// take the remainder) — element-space mirror of the engine's
 /// `ByteRange::partition`.
-pub fn partition_elems(n: usize, parts: usize) -> Vec<(usize, usize)> {
+fn partition_elems(n: usize, parts: usize) -> Vec<(usize, usize)> {
     assert!(parts > 0);
     let base = n / parts;
     let extra = n % parts;
@@ -53,7 +32,7 @@ pub fn partition_elems(n: usize, parts: usize) -> Vec<(usize, usize)> {
 
 /// Leader-local-rank for leader index `j` of `l` over `ppn` ranks —
 /// the same even stride as `dpml_topology::LeaderPolicy::PerNode`.
-pub fn leader_local(j: usize, l: usize, ppn: usize) -> usize {
+fn leader_local(j: usize, l: usize, ppn: usize) -> usize {
     j * ppn / l
 }
 
@@ -75,35 +54,25 @@ impl NodeRuntime {
         self.ppn
     }
 
-    /// Allreduce (`MPI_SUM`) over `ppn` per-rank input vectors; returns
-    /// each rank's result vector. Panics if `inputs.len() != ppn`, lengths
-    /// differ, or the leader count is out of range.
-    pub fn allreduce(&self, inputs: &[Vec<f64>], algo: IntraAlgo) -> Vec<Vec<f64>> {
-        self.allreduce_op(SumOp, inputs, algo)
+    /// Allreduce (`MPI_SUM`) over `ppn` per-rank input vectors with
+    /// `leaders` partition owners; returns each rank's result vector.
+    /// Panics if `inputs.len() != ppn`, lengths differ, or `leaders` is
+    /// outside `1..=ppn`.
+    pub fn allreduce(&self, inputs: &[Vec<f64>], leaders: usize) -> Vec<Vec<f64>> {
+        self.allreduce_checked(inputs, leaders, None)
     }
 
-    /// Allreduce under an arbitrary operator (`MPI_MAX`, `MPI_MIN`, ...).
-    pub fn allreduce_op<O: ReduceOp<f64>>(
-        &self,
-        op: O,
-        inputs: &[Vec<f64>],
-        algo: IntraAlgo,
-    ) -> Vec<Vec<f64>> {
-        self.allreduce_op_checked(op, inputs, algo, None)
-    }
-
-    /// [`NodeRuntime::allreduce_op`] with optional buffer poisoning:
+    /// [`NodeRuntime::allreduce`] with optional buffer poisoning:
     /// when `poison` strikes a partition, its leader flips one bit of
     /// the published result *after* checksumming it. Every phase-4
     /// reader verifies the publish checksum (`shm.crc_fail` on a miss)
     /// and re-reduces a poisoned partition from the intact phase-1
     /// gather deposits (`shm.retransmit`), so the returned vectors are
     /// correct regardless of the poison rate.
-    pub fn allreduce_op_checked<O: ReduceOp<f64>>(
+    pub fn allreduce_checked(
         &self,
-        op: O,
         inputs: &[Vec<f64>],
-        algo: IntraAlgo,
+        leaders: usize,
         poison: Option<PoisonPlan>,
     ) -> Vec<Vec<f64>> {
         assert_eq!(inputs.len(), self.ppn, "one input per rank");
@@ -112,7 +81,7 @@ impl NodeRuntime {
             inputs.iter().all(|v| v.len() == n),
             "inputs must be same length"
         );
-        let l = algo.leader_count();
+        let l = leaders;
         assert!(
             l >= 1 && l <= self.ppn,
             "leaders {l} out of range 1..={}",
@@ -164,7 +133,7 @@ impl NodeRuntime {
                                     .map(|i| &gather.slot(j * self.ppn + i)[..plen])
                                     .collect();
                                 let dst = &mut publish.slot_mut(j)[..plen];
-                                fold_slots_op(op, dst, &slots);
+                                fold_slots(dst, &slots);
                                 guards[j].store(crc32c(dst), Ordering::Release);
                                 if let Some(plan) = poison {
                                     if plan.strikes(j as u64) {
@@ -199,7 +168,7 @@ impl NodeRuntime {
                                     let slots: Vec<&[f64]> = (0..self.ppn)
                                         .map(|i| &gather.slot(j * self.ppn + i)[..plen])
                                         .collect();
-                                    fold_slots_op(op, &mut out[s..e], &slots);
+                                    fold_slots(&mut out[s..e], &slots);
                                     SHM_RETRANSMIT.inc();
                                 }
                             }
@@ -242,10 +211,10 @@ mod tests {
             .collect()
     }
 
-    fn check(ppn: usize, n: usize, algo: IntraAlgo) {
+    fn check(ppn: usize, n: usize, leaders: usize) {
         let rt = NodeRuntime::new(ppn);
         let ins = inputs(ppn, n);
-        let got = rt.allreduce(&ins, algo);
+        let got = rt.allreduce(&ins, leaders);
         let expect = rt.serial(&ins);
         assert_eq!(got.len(), ppn);
         for (g, e) in got.iter().zip(expect.iter()) {
@@ -267,49 +236,32 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_op_max_and_min() {
-        use crate::kernels::{serial_reference_op, MaxOp, MinOp};
-        let rt = NodeRuntime::new(4);
-        let ins = inputs(4, 333);
-        let got = rt.allreduce_op(MaxOp, &ins, IntraAlgo::MultiLeader { leaders: 2 });
-        let expect = serial_reference_op(MaxOp, &ins);
-        for g in &got {
-            assert_eq!(g, &expect);
-        }
-        let got = rt.allreduce_op(MinOp, &ins, IntraAlgo::MultiLeader { leaders: 4 });
-        let expect = serial_reference_op(MinOp, &ins);
-        for g in &got {
-            assert_eq!(g, &expect);
-        }
-    }
-
-    #[test]
     fn single_leader_correct() {
-        check(4, 1000, IntraAlgo::SingleLeader);
+        check(4, 1000, 1);
     }
 
     #[test]
     fn multi_leader_correct_all_counts() {
         for l in [1, 2, 3, 4, 7, 8] {
-            check(8, 10_000, IntraAlgo::MultiLeader { leaders: l });
+            check(8, 10_000, l);
         }
     }
 
     #[test]
     fn vector_shorter_than_leader_count() {
-        check(8, 3, IntraAlgo::MultiLeader { leaders: 8 });
+        check(8, 3, 8);
     }
 
     #[test]
     fn single_rank_node() {
-        check(1, 64, IntraAlgo::SingleLeader);
+        check(1, 64, 1);
     }
 
     #[test]
     fn empty_vector() {
         let rt = NodeRuntime::new(4);
         let ins = vec![vec![]; 4];
-        let got = rt.allreduce(&ins, IntraAlgo::MultiLeader { leaders: 2 });
+        let got = rt.allreduce(&ins, 2);
         assert!(got.iter().all(|v| v.is_empty()));
     }
 
@@ -319,7 +271,7 @@ mod tests {
         let before = [SHM_COPY_BYTES.get(), SHM_REDUCE_OPS.get()];
         let rt = NodeRuntime::new(4);
         let ins = inputs(4, 500);
-        rt.allreduce(&ins, IntraAlgo::MultiLeader { leaders: 2 });
+        rt.allreduce(&ins, 2);
         // Each of 4 ranks copies 500 f64 in (phase 1) and out (phase 4).
         let copied = SHM_COPY_BYTES.get() - before[0];
         assert!(copied >= (2 * 4 * 500 * 8) as u64, "copied {copied}");
@@ -334,9 +286,8 @@ mod tests {
     fn checked_without_poison_matches_plain() {
         let rt = NodeRuntime::new(4);
         let ins = inputs(4, 777);
-        let plain = rt.allreduce(&ins, IntraAlgo::MultiLeader { leaders: 2 });
-        let checked =
-            rt.allreduce_op_checked(SumOp, &ins, IntraAlgo::MultiLeader { leaders: 2 }, None);
+        let plain = rt.allreduce(&ins, 2);
+        let checked = rt.allreduce_checked(&ins, 2, None);
         assert_eq!(plain, checked, "guards must not perturb the arithmetic");
     }
 
@@ -345,13 +296,8 @@ mod tests {
         let before = [SHM_CRC_FAIL.get(), SHM_RETRANSMIT.get()];
         let rt = NodeRuntime::new(4);
         let ins = inputs(4, 1000);
-        let clean = rt.allreduce(&ins, IntraAlgo::MultiLeader { leaders: 2 });
-        let got = rt.allreduce_op_checked(
-            SumOp,
-            &ins,
-            IntraAlgo::MultiLeader { leaders: 2 },
-            Some(PoisonPlan { seed: 5, rate: 1.0 }),
-        );
+        let clean = rt.allreduce(&ins, 2);
+        let got = rt.allreduce_checked(&ins, 2, Some(PoisonPlan { seed: 5, rate: 1.0 }));
         // The redo folds the gather slots in the same order the leader
         // did, so recovery is bit-identical, not merely close.
         assert_eq!(got, clean, "poisoned partitions must be re-reduced exactly");
@@ -366,14 +312,14 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn too_many_leaders_panics() {
         let rt = NodeRuntime::new(2);
-        rt.allreduce(&inputs(2, 8), IntraAlgo::MultiLeader { leaders: 3 });
+        rt.allreduce(&inputs(2, 8), 3);
     }
 
     #[test]
     #[should_panic(expected = "same length")]
     fn mismatched_inputs_panic() {
         let rt = NodeRuntime::new(2);
-        rt.allreduce(&[vec![1.0], vec![1.0, 2.0]], IntraAlgo::SingleLeader);
+        rt.allreduce(&[vec![1.0], vec![1.0, 2.0]], 1);
     }
 
     use proptest::prelude::*;
@@ -401,7 +347,7 @@ mod tests {
                 })
                 .collect();
             let rt = NodeRuntime::new(ppn);
-            let got = rt.allreduce(&ins, IntraAlgo::MultiLeader { leaders: l });
+            let got = rt.allreduce(&ins, l);
             let expect = rt.serial(&ins);
             for (g, e) in got.iter().zip(expect.iter()) {
                 assert_close(g, e, 1e-9);

@@ -1,13 +1,12 @@
 //! DPML on real threads: run the intra-node multi-leader allreduce
 //! (phases 1/2/4 of the paper's Figure 2) with genuine shared memory on
 //! this machine, validate it against a serial reference, and time the
-//! leader counts — then run the full four-phase algorithm on a virtual
-//! thread cluster.
+//! leader counts.
 //!
 //! Run with: `cargo run --release --example threads_intranode`
 
 use dpml::shm::kernels::assert_close;
-use dpml::shm::{IntraAlgo, NodeRuntime, ThreadCluster};
+use dpml::shm::NodeRuntime;
 use std::time::Instant;
 
 fn main() {
@@ -38,7 +37,7 @@ fn main() {
     counts.dedup();
     for leaders in counts {
         let start = Instant::now();
-        let results = rt.allreduce(&inputs, IntraAlgo::MultiLeader { leaders });
+        let results = rt.allreduce(&inputs, leaders);
         let wall = start.elapsed();
         for r in &results {
             assert_close(r, &reference[0], 1e-9);
@@ -48,24 +47,4 @@ fn main() {
             wall
         );
     }
-
-    // Full four-phase DPML across virtual "nodes" (thread groups talking
-    // through channels for phase 3).
-    let nodes = 4;
-    let cluster = ThreadCluster::new(nodes, ppn.min(4));
-    let small = 1 << 14;
-    let cluster_inputs: Vec<Vec<f64>> = (0..cluster.world_size())
-        .map(|r| (0..small).map(|i| (r * small + i) as f64).collect())
-        .collect();
-    let got = cluster.allreduce_dpml(&cluster_inputs, 2);
-    let expect = cluster.serial(&cluster_inputs);
-    for g in &got {
-        assert_close(g, &expect, 1e-9);
-    }
-    println!(
-        "\nfull DPML across {} virtual nodes x {} ranks: verified on {} elements/rank",
-        nodes,
-        cluster.world_size() / nodes,
-        small
-    );
 }

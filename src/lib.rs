@@ -8,14 +8,15 @@
 //! * [`topology`] — cluster shapes, rank maps, switch trees, leader policies
 //! * [`fabric`] — hardware speed models and calibrated Cluster A–D presets
 //! * [`model`] — the paper's analytic cost model (Section 5, Eqs. 1–7)
-//! * [`engine`] — flow-level discrete-event cluster simulator
+//! * [`engine`] — flow-level discrete-event cluster simulator, and an
+//!   untimed interpreter that checks every schedule's arithmetic
 //! * [`sharp`] — in-network (SHArP) aggregation model
 //! * [`core`] — the collective algorithms: DPML, DPML-Pipelined, SHArP
 //!   leader designs, and the baselines (recursive doubling, Rabenseifner,
 //!   ring, single-leader hierarchical) plus library selectors
-//! * [`shm`] — a real-threads shared-memory runtime executing the same
-//!   algorithms with actual data for numerical validation and wall-clock
-//!   benchmarking
+//! * [`shm`] — a real-threads shared-memory runtime executing DPML's
+//!   intra-node phases with actual data (the integrity figure's
+//!   real-bytes pass), plus the CRC32C and live metrics the daemon uses
 //! * [`faults`] — deterministic fault-injection plans (OS noise,
 //!   link degradation, SHArP resource faults) executed by the engine
 //! * [`workloads`] — HPCG-like and miniAMR-like application skeletons

@@ -1,11 +1,23 @@
-//! Property-based numerical validation of the real-threads DPML runtime:
-//! for arbitrary cluster shapes, leader counts, and inputs, the four-phase
-//! algorithm must compute exactly what a serial sum computes (within
-//! reassociation tolerance), and agree with flat recursive doubling.
+//! Numerical validation. Compiled schedules run under the untimed
+//! interpreter (`dpml_engine::exec`), whose lanes must sum exactly to the
+//! allreduce; the real-threads intra-node runtime must match a serial
+//! sum within reassociation tolerance.
 
+use dpml::core::algorithms::{Algorithm, FlatAlg};
+use dpml::core::run::{simulate, Exec};
+use dpml::engine::exec::{self, ExecError};
+use dpml::engine::{Instr, WorldProgram};
+use dpml::fabric::presets::{all_presets, cluster_b, Preset};
 use dpml::shm::kernels::{assert_close, serial_reference};
-use dpml::shm::{IntraAlgo, NodeRuntime, ThreadCluster};
+use dpml::shm::NodeRuntime;
+use dpml::topology::RankMap;
 use proptest::prelude::*;
+
+const INNERS: [FlatAlg; 3] = [
+    FlatAlg::RecursiveDoubling,
+    FlatAlg::Rabenseifner,
+    FlatAlg::Ring,
+];
 
 fn gen_inputs(p: usize, n: usize, seed: u64) -> Vec<Vec<f64>> {
     (0..p)
@@ -23,41 +35,40 @@ fn gen_inputs(p: usize, n: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// Cluster B block map of `nodes × ppn`.
+fn map(nodes: u32, ppn: u32) -> RankMap {
+    RankMap::block(&cluster_b().spec(nodes, ppn).expect("spec"))
+}
+
+/// Compile `alg` and interpret it.
+fn lanes(alg: Algorithm, map: &RankMap, bytes: u64) -> Result<exec::Lanes, ExecError> {
+    let world = alg.build(map, bytes).expect("build");
+    exec::run(&world, map)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn cluster_dpml_matches_serial(
-        nodes in 1usize..5,
-        ppn in 1usize..5,
-        n in 0usize..200,
-        l_seed in 0usize..4,
-        seed in 0u64..10_000,
+        nodes in 1u32..5,
+        ppn in 1u32..5,
+        n in 1u64..200,
+        l_seed in 0u32..4,
+        inner in 0usize..3,
     ) {
-        let l = 1 + l_seed % ppn;
-        let c = ThreadCluster::new(nodes, ppn);
-        let inputs = gen_inputs(c.world_size(), n, seed);
-        let got = c.allreduce_dpml(&inputs, l);
-        let expect = c.serial(&inputs);
-        for g in &got {
-            assert_close(g, &expect, 1e-9);
-        }
+        let alg = Algorithm::Dpml { leaders: 1 + l_seed % ppn, inner: INNERS[inner] };
+        prop_assert_eq!(lanes(alg, &map(nodes, ppn), n).and_then(|l| l.check_allreduce()), Ok(()));
     }
 
     #[test]
     fn cluster_rd_matches_serial(
-        nodes in 1usize..5,
-        ppn in 1usize..4,
-        n in 0usize..150,
-        seed in 0u64..10_000,
+        nodes in 1u32..5,
+        ppn in 1u32..4,
+        n in 1u64..150,
     ) {
-        let c = ThreadCluster::new(nodes, ppn);
-        let inputs = gen_inputs(c.world_size(), n, seed);
-        let got = c.allreduce_recursive_doubling(&inputs);
-        let expect = c.serial(&inputs);
-        for g in &got {
-            assert_close(g, &expect, 1e-9);
-        }
+        let got = lanes(Algorithm::RecursiveDoubling, &map(nodes, ppn), n);
+        prop_assert_eq!(got.and_then(|l| l.check_allreduce()), Ok(()));
     }
 
     #[test]
@@ -70,7 +81,7 @@ proptest! {
         let l = 1 + l_seed % ppn;
         let rt = NodeRuntime::new(ppn);
         let inputs = gen_inputs(ppn, n, seed);
-        let got = rt.allreduce(&inputs, IntraAlgo::MultiLeader { leaders: l });
+        let got = rt.allreduce(&inputs, l);
         let expect = serial_reference(&inputs);
         for g in &got {
             assert_close(g, &expect, 1e-9);
@@ -80,13 +91,176 @@ proptest! {
 
 #[test]
 fn dpml_and_flat_rd_agree_exactly_shaped() {
-    // Deterministic cross-check on a shape big enough to exercise the
-    // non-power-of-two fold (6 nodes) and uneven partitions (n % l != 0).
-    let c = ThreadCluster::new(6, 3);
-    let inputs = gen_inputs(c.world_size(), 1013, 42);
-    let a = c.allreduce_dpml(&inputs, 3);
-    let b = c.allreduce_recursive_doubling(&inputs);
-    for (x, y) in a.iter().zip(b.iter()) {
-        assert_close(x, y, 1e-9);
+    // A shape big enough to exercise the non-power-of-two fold (6 nodes)
+    // and uneven partitions (n % l != 0).
+    let m = map(6, 3);
+    let dpml = Algorithm::Dpml {
+        leaders: 3,
+        inner: FlatAlg::RecursiveDoubling,
+    };
+    let a = lanes(dpml, &m, 1013).unwrap();
+    let b = lanes(Algorithm::RecursiveDoubling, &m, 1013).unwrap();
+    a.check_allreduce().unwrap();
+    assert_eq!(
+        a, b,
+        "wrapping sums are exact, so the two must agree bit for bit"
+    );
+}
+
+/// Every variant this geometry admits: each `FlatAlg` inner for
+/// single-leader and DPML, `leaders ∈ {1, 2, 4, ppn}`, and pipelined
+/// `chunks ∈ {3, 4}`.
+fn host_variants(ppn: u32) -> Vec<Algorithm> {
+    let mut leaders: Vec<u32> = [1, 2, 4, ppn].into_iter().filter(|&l| l <= ppn).collect();
+    leaders.sort_unstable();
+    leaders.dedup();
+    let mut algs = vec![
+        Algorithm::RecursiveDoubling,
+        Algorithm::Rabenseifner,
+        Algorithm::Ring,
+        Algorithm::BinomialReduceBcast,
+    ];
+    for inner in INNERS {
+        algs.push(Algorithm::SingleLeader { inner });
+        algs.extend(
+            leaders
+                .iter()
+                .map(|&leaders| Algorithm::Dpml { leaders, inner }),
+        );
     }
+    for chunks in [3, 4] {
+        algs.extend(
+            leaders
+                .iter()
+                .map(|&leaders| Algorithm::DpmlPipelined { leaders, chunks }),
+        );
+    }
+    algs
+}
+
+/// On every preset that can run `alg`, the engine verifies the point and
+/// its lanes are exact; returns the number of (preset, program) points.
+/// Lanes depend only on the compiled program, so presets that share a
+/// node shape, and hence a rank map, interpret it once.
+fn differential(presets: &[Preset], nodes: u32, ppn: u32, alg: Algorithm, bytes: u64) -> usize {
+    let mut interpreted: Vec<RankMap> = Vec::new();
+    let mut points = 0;
+    for preset in presets
+        .iter()
+        .filter(|p| !alg.needs_sharp() || p.fabric.has_sharp())
+    {
+        let m = RankMap::block(&preset.spec(nodes, ppn).expect("spec"));
+        let world = alg.build(&m, bytes).expect("build");
+        let at = || format!("{} {nodes}x{ppn} {} {bytes}B", preset.id, alg.name());
+        simulate(preset, &m, &world, &Exec::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", at()))
+            .verify_allreduce()
+            .unwrap_or_else(|e| panic!("{}: engine: {e}", at()));
+        if !interpreted.contains(&m) {
+            exec::check_allreduce(&world, &m).unwrap_or_else(|e| panic!("{}: lanes: {e}", at()));
+            interpreted.push(m);
+        }
+        points += 1;
+    }
+    points
+}
+
+#[test]
+fn every_variant_is_lanes_exact_on_the_matrix() {
+    // `tests/allreduce_matrix.rs`'s geometries; SHArP designs also at its
+    // SHArP-only shapes.
+    let presets = all_presets();
+    let shapes = [(4u32, 4u32), (3, 5), (5, 3), (7, 1), (1, 7), (6, 6), (4, 8)];
+    let sharp_shapes = [(2u32, 1u32), (16, 1), (8, 28)];
+    let sizes = [1u64, 2, 3, 7, 8, 997, 6000];
+    let sharp = [Algorithm::SharpNodeLeader, Algorithm::SharpSocketLeader];
+    let mut points = 0;
+    for (nodes, ppn) in shapes {
+        let big = ((nodes, ppn) == (4, 4)).then_some(65_536);
+        for alg in host_variants(ppn).into_iter().chain(sharp) {
+            for bytes in sizes.into_iter().chain(big) {
+                points += differential(&presets, nodes, ppn, alg, bytes);
+            }
+        }
+    }
+    for (nodes, ppn) in sharp_shapes {
+        for alg in sharp {
+            for bytes in sizes {
+                points += differential(&presets, nodes, ppn, alg, bytes);
+            }
+        }
+    }
+    assert!(points > 4_000, "matrix shrank to {points} points");
+}
+
+/// One mutant per `Reduce` with a non-empty range: the first source
+/// folded twice (`dup`), or the whole instruction repeated.
+fn reduce_mutants(world: &WorldProgram, dup: bool) -> Vec<WorldProgram> {
+    let mut out = Vec::new();
+    for (r, prog) in world.programs.iter().enumerate() {
+        for (pc, instr) in prog.instrs.iter().enumerate() {
+            let Instr::Reduce { srcs, dst, range } = instr else {
+                continue;
+            };
+            if range.is_empty() {
+                continue;
+            }
+            let mut w = world.clone();
+            let instrs = &mut w.programs[r].instrs;
+            if dup {
+                let mut srcs = srcs.clone();
+                srcs.push(srcs[0]);
+                instrs[pc] = Instr::Reduce {
+                    srcs,
+                    dst: *dst,
+                    range: *range,
+                };
+            } else {
+                instrs.insert(pc + 1, instr.clone());
+            }
+            out.push(w);
+        }
+    }
+    out
+}
+
+#[test]
+fn double_folds_fail_lanes_though_coverage_passes() {
+    let preset = cluster_b();
+    let m = map(3, 4);
+    let algs = [
+        Algorithm::Dpml {
+            leaders: 2,
+            inner: FlatAlg::RecursiveDoubling,
+        },
+        Algorithm::Ring,
+        Algorithm::SingleLeader {
+            inner: FlatAlg::Rabenseifner,
+        },
+        Algorithm::DpmlPipelined {
+            leaders: 4,
+            chunks: 3,
+        },
+    ];
+    let mut mutants = 0;
+    let mut coverage_passes = 0;
+    for alg in algs {
+        let world = alg.build(&m, 997).expect("build");
+        for dup in [true, false] {
+            for (i, mutant) in reduce_mutants(&world, dup).iter().enumerate() {
+                match exec::check_allreduce(mutant, &m) {
+                    Err(ExecError::Mismatch { .. }) => {}
+                    other => panic!("{} mutant {i} (dup {dup}): {other:?}", alg.name()),
+                }
+                mutants += 1;
+                // The engine's set-union coverage accepts a double fold.
+                if i == 0 {
+                    let rep = simulate(&preset, &m, mutant, &Exec::default()).expect("sim");
+                    coverage_passes += usize::from(rep.verify_allreduce().is_ok());
+                }
+            }
+        }
+    }
+    assert!(mutants >= 24, "only {mutants} mutants");
+    assert!(coverage_passes >= 1, "every mutant also failed coverage");
 }
