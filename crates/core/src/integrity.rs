@@ -38,7 +38,7 @@ use crate::algorithms::flat::emit_flat_range;
 use crate::algorithms::{Algorithm, FlatAlg};
 use crate::run::{simulate, Exec, RunError};
 use dpml_engine::program::{BufKey, ByteRange, ProgramBuilder, BUF_RESULT};
-use dpml_engine::{CoverageMap, Phase, RunReport, SimError, WorldProgram};
+use dpml_engine::{Phase, RunReport, SimError, WorldProgram};
 use dpml_fabric::Preset;
 use dpml_faults::{DataFaults, FaultPlan, ProcessFaults};
 use dpml_topology::{ClusterSpec, LeaderPolicy, LeaderSet, NodeId, Rank, RankMap};
@@ -480,15 +480,6 @@ fn partition_continuation(
     cont
 }
 
-/// Coverage of a fully-reduced range: every rank's contribution.
-fn full_cov(p: u32, start: u64, end: u64) -> CoverageMap {
-    let mut m = CoverageMap::empty();
-    for r in 0..p {
-        m.union_merge(&CoverageMap::singleton(r, start, end), start, end);
-    }
-    m
-}
-
 /// Build the continuation world that resumes a DPML run whose partition
 /// `j` lost an inter-leader transfer, from the shared-memory state every
 /// node holds at that point:
@@ -531,17 +522,12 @@ fn build_continuation(
             for node in 0..spec.num_nodes {
                 let members = map.ranks_on_node(NodeId(node));
                 for (i, &r) in members.iter().enumerate() {
-                    w.preset_shared(
-                        node,
-                        slot_base + j * ppn + i as u32,
-                        CoverageMap::singleton(r.0, part.start, part.end),
-                    );
+                    w.preset_shared(node, slot_base + j * ppn + i as u32, part, r.0..r.0 + 1);
                 }
             }
         } else {
-            let cov = full_cov(p, other.start, other.end);
             for node in 0..spec.num_nodes {
-                w.preset_shared(node, bcast_base + jj, cov.clone());
+                w.preset_shared(node, bcast_base + jj, *other, 0..p);
             }
         }
     }
@@ -609,7 +595,7 @@ fn finish(
         }
         .into());
     }
-    if !results_match(&report, clean) {
+    if report.result_coverage != clean.result_coverage {
         return Err(IntegrityError {
             kind: IntegrityErrorKind::VerifyMismatch,
             attempts: 0,
@@ -654,26 +640,6 @@ fn append_verify(world: &mut WorldProgram, secs: f64) {
         prog.set_phase(Phase::App);
         prog.compute(secs);
     }
-}
-
-/// Semantic per-rank result equality: same segment boundaries, same
-/// contributor sets. (Structural `==` on [`dpml_engine::CoverageMap`]
-/// would also compare `RankSet` word-vector lengths, which delivery
-/// order can legitimately vary.)
-fn results_match(a: &RunReport, b: &RunReport) -> bool {
-    a.result_coverage.len() == b.result_coverage.len()
-        && a.result_coverage
-            .iter()
-            .zip(&b.result_coverage)
-            .all(|(x, y)| {
-                let xs: Vec<_> = x.segments().collect();
-                let ys: Vec<_> = y.segments().collect();
-                xs.len() == ys.len()
-                    && xs
-                        .iter()
-                        .zip(&ys)
-                        .all(|((s1, e1, r1), (s2, e2, r2))| s1 == s2 && e1 == e2 && r1.set_eq(r2))
-            })
 }
 
 #[cfg(test)]

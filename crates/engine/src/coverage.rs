@@ -1,174 +1,72 @@
 //! Symbolic data tracking for collective verification.
 //!
 //! Every buffer in the simulator carries a [`CoverageMap`]: for each byte
-//! range of the logical reduction vector, *which ranks' contributions* the
-//! buffer currently holds. A correct allreduce must end with every rank
-//! holding the full set `{0..p}` over the whole vector `[0, n)`.
+//! range of the logical reduction vector, a checksum of the contributions
+//! the buffer holds there. Rank `r` contributes
+//! `h(r) = splitmix64(r · 0x9E37_79B9_7F4A_7C15)`, a segment holds the
+//! wrapping sum of `h` over its contributors, and a reduction adds sums.
+//! A correct allreduce ends with every rank holding [`Contrib::full`]`(p)`
+//! over the whole vector `[0, n)`. Every instruction reads and writes the
+//! same byte offsets in its source and destination, so the hash need not
+//! depend on the offset.
 //!
-//! Tracking is exact (byte-range granularity, bitset rank sets), so a
-//! schedule bug that leaves some byte range of some rank's result without
-//! a contribution — a missing wait, a partition copied to the wrong leader,
-//! a skipped phase — surfaces as a verification failure rather than
-//! silently producing plausible timings.
+//! A schedule bug that leaves some byte range of some rank's result with
+//! the wrong contributions — a missing wait, a partition copied to the
+//! wrong leader, a skipped phase, a contribution folded in twice —
+//! surfaces as a verification failure rather than silently producing
+//! plausible timings.
 //!
-//! A contribution folded in twice is *not* caught yet: a rank set records
-//! membership, not multiplicity, and union is idempotent, so a
-//! double-reduced segment holds the same set as a correct one and passes.
+//! **False-pass bound.** `splitmix64` is a bijection on `u64` and the
+//! multiplier is odd, so `h` is injective on ranks; it is also non-zero
+//! for every rank below 65,536 (unit-tested). A result that differs from
+//! `{0, ..., p-1}` by a single missing, extra or substituted contribution
+//! is off by `h(r)` or `h(r) - h(s)`, never zero, so it always fails. Any
+//! other wrong multiset, with `m_r` copies of rank `r`, passes only if
+//! `Σ (m_r - 1) · h(r)` wraps to exactly 0 mod 2^64.
 
-use serde::{Deserialize, Serialize, Value};
-use std::sync::Arc;
+use dpml_faults::splitmix64;
+use serde::{Deserialize, Serialize};
+use std::ops::{Add, Range};
 
-/// A set of ranks, as an immutable bitset shared copy-on-write.
-///
-/// The words live in one reference-counted allocation, so a clone — every
-/// buffer snapshot, message payload and SHArP fan-out — bumps a count
-/// instead of copying `p / 64` words, and a set computed once is held by
-/// every buffer it reaches. Operations that change the set install a new
-/// allocation (or an operand's existing one, see `RankSet::union_with`).
-/// The word-vector length is part of the value: `==`, `Hash` and the
-/// serialized `{"words":[...]}` form all see it, while [`RankSet::set_eq`]
-/// ignores trailing zero words. `Arc`'s `==` returns early on a shared
-/// allocation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct RankSet {
-    words: Arc<[u64]>,
-}
+/// The wrapping sum of `h(r)` over a segment's contributors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+pub struct Contrib(pub(crate) u64);
 
-impl RankSet {
-    /// The empty set.
-    pub fn empty() -> Self {
-        RankSet {
-            words: Arc::new([]),
-        }
+impl Contrib {
+    /// Rank `rank`'s own contribution, `h(rank)`.
+    pub fn rank(rank: u32) -> Self {
+        Contrib(splitmix64(
+            u64::from(rank).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        ))
     }
 
-    /// A singleton set.
-    pub fn singleton(rank: u32) -> Self {
-        let w = (rank / 64) as usize;
-        RankSet {
-            words: (0..=w)
-                .map(|i| if i == w { 1u64 << (rank % 64) } else { 0 })
-                .collect(),
-        }
+    /// Every contribution of `ranks`, each once.
+    pub fn ranks(ranks: Range<u32>) -> Self {
+        ranks.map(Contrib::rank).fold(Contrib::default(), Add::add)
     }
 
-    /// The full set `{0, ..., p-1}`.
+    /// The fully-reduced value of a `p`-rank allreduce.
     pub fn full(p: u32) -> Self {
-        RankSet {
-            words: (0..p.div_ceil(64))
-                .map(|i| match p - i * 64 {
-                    left if left >= 64 => u64::MAX,
-                    left => (1u64 << left) - 1,
-                })
-                .collect(),
-        }
-    }
-
-    /// Insert a rank.
-    pub fn insert(&mut self, rank: u32) {
-        self.union_with(&RankSet::singleton(rank));
-    }
-
-    /// Membership test.
-    pub fn contains(&self, rank: u32) -> bool {
-        let w = (rank / 64) as usize;
-        self.words
-            .get(w)
-            .is_some_and(|&word| word & (1u64 << (rank % 64)) != 0)
-    }
-
-    /// Union `other` into this set. The result is `self`'s or `other`'s
-    /// existing allocation when that operand already contains the other
-    /// one and is at least as wide; a fresh set is allocated only when
-    /// neither does. The result is as wide as the wider operand.
-    fn union_with(&mut self, other: &RankSet) {
-        let (a, b) = (&*self.words, &*other.words);
-        if Arc::ptr_eq(&self.words, &other.words) || (a.len() >= b.len() && contains_words(a, b)) {
-            return;
-        }
-        if b.len() >= a.len() && contains_words(b, a) {
-            self.words = Arc::clone(&other.words);
-            return;
-        }
-        let word = |s: &[u64], i: usize| s.get(i).copied().unwrap_or(0);
-        let words = (0..a.len().max(b.len()))
-            .map(|i| word(a, i) | word(b, i))
-            .collect();
-        self.words = words;
-    }
-
-    /// Set cardinality.
-    pub fn count(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Semantic equality (ignores trailing zero words). Allocation-free:
-    /// compares the common word prefix and requires the longer set's tail
-    /// to be all zero — this sits inside every coalesce step on the
-    /// simulator's delivery hot path.
-    pub fn set_eq(&self, other: &RankSet) -> bool {
-        if Arc::ptr_eq(&self.words, &other.words) {
-            return true;
-        }
-        let n = self.words.len().min(other.words.len());
-        self.words[..n] == other.words[..n]
-            && self.words[n..].iter().all(|&w| w == 0)
-            && other.words[n..].iter().all(|&w| w == 0)
-    }
-
-    /// Iterate over members in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64)
-                .filter(move |b| w & (1u64 << b) != 0)
-                .map(move |b| (wi as u32) * 64 + b)
-        })
+        Contrib::ranks(0..p)
     }
 }
 
-/// True when every bit of `sub` is set in `sup` (`sup` at least as wide).
-fn contains_words(sup: &[u64], sub: &[u64]) -> bool {
-    sub.iter().zip(sup).all(|(s, p)| s & !p == 0)
-}
+impl Add for Contrib {
+    type Output = Contrib;
 
-impl Serialize for RankSet {
-    fn to_value(&self) -> Value {
-        let mut m = serde::Map::new();
-        m.insert("words", self.words.to_value());
-        Value::Object(m)
+    fn add(self, other: Contrib) -> Contrib {
+        Contrib(self.0.wrapping_add(other.0))
     }
 }
 
-impl Deserialize for RankSet {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_object()
-            .ok_or_else(|| serde::Error::expected("object", "RankSet"))?;
-        let words = m
-            .get("words")
-            .ok_or_else(|| serde::Error::missing_field("RankSet", "words"))?;
-        Ok(RankSet {
-            words: Vec::<u64>::from_value(words)?.into(),
-        })
-    }
-}
-
-/// A half-open byte range `[start, end)` of the logical vector.
-pub type Seg = (u64, u64);
-
-/// Maps disjoint byte ranges of the logical vector to the rank sets whose
+/// Maps disjoint byte ranges of the logical vector to the sums of the
 /// contributions they hold.
 ///
 /// Invariants: segments are sorted, non-empty, pairwise disjoint, and
-/// adjacent segments with equal rank sets are coalesced.
+/// adjacent segments with equal sums are coalesced.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct CoverageMap {
-    segs: Vec<(u64, u64, RankSet)>,
+    segs: Vec<(u64, u64, Contrib)>,
 }
 
 impl CoverageMap {
@@ -179,11 +77,17 @@ impl CoverageMap {
 
     /// A buffer holding a single rank's contribution over `[start, end)`.
     pub fn singleton(rank: u32, start: u64, end: u64) -> Self {
+        CoverageMap::ranks(rank..rank + 1, start, end)
+    }
+
+    /// A buffer holding every contribution of `ranks`, each once, over
+    /// `[start, end)`: `0..p` is a fully-reduced range.
+    pub fn ranks(ranks: Range<u32>, start: u64, end: u64) -> Self {
         if start >= end {
             return CoverageMap::empty();
         }
         CoverageMap {
-            segs: vec![(start, end, RankSet::singleton(rank))],
+            segs: vec![(start, end, Contrib::ranks(ranks))],
         }
     }
 
@@ -206,11 +110,11 @@ impl CoverageMap {
         self.segs.partition_point(|seg| seg.0 < end)
     }
 
-    /// The rank set held at byte offset `at`, if any.
-    pub fn at(&self, at: u64) -> Option<&RankSet> {
+    /// The sum held at byte offset `at`, if any.
+    pub fn at(&self, at: u64) -> Option<Contrib> {
         let i = self.lower(at);
         match self.segs.get(i) {
-            Some((s, _, set)) if *s <= at => Some(set),
+            Some((s, _, sum)) if *s <= at => Some(*sum),
             _ => None,
         }
     }
@@ -222,8 +126,8 @@ impl CoverageMap {
         }
         let (i, j) = (self.lower(start), self.upper(end));
         let mut out = Vec::with_capacity(j.saturating_sub(i));
-        for (s, e, set) in &self.segs[i..j] {
-            out.push(((*s).max(start), (*e).min(end), set.clone()));
+        for (s, e, sum) in &self.segs[i..j] {
+            out.push(((*s).max(start), (*e).min(end), *sum));
         }
         CoverageMap { segs: out }
     }
@@ -233,20 +137,17 @@ impl CoverageMap {
     /// internally coalesced. Splices only the overlap window; boundary
     /// segments are split and the two joints re-coalesced, so cost is
     /// O(window + log n) rather than a full-map rebuild.
-    fn splice_window(&mut self, start: u64, end: u64, mid: Vec<(u64, u64, RankSet)>) {
+    fn splice_window(&mut self, start: u64, end: u64, mid: Vec<(u64, u64, Contrib)>) {
         let (i, j) = (self.lower(start), self.upper(end));
-        let mut repl: Vec<(u64, u64, RankSet)> = Vec::with_capacity(mid.len() + 2);
+        let mut repl: Vec<(u64, u64, Contrib)> = Vec::with_capacity(mid.len() + 2);
         if i < j && self.segs[i].0 < start {
-            repl.push((self.segs[i].0, start, self.segs[i].2.clone()));
+            repl.push((self.segs[i].0, start, self.segs[i].2));
         }
         for seg in mid {
             push_coalesced(&mut repl, seg);
         }
         if i < j && self.segs[j - 1].1 > end {
-            push_coalesced(
-                &mut repl,
-                (end, self.segs[j - 1].1, self.segs[j - 1].2.clone()),
-            );
+            push_coalesced(&mut repl, (end, self.segs[j - 1].1, self.segs[j - 1].2));
         }
         let len = repl.len();
         self.segs.splice(i..j, repl);
@@ -264,11 +165,11 @@ impl CoverageMap {
     }
 
     /// Merge `segs[idx]` into `segs[idx + 1]`'s slot when they are
-    /// adjacent and hold the same set.
+    /// adjacent and hold the same sum.
     fn merge_joint(&mut self, idx: usize) {
         if idx + 1 < self.segs.len()
             && self.segs[idx].1 == self.segs[idx + 1].0
-            && self.segs[idx].2.set_eq(&self.segs[idx + 1].2)
+            && self.segs[idx].2 == self.segs[idx + 1].2
         {
             self.segs[idx].1 = self.segs[idx + 1].1;
             self.segs.remove(idx + 1);
@@ -300,8 +201,9 @@ impl CoverageMap {
         self.splice_window(start, end, mid);
     }
 
-    /// Pointwise-union `src`'s contents over `[start, end)` into this map —
-    /// the semantics of a reduction: contributions combine.
+    /// Pointwise-add `src`'s sums over `[start, end)` into this map — the
+    /// semantics of a reduction: contributions combine, and one folded in
+    /// twice counts twice.
     pub fn union_merge(&mut self, src: &CoverageMap, start: u64, end: u64) {
         if start >= end {
             return;
@@ -313,7 +215,7 @@ impl CoverageMap {
             return;
         };
         // Sweep the cut points of both maps across the window `add` spans
-        // (outside it the union changes nothing), advancing a cursor into
+        // (outside it the sum changes nothing), advancing a cursor into
         // each segment list — O(window), no per-cut linear scans.
         let lo = first.0.max(start);
         let hi = last.1.min(end);
@@ -326,7 +228,7 @@ impl CoverageMap {
         }
         cuts.sort_unstable();
         cuts.dedup();
-        let mut rebuilt: Vec<(u64, u64, RankSet)> = Vec::with_capacity(cuts.len());
+        let mut rebuilt: Vec<(u64, u64, Contrib)> = Vec::with_capacity(cuts.len());
         let (mut ai, mut bi) = (0usize, 0usize);
         for w in cuts.windows(2) {
             let (s, e) = (w[0], w[1]);
@@ -336,41 +238,33 @@ impl CoverageMap {
             while bi < add.len() && add[bi].1 <= s {
                 bi += 1;
             }
-            let a = mine
-                .get(ai)
-                .filter(|(ms, _, _)| *ms <= s)
-                .map(|(_, _, r)| r);
-            let b = add.get(bi).filter(|(bs, _, _)| *bs <= s).map(|(_, _, r)| r);
-            let set = match (a, b) {
+            let a = mine.get(ai).filter(|(ms, _, _)| *ms <= s).map(|seg| seg.2);
+            let b = add.get(bi).filter(|(bs, _, _)| *bs <= s).map(|seg| seg.2);
+            let sum = match (a, b) {
                 (None, None) => continue,
-                (Some(x), None) => x.clone(),
-                (None, Some(y)) => y.clone(),
-                (Some(x), Some(y)) => {
-                    let mut u = x.clone();
-                    u.union_with(y);
-                    u
-                }
+                (Some(x), None) | (None, Some(x)) => x,
+                (Some(x), Some(y)) => x + y,
             };
-            push_coalesced(&mut rebuilt, (s, e, set));
+            push_coalesced(&mut rebuilt, (s, e, sum));
         }
         self.splice_window(lo, hi, rebuilt);
     }
 
     /// True when `[start, end)` is fully covered and every byte holds
     /// exactly `expected`.
-    pub fn covers_exactly(&self, start: u64, end: u64, expected: &RankSet) -> bool {
+    pub fn covers_exactly(&self, start: u64, end: u64, expected: Contrib) -> bool {
         if start >= end {
             return true;
         }
         let mut cursor = start;
-        for (s, e, set) in &self.segs[self.lower(start)..] {
+        for (s, e, sum) in &self.segs[self.lower(start)..] {
             if *e <= cursor {
                 continue;
             }
             if *s > cursor {
                 return false; // gap
             }
-            if !set.set_eq(expected) {
+            if *sum != expected {
                 return false;
             }
             cursor = *e;
@@ -390,21 +284,21 @@ impl CoverageMap {
         debug_assert!(self.segs.iter().all(|(s, e, _)| s < e), "empty segment");
     }
 
-    /// Iterate over `(start, end, set)` segments.
-    pub fn segments(&self) -> impl Iterator<Item = (u64, u64, &RankSet)> {
-        self.segs.iter().map(|(s, e, set)| (*s, *e, set))
+    /// Iterate over `(start, end, sum)` segments.
+    pub fn segments(&self) -> impl Iterator<Item = (u64, u64, Contrib)> + '_ {
+        self.segs.iter().copied()
     }
 }
 
 /// Append `seg` to `out`, extending the last segment instead when the two
-/// are adjacent with equal sets (the canonical-form invariant).
+/// are adjacent with equal sums (the canonical-form invariant).
 #[inline]
-fn push_coalesced(out: &mut Vec<(u64, u64, RankSet)>, seg: (u64, u64, RankSet)) {
+fn push_coalesced(out: &mut Vec<(u64, u64, Contrib)>, seg: (u64, u64, Contrib)) {
     if seg.0 >= seg.1 {
         return;
     }
     if let Some(last) = out.last_mut() {
-        if last.1 == seg.0 && last.2.set_eq(&seg.2) {
+        if last.1 == seg.0 && last.2 == seg.2 {
             last.1 = seg.1;
             return;
         }
@@ -422,37 +316,12 @@ mod tests {
     }
 
     #[test]
-    fn rankset_basics() {
-        let mut s = RankSet::singleton(3);
-        assert!(s.contains(3));
-        assert!(!s.contains(4));
-        s.insert(100);
-        assert!(s.contains(100));
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 100]);
-    }
-
-    #[test]
-    fn rankset_union_and_eq() {
-        let mut a = RankSet::singleton(1);
-        let b = RankSet::singleton(200);
-        a.union_with(&b);
-        assert_eq!(a.count(), 2);
-        // Semantic equality ignores width.
-        let mut wide = RankSet::singleton(1);
-        wide.insert(200);
-        assert!(a.set_eq(&wide));
-        let narrow = RankSet::singleton(1);
-        assert!(!a.set_eq(&narrow));
-    }
-
-    #[test]
-    fn rankset_full() {
-        let f = RankSet::full(130);
-        assert_eq!(f.count(), 130);
-        assert!(f.contains(0));
-        assert!(f.contains(129));
-        assert!(!f.contains(130));
+    fn hash_is_nonzero_and_injective_below_65536() {
+        let mut hs: Vec<u64> = (0..65_536).map(|r| Contrib::rank(r).0).collect();
+        assert!(!hs.contains(&0));
+        hs.sort_unstable();
+        hs.dedup();
+        assert_eq!(hs.len(), 65_536);
     }
 
     #[test]
@@ -460,8 +329,8 @@ mod tests {
         let m = CoverageMap::singleton(2, 0, 100);
         let r = m.restrict(25, 75);
         assert_eq!(covered_bytes(&r), 50);
-        assert!(r.covers_exactly(25, 75, &RankSet::singleton(2)));
-        assert!(!r.covers_exactly(0, 75, &RankSet::singleton(2)));
+        assert!(r.covers_exactly(25, 75, Contrib::rank(2)));
+        assert!(!r.covers_exactly(0, 75, Contrib::rank(2)));
     }
 
     #[test]
@@ -472,12 +341,12 @@ mod tests {
 
     #[test]
     fn overwrite_replaces_content() {
-        let mut m = CoverageMap::singleton(0, 0, 100);
+        let mut m = CoverageMap::ranks(0..3, 0, 100);
         let src = CoverageMap::singleton(1, 40, 60);
         m.overwrite(&src, 40, 60);
-        assert!(m.covers_exactly(0, 40, &RankSet::singleton(0)));
-        assert!(m.covers_exactly(40, 60, &RankSet::singleton(1)));
-        assert!(m.covers_exactly(60, 100, &RankSet::singleton(0)));
+        assert!(m.covers_exactly(0, 40, Contrib::full(3)));
+        assert!(m.covers_exactly(40, 60, Contrib::rank(1)));
+        assert!(m.covers_exactly(60, 100, Contrib::full(3)));
         assert_eq!(covered_bytes(&m), 100);
     }
 
@@ -494,10 +363,34 @@ mod tests {
         let mut m = CoverageMap::singleton(0, 0, 100);
         let src = CoverageMap::singleton(1, 0, 100);
         m.union_merge(&src, 0, 100);
-        let mut both = RankSet::singleton(0);
-        both.insert(1);
-        assert!(m.covers_exactly(0, 100, &both));
-        assert_eq!(m.segments().count(), 1, "coalescing failed");
+        assert!(m.covers_exactly(0, 100, Contrib::full(2)));
+        assert_eq!(m, CoverageMap::ranks(0..2, 0, 100));
+    }
+
+    #[test]
+    fn double_union_differs_from_single() {
+        let once = CoverageMap::ranks(0..2, 0, 64);
+        let mut twice = once.clone();
+        twice.union_merge(&CoverageMap::singleton(1, 0, 64), 0, 64);
+        assert!(!twice.covers_exactly(0, 64, Contrib::full(2)));
+        assert_eq!(twice.at(0), Some(Contrib::full(2) + Contrib::rank(1)));
+        let mut m = CoverageMap::ranks(0..2, 0, 64);
+        m.union_merge(&once, 0, 64);
+        assert_ne!(m, once, "folding a reduced buffer into itself doubles it");
+    }
+
+    #[test]
+    fn equal_neighbours_coalesce() {
+        let mut m = CoverageMap::singleton(0, 0, 30);
+        m.overwrite(&CoverageMap::singleton(0, 30, 60), 30, 60);
+        assert_eq!(m, CoverageMap::singleton(0, 0, 60));
+        // Sums reached in different orders are equal and coalesce too.
+        let mut m = CoverageMap::ranks(0..2, 0, 40);
+        let mut right = CoverageMap::singleton(1, 40, 80);
+        right.union_merge(&CoverageMap::singleton(0, 40, 80), 40, 80);
+        m.overwrite(&right, 40, 80);
+        assert_eq!(m.segments().count(), 1);
+        assert!(m.covers_exactly(0, 80, Contrib::full(2)));
     }
 
     #[test]
@@ -505,11 +398,9 @@ mod tests {
         let mut m = CoverageMap::singleton(0, 0, 50);
         let src = CoverageMap::singleton(1, 25, 75);
         m.union_merge(&src, 0, 100);
-        assert!(m.covers_exactly(0, 25, &RankSet::singleton(0)));
-        let mut both = RankSet::singleton(0);
-        both.insert(1);
-        assert!(m.covers_exactly(25, 50, &both));
-        assert!(m.covers_exactly(50, 75, &RankSet::singleton(1)));
+        assert!(m.covers_exactly(0, 25, Contrib::rank(0)));
+        assert!(m.covers_exactly(25, 50, Contrib::full(2)));
+        assert!(m.covers_exactly(50, 75, Contrib::rank(1)));
         assert!(m.at(80).is_none());
     }
 
@@ -519,35 +410,36 @@ mod tests {
         let src = CoverageMap::singleton(1, 0, 100);
         m.union_merge(&src, 30, 40);
         assert_eq!(covered_bytes(&m), 10);
-        assert!(m.covers_exactly(30, 40, &RankSet::singleton(1)));
+        assert!(m.covers_exactly(30, 40, Contrib::rank(1)));
     }
 
     #[test]
-    fn covers_exactly_detects_gap_and_wrong_set() {
+    fn covers_exactly_detects_gap_and_wrong_sum() {
         let mut m = CoverageMap::singleton(0, 0, 40);
         m.union_merge(&CoverageMap::singleton(0, 60, 100), 0, 100);
-        let s0 = RankSet::singleton(0);
-        assert!(!m.covers_exactly(0, 100, &s0)); // gap 40..60
-        assert!(m.covers_exactly(0, 40, &s0));
-        assert!(!m.covers_exactly(0, 40, &RankSet::singleton(1)));
+        let s0 = Contrib::rank(0);
+        assert!(!m.covers_exactly(0, 100, s0)); // gap 40..60
+        assert!(m.covers_exactly(0, 40, s0));
+        assert!(!m.covers_exactly(0, 40, Contrib::rank(1)));
     }
 
     #[test]
     fn allreduce_style_accumulation() {
-        // Simulate: 4 ranks' contributions merged pairwise, then checked.
+        // 4 ranks' contributions merged one by one, then checked.
         let p = 4;
         let n = 64;
         let mut acc = CoverageMap::singleton(0, 0, n);
         for r in 1..p {
             acc.union_merge(&CoverageMap::singleton(r, 0, n), 0, n);
         }
-        assert!(acc.covers_exactly(0, n, &RankSet::full(p)));
+        assert!(acc.covers_exactly(0, n, Contrib::full(p)));
+        assert_eq!(acc, CoverageMap::ranks(0..p, 0, n));
     }
 
     /// Naive per-byte reference model for property tests.
     #[derive(Clone, PartialEq, Debug)]
     struct NaiveMap {
-        bytes: Vec<Option<RankSet>>,
+        bytes: Vec<Option<Contrib>>,
     }
 
     impl NaiveMap {
@@ -558,106 +450,27 @@ mod tests {
         }
         fn from_cov(m: &CoverageMap, n: u64) -> Self {
             let mut out = NaiveMap::new(n);
-            for (s, e, set) in m.segments() {
+            for (s, e, sum) in m.segments() {
                 for b in s..e.min(n) {
-                    out.bytes[b as usize] = Some(set.clone());
+                    out.bytes[b as usize] = Some(sum);
                 }
             }
             out
         }
         fn overwrite(&mut self, src: &NaiveMap, start: u64, end: u64) {
             for b in start..end.min(self.bytes.len() as u64) {
-                self.bytes[b as usize] = src.bytes[b as usize].clone();
+                self.bytes[b as usize] = src.bytes[b as usize];
             }
         }
         fn union_merge(&mut self, src: &NaiveMap, start: u64, end: u64) {
             for b in start..end.min(self.bytes.len() as u64) {
-                match (&mut self.bytes[b as usize], &src.bytes[b as usize]) {
-                    (Some(a), Some(x)) => *a = naive_union(a, x),
-                    (slot @ None, Some(x)) => *slot = Some(x.clone()),
-                    _ => {}
-                }
+                let (a, x) = (self.bytes[b as usize], src.bytes[b as usize]);
+                self.bytes[b as usize] = match (a, x) {
+                    (Some(a), Some(x)) => Some(a + x),
+                    (a, x) => a.or(x),
+                };
             }
         }
-        fn semantically_eq(&self, other: &NaiveMap) -> bool {
-            self.bytes
-                .iter()
-                .zip(other.bytes.iter())
-                .all(|(a, b)| match (a, b) {
-                    (None, None) => true,
-                    (Some(x), Some(y)) => x.set_eq(y),
-                    _ => false,
-                })
-        }
-    }
-
-    /// The plain-vector union the shared representation replaced: widen
-    /// to the wider operand, then OR word by word into a fresh set.
-    fn naive_union(a: &RankSet, b: &RankSet) -> RankSet {
-        let mut words = a.words.to_vec();
-        if words.len() < b.words.len() {
-            words.resize(b.words.len(), 0);
-        }
-        for (x, y) in words.iter_mut().zip(b.words.iter()) {
-            *x |= y;
-        }
-        RankSet {
-            words: words.into(),
-        }
-    }
-
-    /// `set` with `extra` trailing zero words (same members, wider).
-    fn padded(set: &RankSet, extra: usize) -> RankSet {
-        let mut words = set.words.to_vec();
-        words.resize(words.len() + extra, 0);
-        RankSet {
-            words: words.into(),
-        }
-    }
-
-    #[test]
-    fn serde_bytes_are_pinned() {
-        // A trailing zero word is part of the value: it round-trips, and
-        // `==` (unlike `set_eq`) sees it.
-        let wide: RankSet = serde_json::from_str(r#"{"words":[5,0]}"#).unwrap();
-        assert_eq!(serde_json::to_string(&wide).unwrap(), r#"{"words":[5,0]}"#);
-        let mut narrow = RankSet::singleton(0);
-        narrow.insert(2);
-        assert_eq!(serde_json::to_string(&narrow).unwrap(), r#"{"words":[5]}"#);
-        assert!(wide.set_eq(&narrow));
-        assert_ne!(wide, narrow);
-        assert_eq!(
-            serde_json::to_string(&RankSet::full(66)).unwrap(),
-            r#"{"words":[18446744073709551615,3]}"#
-        );
-
-        let mut m = CoverageMap::singleton(0, 0, 40);
-        m.union_merge(&CoverageMap::singleton(65, 20, 60), 0, 100);
-        let json = serde_json::to_string(&m).unwrap();
-        assert_eq!(
-            json,
-            r#"{"segs":[[0,20,{"words":[1]}],[20,40,{"words":[1,2]}],[40,60,{"words":[0,2]}]]}"#
-        );
-        assert_eq!(serde_json::from_str::<CoverageMap>(&json).unwrap(), m);
-        assert!(serde_json::from_str::<RankSet>("[5]").is_err());
-        assert!(serde_json::from_str::<RankSet>("{}").is_err());
-    }
-
-    #[test]
-    fn union_reuses_the_containing_operand() {
-        let big = RankSet::full(130);
-        let small = RankSet::singleton(7);
-        let mut u = small.clone();
-        u.union_with(&big);
-        assert!(Arc::ptr_eq(&u.words, &big.words), "superset adopted");
-        let mut u = big.clone();
-        u.union_with(&small);
-        assert!(Arc::ptr_eq(&u.words, &big.words), "subset absorbed");
-        // A narrower superset cannot stand in for a wider operand.
-        let mut u = padded(&small, 3);
-        u.union_with(&RankSet::full(64));
-        assert_eq!(u, naive_union(&padded(&small, 3), &RankSet::full(64)));
-        assert_eq!(u.words.len(), 4);
     }
 
     use proptest::prelude::*;
@@ -665,9 +478,9 @@ mod tests {
     const N: u64 = 48;
 
     /// Maps built from up to six singleton contributions drawn from
-    /// `0..ranks` (ranks past 63 make multi-word sets).
-    fn arb_map_over(ranks: u32) -> impl Strategy<Value = CoverageMap> {
-        proptest::collection::vec((0u32..ranks, 0u64..N, 0u64..N), 0..6).prop_map(|ops| {
+    /// `0..6`, repeats included, so some bytes hold a rank twice.
+    fn arb_map() -> impl Strategy<Value = CoverageMap> {
+        proptest::collection::vec((0u32..6, 0u64..N, 0u64..N), 0..6).prop_map(|ops| {
             let mut m = CoverageMap::empty();
             for (r, a, b) in ops {
                 let (s, e) = if a <= b { (a, b) } else { (b, a) };
@@ -675,36 +488,6 @@ mod tests {
             }
             m
         })
-    }
-
-    fn arb_map() -> impl Strategy<Value = CoverageMap> {
-        arb_map_over(6)
-    }
-
-    /// A `(sup, sub)` pair with `sub` a subset of `sup`, each padded with
-    /// up to two trailing zero words, in either order.
-    fn arb_nested_sets() -> impl Strategy<Value = (RankSet, RankSet)> {
-        (
-            proptest::collection::vec((0u32..200, proptest::bool::ANY), 0..8),
-            0usize..3,
-            0usize..3,
-            proptest::bool::ANY,
-        )
-            .prop_map(|(ranks, pad_sup, pad_sub, swap)| {
-                let (mut sup, mut sub) = (RankSet::empty(), RankSet::empty());
-                for (r, keep) in ranks {
-                    sup.insert(r);
-                    if keep {
-                        sub.insert(r);
-                    }
-                }
-                let (sup, sub) = (padded(&sup, pad_sup), padded(&sub, pad_sub));
-                if swap {
-                    (sub, sup)
-                } else {
-                    (sup, sub)
-                }
-            })
     }
 
     proptest! {
@@ -715,7 +498,7 @@ mod tests {
             fast.overwrite(&b, s, e);
             let mut slow = NaiveMap::from_cov(&a, N);
             slow.overwrite(&NaiveMap::from_cov(&b, N), s, e);
-            prop_assert!(NaiveMap::from_cov(&fast, N).semantically_eq(&slow));
+            prop_assert_eq!(NaiveMap::from_cov(&fast, N), slow);
             let mut owned = a.clone();
             owned.overwrite_owned(b.clone(), s, e);
             prop_assert_eq!(owned, fast);
@@ -728,18 +511,19 @@ mod tests {
             fast.union_merge(&b, s, e);
             let mut slow = NaiveMap::from_cov(&a, N);
             slow.union_merge(&NaiveMap::from_cov(&b, N), s, e);
-            prop_assert!(NaiveMap::from_cov(&fast, N).semantically_eq(&slow));
+            prop_assert_eq!(NaiveMap::from_cov(&fast, N), slow);
         }
 
         #[test]
         fn prop_segments_stay_canonical(a in arb_map(), b in arb_map()) {
             let mut m = a.clone();
             m.union_merge(&b, 0, N);
-            let segs: Vec<_> = m.segments().map(|(s, e, _)| (s, e)).collect();
+            let segs: Vec<_> = m.segments().collect();
             for w in segs.windows(2) {
                 prop_assert!(w[0].1 <= w[1].0, "overlap: {:?}", segs);
+                prop_assert!(w[0].1 < w[1].0 || w[0].2 != w[1].2, "not coalesced: {:?}", segs);
             }
-            for (s, e) in &segs {
+            for (s, e, _) in &segs {
                 prop_assert!(s < e);
             }
         }
@@ -750,61 +534,7 @@ mod tests {
             ab.union_merge(&b, 0, N);
             let mut ba = b.clone();
             ba.union_merge(&a, 0, N);
-            prop_assert!(NaiveMap::from_cov(&ab, N).semantically_eq(&NaiveMap::from_cov(&ba, N)));
-        }
-
-        #[test]
-        fn prop_subset_reuse_union_matches_naive(pair in arb_nested_sets()) {
-            let (a, b) = &pair;
-            let mut u = a.clone();
-            u.union_with(b);
-            prop_assert_eq!(&u, &naive_union(a, b));
-            let mut v = b.clone();
-            v.union_with(a);
-            prop_assert_eq!(&v, &naive_union(b, a));
-        }
-
-        #[test]
-        fn prop_multiword_union_matches_naive_exactly(
-            a in arb_map_over(200),
-            b in arb_map_over(200),
-            x in 0u64..N,
-            y in 0u64..N,
-        ) {
-            // Structural `==` per byte: word-vector widths must match the
-            // naive model too, not just membership.
-            let (s, e) = if x <= y { (x, y) } else { (y, x) };
-            let mut fast = a.clone();
-            fast.union_merge(&b, s, e);
-            let mut slow = NaiveMap::from_cov(&a, N);
-            slow.union_merge(&NaiveMap::from_cov(&b, N), s, e);
-            prop_assert_eq!(NaiveMap::from_cov(&fast, N), slow);
-        }
-
-        #[test]
-        fn prop_mutating_a_clone_leaves_the_original(
-            a in arb_map_over(200),
-            b in arb_map_over(200),
-            r in 0u32..200,
-            x in 0u64..N,
-            y in 0u64..N,
-        ) {
-            // JSON bytes are a deep snapshot; a clone would share sets.
-            let (a0, b0) = (serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
-            let (s, e) = if x <= y { (x, y) } else { (y, x) };
-            let mut copy = a.clone();
-            copy.union_merge(&b, 0, N);
-            copy.overwrite(&b, s, e);
-            copy.union_merge(&a, s, N);
-            copy.overwrite_owned(b.clone(), 0, s);
-            for (_, _, set) in a.segments().chain(b.segments()) {
-                let mut c = set.clone();
-                c.insert(r);
-                c.union_with(&RankSet::full(r));
-                prop_assert!(c.contains(r));
-            }
-            prop_assert_eq!(serde_json::to_string(&a).unwrap(), a0);
-            prop_assert_eq!(serde_json::to_string(&b).unwrap(), b0);
+            prop_assert_eq!(ab, ba);
         }
     }
 }

@@ -10,30 +10,31 @@
 //! `dst += Σ srcs` with wrapping addition; `Copy`, a matched `IRecv` and a
 //! completed `Sharp` overwrite. Wrapping addition is exact under any
 //! association order, so an allreduce is right exactly when every result
-//! lane equals `Σ_r lane(r, b)`. A contribution lost *or folded twice*
-//! shows as a wrong value, which the simulator's set-union coverage
-//! cannot see.
+//! lane equals `Σ_r lane(r, b)`. A contribution lost or folded twice
+//! shows as a wrong value. The simulator's coverage sums catch the same
+//! defects (`lane(r, 0)` is its per-rank hash), but once per segment
+//! rather than per byte; the lanes also see a byte moved to another
+//! offset, which no instruction can do.
 //!
 //! Matching follows the simulator: messages match FIFO per (source, tag),
 //! and a send snapshots its range when posted and never blocks. Barrier
 //! `id` and SHArP group `g` rendezvous once per occurrence, keyed by the
 //! id and how many times the rank has entered it before. A
-//! `preset_shared` coverage map becomes, per byte, the lane sum of its
-//! contributor set.
+//! `preset_shared` entry becomes, per byte of its range, the lane sum of
+//! its contributor ranks.
 
 use crate::program::{BufKey, ByteRange, Instr, Tag, WorldProgram, BUF_INPUT, BUF_RESULT};
+use dpml_faults::splitmix64;
 use dpml_topology::{Rank, RankMap};
 use std::collections::{HashMap, VecDeque};
 
-/// Rank `rank`'s input value at byte `byte` (splitmix64 finalizer).
+/// Rank `rank`'s input value at byte `byte`.
 fn lane(rank: u32, byte: u64) -> u64 {
-    let mut z = u64::from(rank)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(byte)
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(
+        u64::from(rank)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(byte),
+    )
 }
 
 /// Why an interpretation failed.
@@ -179,16 +180,14 @@ impl<'w> Machine<'w> {
     fn new(world: &'w WorldProgram, map: &'w RankMap) -> Self {
         let n = world.vector_bytes;
         let mut shared = vec![HashMap::new(); map.spec().num_nodes as usize];
-        for (node, id, cov) in &world.preset_shared {
+        for (node, id, range, ranks) in &world.preset_shared {
             let Some(bufs) = shared.get_mut(*node as usize) else {
                 continue;
             };
             let mut buf = Vec::new();
-            for (s, e, set) in cov.segments() {
-                grow(&mut buf, e);
-                for b in s..e {
-                    buf[b as usize] = set.iter().fold(0, |acc, q| acc.wrapping_add(lane(q, b)));
-                }
+            grow(&mut buf, range.end);
+            for b in range.start..range.end {
+                buf[b as usize] = ranks.clone().fold(0, |acc, q| acc.wrapping_add(lane(q, b)));
             }
             bufs.insert(*id, buf);
         }
@@ -403,7 +402,8 @@ fn grow(buf: &mut Vec<u64>, len: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coverage::CoverageMap;
+    use crate::coverage::Contrib;
+    use crate::report::VerifyError;
     use crate::sim::{SimConfig, Simulator};
     use dpml_fabric::presets::cluster_b;
     use dpml_topology::ClusterSpec;
@@ -441,18 +441,33 @@ mod tests {
     }
 
     #[test]
-    fn double_fold_is_a_mismatch_that_coverage_accepts() {
+    fn lane_zero_is_the_coverage_hash() {
+        for r in [0, 1, 63, 64, 10_239] {
+            assert_eq!(Contrib::rank(r).0, lane(r, 0));
+        }
+    }
+
+    #[test]
+    fn double_fold_fails_lanes_and_coverage() {
         let (w, m) = (exchange(64, true), map(2, 1));
         let err = check_allreduce(&w, &m).unwrap_err();
         assert_eq!(err, ExecError::Mismatch { rank: 0, byte: 0 });
-        // Set-union coverage is idempotent, so the simulator passes it.
+        // Coverage sums count multiplicity, so the simulator rejects it too.
         let preset = cluster_b();
         let cfg = SimConfig::new(m, preset.fabric, preset.switch).unwrap();
-        Simulator::new(&cfg)
+        let err = Simulator::new(&cfg)
             .run(&w)
             .unwrap()
             .verify_allreduce()
-            .unwrap();
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            VerifyError::WrongResult {
+                rank: 0,
+                correct_bytes: 0,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -520,9 +535,7 @@ mod tests {
     fn shared_presets_become_lane_sums() {
         let n = 24;
         let mut w = WorldProgram::new(2, n);
-        let mut full = CoverageMap::singleton(0, 0, n);
-        full.union_merge(&CoverageMap::singleton(1, 0, n), 0, n);
-        w.preset_shared(0, 3, full);
+        w.preset_shared(0, 3, ByteRange::whole(n), 0..2);
         for r in 0..2u32 {
             w.rank(Rank(r))
                 .copy(BufKey::Shared(3), BUF_RESULT, ByteRange::whole(n), false);

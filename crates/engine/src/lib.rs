@@ -21,14 +21,14 @@
 //!
 //! ## Correctness model
 //!
-//! Every buffer carries a [`coverage::CoverageMap`]: which (rank,
-//! byte-range) contributions it currently holds. Sends snapshot coverage,
-//! receives overwrite it, `Reduce` unions it (charging compute time).
-//! [`report::RunReport::verify_allreduce`] then proves that the schedule
-//! delivered every contribution to every rank exactly where it should —
-//! so a simulated collective cannot be "fast but wrong". A union is
-//! idempotent, so a contribution folded twice still passes; the untimed
-//! interpreter in [`exec`] computes exact values and catches it.
+//! Every buffer carries a [`coverage::CoverageMap`]: per byte range, a
+//! checksum of the rank contributions it currently holds. Sends snapshot
+//! coverage, receives overwrite it, `Reduce` adds it (charging compute
+//! time). [`report::RunReport::verify_allreduce`] then proves that the
+//! schedule delivered every contribution to every rank exactly once —
+//! so a simulated collective cannot be "fast but wrong". The untimed
+//! interpreter in [`exec`] checks the same arithmetic per byte, with no
+//! clock.
 
 pub mod coverage;
 pub mod critical;
@@ -42,7 +42,7 @@ pub mod sim;
 pub mod time;
 pub mod trace;
 
-pub use coverage::{CoverageMap, RankSet};
+pub use coverage::{Contrib, CoverageMap};
 pub use critical::{CostKind, CriticalPath, Segment, Zone};
 pub use flight::{FlightEvent, FlightRecorder, PostmortemBundle};
 pub use program::{BufKey, ByteRange, Instr, Program, ProgramBuilder, ReqId, Tag, WorldProgram};

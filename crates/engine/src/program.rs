@@ -11,6 +11,7 @@ use crate::trace::Phase;
 use dpml_topology::Rank;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Message tag for send/recv matching.
 pub type Tag = u32;
@@ -292,13 +293,15 @@ pub struct WorldProgram {
     /// initialization).
     pub vector_bytes: u64,
     /// Checkpointed shared-memory state applied before execution:
-    /// `(node, buffer id, coverage)`, so a continuation world resumes
-    /// from surviving state instead of empty buffers. Later entries
-    /// replace earlier ones for the same buffer. The integrity ladder's
-    /// partition re-reduce presets the phase-1 deposits and the other
-    /// partitions' published results here.
+    /// `(node, buffer id, byte range, contributor ranks)`, so a
+    /// continuation world resumes from surviving state instead of empty
+    /// buffers. The buffer holds each of the ranks' contributions once
+    /// over the range, and nothing elsewhere. Later entries replace
+    /// earlier ones for the same buffer. The integrity ladder's partition
+    /// re-reduce presets the phase-1 deposits and the other partitions'
+    /// published results here.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub preset_shared: Vec<(u32, u32, CoverageMap)>,
+    pub preset_shared: Vec<(u32, u32, ByteRange, Range<u32>)>,
 }
 
 impl WorldProgram {
@@ -347,9 +350,10 @@ impl WorldProgram {
         CoverageMap::singleton(r.0, 0, self.vector_bytes)
     }
 
-    /// Start `node`'s shared buffer `buf` from `cov` instead of empty.
-    pub fn preset_shared(&mut self, node: u32, buf: u32, cov: CoverageMap) {
-        self.preset_shared.push((node, buf, cov));
+    /// Start `node`'s shared buffer `buf` holding `ranks`' contributions
+    /// over `range` instead of empty.
+    pub fn preset_shared(&mut self, node: u32, buf: u32, range: ByteRange, ranks: Range<u32>) {
+        self.preset_shared.push((node, buf, range, ranks));
     }
 }
 
@@ -527,6 +531,6 @@ mod tests {
     fn initial_input_is_own_contribution() {
         let w = WorldProgram::new(4, 128);
         let c = w.initial_input(Rank(3));
-        assert!(c.covers_exactly(0, 128, &crate::coverage::RankSet::singleton(3)));
+        assert!(c.covers_exactly(0, 128, crate::coverage::Contrib::rank(3)));
     }
 }

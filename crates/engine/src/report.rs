@@ -1,6 +1,6 @@
 //! Simulation results and collective-correctness verification.
 
-use crate::coverage::{CoverageMap, RankSet};
+use crate::coverage::{Contrib, CoverageMap};
 use crate::time::SimTime;
 use crate::trace::Trace;
 use serde::{Deserialize, Serialize};
@@ -8,9 +8,9 @@ use serde::{Deserialize, Serialize};
 /// A failed verification.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum VerifyError {
-    /// The rank's result buffer does not hold all contributions over the
-    /// whole vector.
-    IncompleteResult {
+    /// The rank's result buffer does not hold every contribution exactly
+    /// once over the whole vector: one is missing, extra or folded twice.
+    WrongResult {
         /// Which rank.
         rank: u32,
         /// Bytes it covers with the correct full set.
@@ -23,7 +23,7 @@ pub enum VerifyError {
 impl std::fmt::Display for VerifyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            VerifyError::IncompleteResult {
+            VerifyError::WrongResult {
                 rank,
                 correct_bytes,
                 expected_bytes,
@@ -134,18 +134,18 @@ impl RunReport {
     }
 
     /// Verify an allreduce: every rank's result buffer must hold every
-    /// rank's contribution over the whole vector.
+    /// rank's contribution exactly once over the whole vector.
     pub fn verify_allreduce(&self) -> Result<(), VerifyError> {
         let p = self.finish_times.len() as u32;
-        let full = RankSet::full(p);
+        let full = Contrib::full(p);
         for (r, cov) in self.result_coverage.iter().enumerate() {
-            if !cov.covers_exactly(0, self.vector_bytes, &full) {
+            if !cov.covers_exactly(0, self.vector_bytes, full) {
                 let correct = cov
                     .segments()
-                    .filter(|(_, _, set)| set.set_eq(&full))
+                    .filter(|(_, _, sum)| *sum == full)
                     .map(|(s, e, _)| e - s)
                     .sum();
-                return Err(VerifyError::IncompleteResult {
+                return Err(VerifyError::WrongResult {
                     rank: r as u32,
                     correct_bytes: correct,
                     expected_bytes: self.vector_bytes,
@@ -164,11 +164,7 @@ mod tests {
         let cov = (0..p)
             .map(|r| {
                 if good || r != 1 {
-                    let mut m = CoverageMap::empty();
-                    for c in 0..p {
-                        m.union_merge(&CoverageMap::singleton(c, 0, n), 0, n);
-                    }
-                    m
+                    CoverageMap::ranks(0..p, 0, n)
                 } else {
                     CoverageMap::singleton(r, 0, n)
                 }
@@ -200,7 +196,7 @@ mod tests {
     fn verify_fails_for_incomplete_rank() {
         let err = report(4, 64, false).verify_allreduce().unwrap_err();
         match err {
-            VerifyError::IncompleteResult {
+            VerifyError::WrongResult {
                 rank,
                 correct_bytes,
                 expected_bytes,

@@ -649,9 +649,10 @@ impl<'a> SimState<'a> {
         }
         // Continuation worlds (the partition re-reduce) start nodes from
         // checkpointed shared-buffer state instead of empty buffers.
-        for (node, id, cov) in &world.preset_shared {
-            if (*node as usize) < st.shared.len() {
-                st.shared[*node as usize].insert(*id, cov.clone());
+        for (node, id, range, ranks) in &world.preset_shared {
+            if let Some(bufs) = st.shared.get_mut(*node as usize) {
+                let cov = CoverageMap::ranks(ranks.clone(), range.start, range.end);
+                bufs.insert(*id, cov);
             }
         }
         if let Some(plan) = st.faults {
@@ -1892,8 +1893,8 @@ mod tests {
         // only if both recvs landed in order without clobbering... the
         // second recv overwrites [50,100) only. Verify via coverage of the
         // scratch-reduced result: rank 1 holds {0,1} everywhere.
-        let full = crate::coverage::RankSet::full(2);
-        assert!(rep.result_coverage[1].covers_exactly(0, n, &full));
+        let full = crate::coverage::Contrib::full(2);
+        assert!(rep.result_coverage[1].covers_exactly(0, n, full));
     }
 
     #[test]
@@ -2588,15 +2589,8 @@ mod tests {
         // Each node's shared buffer 7 starts fully reduced; copying it
         // out is the whole program, and the world verifies as an
         // allreduce.
-        let full = {
-            let mut m = CoverageMap::empty();
-            for r in 0..2 {
-                m.union_merge(&CoverageMap::singleton(r, 0, n), 0, n);
-            }
-            m
-        };
         for node in 0..2 {
-            w.preset_shared(node, 7, full.clone());
+            w.preset_shared(node, 7, ByteRange::whole(n), 0..2);
         }
         for r in 0..2u32 {
             w.rank(Rank(r))
@@ -2605,7 +2599,7 @@ mod tests {
         let rep = Simulator::new(&cfg).run(&w).unwrap();
         rep.verify_allreduce().unwrap();
         // A later preset of the same buffer replaces the earlier one.
-        w.preset_shared(1, 7, CoverageMap::singleton(1, 0, n));
+        w.preset_shared(1, 7, ByteRange::whole(n), 1..2);
         let rep = Simulator::new(&cfg).run(&w).unwrap();
         assert!(rep.verify_allreduce().is_err());
     }
