@@ -1,9 +1,11 @@
 //! Untimed interpreter: what a [`WorldProgram`] computes, with no clock.
 //!
-//! The simulator answers *when*; this module answers *what*. Ranks run
-//! round-robin, each until it blocks (in `WaitAll`, `Barrier` or `Sharp`)
-//! or ends. A sweep in which no rank moves ends in
-//! [`ExecError::Deadlock`] instead of a hang.
+//! The simulator answers *when*; this module answers *what*. Both are
+//! hosts of one instruction stepper, so matching and rendezvous follow
+//! the same rules. Ranks run round-robin, each until it blocks (in
+//! `WaitAll`, `Barrier` or `Sharp`) or ends; a sweep that resumes no rank
+//! ends in [`ExecError::Deadlock`] instead of a hang. A send snapshots its
+//! range when posted and never blocks.
 //!
 //! Values live in the *lanes* domain: one `u64` per byte. Rank `r`'s input
 //! at byte `b` is `lane(r, b)`, a splitmix hash. `Reduce` is
@@ -14,19 +16,17 @@
 //! shows as a wrong value. The simulator's coverage sums catch the same
 //! defects (`lane(r, 0)` is its per-rank hash), but once per segment
 //! rather than per byte; the lanes also see a byte moved to another
-//! offset, which no instruction can do.
-//!
-//! Matching follows the simulator: messages match FIFO per (source, tag),
-//! and a send snapshots its range when posted and never blocks. Barrier
-//! `id` and SHArP group `g` rendezvous once per occurrence, keyed by the
-//! id and how many times the rank has entered it before. A
-//! `preset_shared` entry becomes, per byte of its range, the lane sum of
-//! its contributor ranks.
+//! offset, which no instruction can do. A `preset_shared` entry becomes,
+//! per byte of its range, the lane sum of its contributor ranks.
 
-use crate::program::{BufKey, ByteRange, Instr, Tag, WorldProgram, BUF_INPUT, BUF_RESULT};
+use crate::program::{BufKey, ByteRange, WorldProgram, BUF_INPUT, BUF_RESULT};
+use crate::stepper::{
+    Arrival, Host, Local, Meet, Outgoing, Sent, Status, Step, Stepper, UnknownGroup,
+};
+use crate::trace::Phase;
 use dpml_faults::splitmix64;
 use dpml_topology::{Rank, RankMap};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Rank `rank`'s input value at byte `byte`.
 fn lane(rank: u32, byte: u64) -> u64 {
@@ -105,311 +105,237 @@ pub fn check_allreduce(world: &WorldProgram, map: &RankMap) -> Result<(), ExecEr
 
 /// Interpret `world` on `map` to completion and return the result lanes.
 pub fn run(world: &WorldProgram, map: &RankMap) -> Result<Lanes, ExecError> {
-    let mut m = Machine::new(world, map);
-    loop {
-        let mut moved = false;
-        for r in 0..m.ranks.len() {
-            moved |= m.step(r)?;
-        }
-        let blocked: Vec<u32> = (0..m.ranks.len())
-            .filter(|&r| !m.finished(r))
-            .map(|r| r as u32)
-            .collect();
-        if blocked.is_empty() {
-            break;
-        }
-        if !moved {
-            return Err(ExecError::Deadlock { blocked });
+    let mut steps = Stepper::new(world);
+    let mut mem = Memory::new(world, map);
+    let p = world.world_size();
+    // Sweep the ranks round-robin until a sweep resumes none.
+    let mut moved = true;
+    while moved {
+        moved = false;
+        for r in 0..p {
+            if std::mem::take(&mut mem.ready[r as usize]) && steps.live(r) {
+                steps.resume(r, &mut mem)?;
+                moved = true;
+            }
         }
     }
+    let blocked: Vec<u32> = (0..p)
+        .filter(|&r| steps.status(r) != Status::Done)
+        .collect();
+    if !blocked.is_empty() {
+        return Err(ExecError::Deadlock { blocked });
+    }
     let n = world.vector_bytes;
-    let results = (0..m.ranks.len())
-        .map(|r| m.read(r, BUF_RESULT, ByteRange::whole(n)))
+    let results = (0..p)
+        .map(|r| mem.read(r, BUF_RESULT, ByteRange::whole(n)))
         .collect();
     Ok(Lanes { results })
 }
 
-/// Message matching key: (destination, source, tag).
-type MsgKey = (u32, u32, Tag);
-
-/// A barrier or SHArP occurrence: (group kind and id, occurrence number).
-type MeetKey = (Meet, u32);
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Meet {
-    Barrier(u32),
-    Sharp(u32),
-}
-
-/// One rendezvous: how many arrived, and for SHArP the running sum and
-/// the buffers it lands in.
+/// One SHArP occurrence: the running sum and the buffers it lands in.
 #[derive(Default)]
-struct MeetState {
-    arrived: usize,
-    dsts: Vec<(usize, BufKey)>,
+struct SharpSum {
     range: Option<ByteRange>,
     accum: Vec<u64>,
-    done: bool,
+    dsts: Vec<(u32, BufKey)>,
 }
 
-#[derive(Default)]
-struct RankState {
-    pc: usize,
-    bufs: HashMap<u32, Vec<u64>>,
-    /// Completion flag per request, in issue order.
-    reqs: Vec<bool>,
-    /// Occurrences of each barrier / SHArP group entered so far.
-    seen: HashMap<Meet, u32>,
-    /// The rendezvous this rank is blocked in.
-    waiting: Option<MeetKey>,
-}
-
-struct Machine<'w> {
-    world: &'w WorldProgram,
+/// The untimed host: every buffer's lanes, and which ranks may run.
+struct Memory<'w> {
     map: &'w RankMap,
-    ranks: Vec<RankState>,
-    shared: Vec<HashMap<u32, Vec<u64>>>,
-    /// Sent, unmatched payloads, FIFO.
-    inbox: HashMap<MsgKey, VecDeque<(ByteRange, Vec<u64>)>>,
-    /// Posted, unmatched receives: (request, buffer), FIFO.
-    posted: HashMap<MsgKey, VecDeque<(usize, BufKey)>>,
-    meets: HashMap<MeetKey, MeetState>,
+    /// Lanes by buffer and owner: the rank for a private buffer, the node
+    /// for a shared one.
+    bufs: HashMap<(BufKey, u32), Vec<u64>>,
+    /// Sent payloads, taken when matched.
+    msgs: Vec<(ByteRange, Vec<u64>)>,
+    /// Per SHArP occurrence.
+    sums: Vec<SharpSum>,
+    /// Ranks to resume in the next sweep.
+    ready: Vec<bool>,
 }
 
-impl<'w> Machine<'w> {
-    fn new(world: &'w WorldProgram, map: &'w RankMap) -> Self {
+impl<'w> Memory<'w> {
+    fn new(world: &WorldProgram, map: &'w RankMap) -> Self {
         let n = world.vector_bytes;
-        let mut shared = vec![HashMap::new(); map.spec().num_nodes as usize];
+        let p = world.world_size();
+        let mut bufs: HashMap<_, Vec<u64>> = (0..p)
+            .map(|r| ((BUF_INPUT, r), (0..n).map(|b| lane(r, b)).collect()))
+            .collect();
         for (node, id, range, ranks) in &world.preset_shared {
-            let Some(bufs) = shared.get_mut(*node as usize) else {
-                continue;
+            let sum = |b| {
+                ranks
+                    .clone()
+                    .fold(0u64, |acc, q| acc.wrapping_add(lane(q, b)))
             };
-            let mut buf = Vec::new();
-            grow(&mut buf, range.end);
-            for b in range.start..range.end {
-                buf[b as usize] = ranks.clone().fold(0, |acc, q| acc.wrapping_add(lane(q, b)));
-            }
-            bufs.insert(*id, buf);
+            let buf = (0..range.end)
+                .map(|b| if b < range.start { 0 } else { sum(b) })
+                .collect();
+            bufs.insert((BufKey::Shared(*id), *node), buf);
         }
-        let mut m = Machine {
-            world,
+        Memory {
             map,
-            ranks: (0..world.world_size())
-                .map(|_| RankState::default())
-                .collect(),
-            shared,
-            inbox: HashMap::new(),
-            posted: HashMap::new(),
-            meets: HashMap::new(),
-        };
-        for r in 0..world.world_size() {
-            let input: Vec<u64> = (0..n).map(|b| lane(r, b)).collect();
-            m.write(r as usize, BUF_INPUT, ByteRange::whole(n), &input);
+            bufs,
+            msgs: Vec::new(),
+            sums: Vec::new(),
+            ready: vec![true; p as usize],
         }
-        m
     }
 
-    fn finished(&self, r: usize) -> bool {
-        let st = &self.ranks[r];
-        st.waiting.is_none() && st.pc >= self.world.programs[r].instrs.len()
-    }
-
-    fn buf_mut(&mut self, r: usize, key: BufKey) -> &mut Vec<u64> {
+    /// Where rank `r`'s buffer `key` lives.
+    fn at(&self, r: u32, key: BufKey) -> (BufKey, u32) {
         match key {
-            BufKey::Priv(id) => self.ranks[r].bufs.entry(id).or_default(),
-            BufKey::Shared(id) => {
-                let node = self.map.node_of(Rank(r as u32)).index();
-                self.shared[node].entry(id).or_default()
-            }
+            BufKey::Priv(_) => (key, r),
+            BufKey::Shared(_) => (key, self.map.node_of(Rank(r)).0),
         }
     }
 
     /// `key[range]` of rank `r`; absent or short buffers read as zero.
-    fn read(&self, r: usize, key: BufKey, range: ByteRange) -> Vec<u64> {
+    fn read(&self, r: u32, key: BufKey, range: ByteRange) -> Vec<u64> {
         let mut out = vec![0; range.len() as usize];
         self.fold(&mut out, r, key, range);
         out
     }
 
     /// `acc += key[range]` of rank `r`, lane by lane.
-    fn fold(&self, acc: &mut [u64], r: usize, key: BufKey, range: ByteRange) {
-        let buf = match key {
-            BufKey::Priv(id) => self.ranks[r].bufs.get(&id),
-            BufKey::Shared(id) => {
-                let node = self.map.node_of(Rank(r as u32)).index();
-                self.shared[node].get(&id)
-            }
-        };
-        let buf = buf.map_or(&[][..], Vec::as_slice);
+    fn fold(&self, acc: &mut [u64], r: u32, key: BufKey, range: ByteRange) {
+        let buf = self
+            .bufs
+            .get(&self.at(r, key))
+            .map_or(&[][..], Vec::as_slice);
         let (s, e) = (range.start as usize, buf.len().min(range.end as usize));
         for (a, v) in acc.iter_mut().zip(buf.get(s..e).unwrap_or_default()) {
             *a = a.wrapping_add(*v);
         }
     }
 
-    fn write(&mut self, r: usize, key: BufKey, range: ByteRange, vals: &[u64]) {
-        let buf = self.buf_mut(r, key);
-        grow(buf, range.end);
+    /// `key[range] = vals` on rank `r`, zero-extending the buffer.
+    fn write(&mut self, r: u32, key: BufKey, range: ByteRange, vals: &[u64]) {
+        let buf = self.bufs.entry(self.at(r, key)).or_default();
+        if (buf.len() as u64) < range.end {
+            buf.resize(range.end as usize, 0);
+        }
         buf[range.start as usize..range.end as usize].copy_from_slice(vals);
-    }
-
-    /// Run rank `r` until it blocks or ends; true when it moved.
-    fn step(&mut self, r: usize) -> Result<bool, ExecError> {
-        let world = self.world;
-        let prog = &world.programs[r];
-        let mut moved = false;
-        loop {
-            if let Some(key) = self.ranks[r].waiting {
-                if !self.meets[&key].done {
-                    return Ok(moved);
-                }
-                self.ranks[r].waiting = None;
-                moved = true;
-            }
-            let Some(instr) = prog.instrs.get(self.ranks[r].pc) else {
-                return Ok(moved);
-            };
-            match instr {
-                Instr::WaitAll { reqs } => {
-                    let st = &self.ranks[r];
-                    if !reqs
-                        .iter()
-                        .all(|q| st.reqs.get(q.0 as usize) == Some(&true))
-                    {
-                        return Ok(moved);
-                    }
-                }
-                Instr::ISend {
-                    to,
-                    tag,
-                    src,
-                    range,
-                } => {
-                    self.ranks[r].reqs.push(true);
-                    let payload = self.read(r, *src, *range);
-                    let key = (to.0, r as u32, *tag);
-                    match self.posted.get_mut(&key).and_then(VecDeque::pop_front) {
-                        Some((req, dst)) => {
-                            self.write(to.index(), dst, *range, &payload);
-                            self.ranks[to.index()].reqs[req] = true;
-                        }
-                        None => self
-                            .inbox
-                            .entry(key)
-                            .or_default()
-                            .push_back((*range, payload)),
-                    }
-                }
-                Instr::IRecv { from, tag, dst } => {
-                    let req = self.ranks[r].reqs.len();
-                    let key = (r as u32, from.0, *tag);
-                    match self.inbox.get_mut(&key).and_then(VecDeque::pop_front) {
-                        Some((range, payload)) => {
-                            self.write(r, *dst, range, &payload);
-                            self.ranks[r].reqs.push(true);
-                        }
-                        None => {
-                            self.ranks[r].reqs.push(false);
-                            self.posted.entry(key).or_default().push_back((req, *dst));
-                        }
-                    }
-                }
-                Instr::Copy {
-                    src, dst, range, ..
-                } => {
-                    let vals = self.read(r, *src, *range);
-                    self.write(r, *dst, *range, &vals);
-                }
-                Instr::Reduce { srcs, dst, range } => {
-                    let mut acc = self.read(r, *dst, *range);
-                    for src in srcs {
-                        self.fold(&mut acc, r, *src, *range);
-                    }
-                    self.write(r, *dst, *range, &acc);
-                }
-                Instr::Compute { .. } => {}
-                Instr::Barrier { id } => self.arrive(r, Meet::Barrier(*id), None)?,
-                Instr::Sharp {
-                    group,
-                    src,
-                    dst,
-                    range,
-                } => self.arrive(r, Meet::Sharp(*group), Some((*src, *dst, *range)))?,
-            }
-            self.ranks[r].pc += 1;
-            moved = true;
-        }
-    }
-
-    /// Rank `r` enters its next occurrence of `meet`, contributing
-    /// `src[range]` to a SHArP sum that overwrites every member's
-    /// `dst[range]` once the last member arrives.
-    fn arrive(
-        &mut self,
-        r: usize,
-        meet: Meet,
-        sharp: Option<(BufKey, BufKey, ByteRange)>,
-    ) -> Result<(), ExecError> {
-        let members = match meet {
-            Meet::Barrier(id) => self
-                .world
-                .barriers
-                .get(&id)
-                .ok_or(ExecError::UnknownGroup("barrier", id)),
-            Meet::Sharp(id) => self
-                .world
-                .sharp_groups
-                .get(&id)
-                .ok_or(ExecError::UnknownGroup("sharp group", id)),
-        }?
-        .len();
-        let seq = self.ranks[r].seen.entry(meet).or_default();
-        let key = (meet, *seq);
-        *seq += 1;
-        let contribution = sharp.map(|(src, dst, range)| (dst, range, self.read(r, src, range)));
-        let st = self.meets.entry(key).or_default();
-        if let Some((dst, range, vals)) = contribution {
-            let prev = *st.range.get_or_insert(range);
-            assert_eq!(prev, range, "sharp group members disagree on range");
-            st.accum.resize(vals.len(), 0);
-            for (a, v) in st.accum.iter_mut().zip(vals) {
-                *a = a.wrapping_add(v);
-            }
-            st.dsts.push((r, dst));
-        }
-        st.arrived += 1;
-        self.ranks[r].waiting = Some(key);
-        if st.arrived == members {
-            st.done = true;
-            if let Some(range) = st.range {
-                let (dsts, accum) = (std::mem::take(&mut st.dsts), std::mem::take(&mut st.accum));
-                for (m, dst) in dsts {
-                    self.write(m, dst, range, &accum);
-                }
-            }
-        }
-        Ok(())
     }
 }
 
-/// Extend `buf` with zero lanes to at least `len`.
-fn grow(buf: &mut Vec<u64>, len: u64) {
-    if (buf.len() as u64) < len {
-        buf.resize(len as usize, 0);
+impl<'w> Host<'w> for Memory<'_> {
+    type Msg = usize;
+    type Error = ExecError;
+
+    fn send(&mut self, r: u32, _: Phase, _: u32, (_, _, src, range): Outgoing) -> Sent<usize> {
+        self.msgs.push((range, self.read(r, src, range)));
+        Sent::Arrived(self.msgs.len() - 1)
     }
+
+    fn recv(&mut self, r: u32, m: usize, dst: BufKey) {
+        let (range, payload) = &mut self.msgs[m];
+        let (range, payload) = (*range, std::mem::take(payload));
+        self.write(r, dst, range, &payload);
+    }
+
+    fn local(&mut self, r: u32, _: Phase, op: Local<'w>, dst: BufKey, range: ByteRange) -> Step {
+        let vals = match op {
+            Local::Copy(src, _) => self.read(r, src, range),
+            Local::Reduce(srcs) => {
+                let mut acc = self.read(r, dst, range);
+                for src in srcs {
+                    self.fold(&mut acc, r, *src, range);
+                }
+                acc
+            }
+        };
+        self.write(r, dst, range, &vals);
+        Step::Next
+    }
+
+    fn compute(&mut self, _: u32, _: Phase, _: f64) -> Step {
+        Step::Next
+    }
+
+    fn join(
+        &mut self,
+        r: u32,
+        _: Phase,
+        meet: Meet,
+        arrival: Result<Arrival<'w>, UnknownGroup>,
+    ) -> Result<(), ExecError> {
+        let arrival =
+            arrival.map_err(|UnknownGroup(kind, id)| ExecError::UnknownGroup(kind, id))?;
+        let Meet::Sharp(_, src, dst, range) = meet else {
+            if arrival.last {
+                for m in arrival.members {
+                    self.ready[m.index()] = true;
+                }
+            }
+            return Ok(());
+        };
+        if arrival.occurrence == self.sums.len() {
+            self.sums.push(SharpSum::default());
+        }
+        let mut sum = std::mem::take(&mut self.sums[arrival.occurrence]);
+        let prev = *sum.range.get_or_insert(range);
+        assert_eq!(prev, range, "sharp group members disagree on range");
+        sum.accum.resize(range.len() as usize, 0);
+        self.fold(&mut sum.accum, r, src, range);
+        sum.dsts.push((r, dst));
+        if !arrival.last {
+            self.sums[arrival.occurrence] = sum;
+            return Ok(());
+        }
+        for (m, dst) in sum.dsts {
+            self.write(m, dst, range, &sum.accum);
+            self.ready[m as usize] = true;
+        }
+        Ok(())
+    }
+
+    fn wait(&mut self, _: u32, _: Phase) {}
+
+    fn wake(&mut self, r: u32, _: usize) {
+        self.ready[r as usize] = true;
+    }
+
+    fn done(&mut self, _: u32) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coverage::Contrib;
-    use crate::report::VerifyError;
-    use crate::sim::{SimConfig, Simulator};
+    use crate::report::{RunReport, VerifyError};
+    use crate::sim::{SharpOracle, SimConfig, SimError, Simulator};
     use dpml_fabric::presets::cluster_b;
     use dpml_topology::ClusterSpec;
 
     fn map(nodes: u32, ppn: u32) -> RankMap {
         RankMap::block(&ClusterSpec::new(nodes, 2, 14, ppn).unwrap())
+    }
+
+    /// One SHArP op at a time, 1 µs each.
+    struct Serial;
+    impl SharpOracle for Serial {
+        fn op_time(&self, _members: &[Rank], _bytes: u64) -> f64 {
+            1e-6
+        }
+        fn max_concurrent_ops(&self) -> u32 {
+            1
+        }
+    }
+
+    /// The timed host's run of `w` on cluster B.
+    fn simulate(w: &WorldProgram, m: &RankMap) -> Result<RunReport, SimError> {
+        let preset = cluster_b();
+        let cfg = SimConfig::new(m.clone(), preset.fabric, preset.switch).unwrap();
+        Simulator::new(&cfg).with_sharp(&Serial).run(w)
+    }
+
+    /// Both hosts run `w` to the end and give the same allreduce verdict;
+    /// returns it.
+    fn agreed(w: &WorldProgram, m: &RankMap) -> bool {
+        let lanes = check_allreduce(w, m).is_ok();
+        let coverage = simulate(w, m).unwrap().verify_allreduce().is_ok();
+        assert_eq!(lanes, coverage, "the hosts disagree");
+        lanes
     }
 
     /// Two ranks on two nodes: copy the input to the result, exchange
@@ -484,6 +410,11 @@ mod tests {
                 blocked: vec![0, 1]
             }
         );
+        let Err(SimError::Deadlock { blocked }) = simulate(&w, &map(2, 1)) else {
+            panic!("the engine must deadlock too");
+        };
+        let ranks: Vec<u32> = blocked.iter().map(|b| b.0).collect();
+        assert_eq!(ranks, vec![0, 1]);
     }
 
     #[test]
@@ -503,11 +434,31 @@ mod tests {
                 ByteRange::whole(n),
             );
         }
-        check_allreduce(&w, &map(1, 2)).unwrap();
+        assert!(agreed(&w, &map(1, 2)));
+        // Barrier 0 again, twice: the first keeps each rank from
+        // overwriting its deposit before the peer folded it, the second
+        // from reading the peer's before it is written.
+        for r in 0..2u32 {
+            let p = w.rank(Rank(r));
+            p.barrier(0);
+            p.copy(BUF_RESULT, BufKey::Shared(r), ByteRange::whole(n), false);
+            p.barrier(0);
+            p.copy(
+                BufKey::Shared(1 - r),
+                BUF_RESULT,
+                ByteRange::whole(n),
+                false,
+            );
+        }
+        assert!(agreed(&w, &map(1, 2)));
         w.rank(Rank(0)).barrier(7);
         assert_eq!(
             run(&w, &map(1, 2)),
             Err(ExecError::UnknownGroup("barrier", 7))
+        );
+        assert_eq!(
+            simulate(&w, &map(1, 2)).unwrap_err(),
+            SimError::UnknownGroup("barrier", 7)
         );
     }
 
@@ -520,7 +471,7 @@ mod tests {
             w.rank(Rank(r))
                 .sharp(0, BUF_INPUT, BUF_RESULT, ByteRange::whole(n));
         }
-        check_allreduce(&w, &map(3, 1)).unwrap();
+        assert!(agreed(&w, &map(3, 1)));
         // A second occurrence sums the sums: three times the allreduce.
         for r in 0..3u32 {
             w.rank(Rank(r))
@@ -529,6 +480,8 @@ mod tests {
         let lanes = run(&w, &map(3, 1)).unwrap();
         let sum = (0..3).fold(0u64, |a, r| a.wrapping_add(lane(r, 9)));
         assert_eq!(lanes.results[2][9], sum.wrapping_mul(3));
+        assert!(!agreed(&w, &map(3, 1)));
+        assert_eq!(simulate(&w, &map(3, 1)).unwrap().stats.sharp_ops, 2);
     }
 
     #[test]

@@ -29,6 +29,16 @@
 //! so a simulated collective cannot be "fast but wrong". The untimed
 //! interpreter in [`exec`] checks the same arithmetic per byte, with no
 //! clock.
+//!
+//! ## One stepper, two hosts
+//!
+//! The engine and [`exec`] do not each interpret [`program::Instr`]: both
+//! are hosts of one crate-private instruction stepper. It owns every
+//! rank's program counter, request states and status, FIFO message
+//! matching per (destination, source, tag), and the barrier and SHArP
+//! rendezvous (each id has at most one open occurrence; the last member
+//! to arrive closes it). The hosts own what the effects cost and what they
+//! compute.
 
 pub mod coverage;
 pub mod critical;
@@ -39,6 +49,7 @@ pub mod queue;
 pub mod report;
 pub mod resources;
 pub mod sim;
+mod stepper;
 pub mod time;
 pub mod trace;
 

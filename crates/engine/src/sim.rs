@@ -2,8 +2,10 @@
 //!
 //! See the crate docs for the timing model. Implementation notes:
 //!
-//! * Every rank is a sequential interpreter over its [`crate::program::Program`]; blocking
-//!   instructions suspend it until an event resumes it.
+//! * Ranks step through their [`crate::program::Program`]s in the crate's
+//!   instruction stepper, which owns message matching and rendezvous; this
+//!   module is its timed host. A rank parks on each effect it is charged
+//!   time for, and on blocking instructions, until an event resumes it.
 //! * Transfers (network messages, copies, reductions) are fluid flows in a
 //!   [`FluidSystem`]; after any flow-set change the rates are recomputed and
 //!   a generation-stamped `FlowWake` event is scheduled at the earliest
@@ -17,10 +19,13 @@
 //! * Event ties are broken by insertion sequence, making runs deterministic.
 
 use crate::coverage::CoverageMap;
-use crate::program::{BufKey, ByteRange, Instr, ReqId, Tag, WorldProgram, BUF_RESULT};
+use crate::program::{BufKey, ByteRange, Tag, WorldProgram, BUF_RESULT};
 use crate::queue::EventQueue;
 use crate::report::{ResourceUsage, RunReport, RunStats};
 use crate::resources::{FlowId, FluidSystem, ResourceId};
+use crate::stepper::{
+    Arrival, Host, Local, Meet, Outgoing, Sent, Status, Step, Stepper, UnknownGroup,
+};
 use crate::time::SimTime;
 use crate::trace::{MsgTrace, Phase, Release, Span, SpanKind, Trace};
 use dpml_fabric::Fabric;
@@ -209,13 +214,12 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 enum Ev {
     Resume(u32),
     Inject(usize),
     NicService(u32),
-    CopyStart(u32),
-    ReduceStart(u32),
+    LocalStart(u32),
     FlowWake(u64),
     MsgArrive(usize),
     SharpDone(usize),
@@ -233,36 +237,10 @@ enum Ev {
 /// that would otherwise each trigger a global refill.
 const RECOMPUTE_QUANTUM: f64 = 25e-9;
 
-#[derive(Debug, Clone, PartialEq)]
-enum ReqState {
-    SendPending,
-    RecvPending { dst: BufKey },
-    Done,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum Status {
-    Ready,
-    Busy,
-    OnWait,
-    OnBarrier,
-    OnSharp,
-    Done,
-    /// Fail-stop crashed: never runs again, never finishes.
-    Dead,
-}
-
 #[derive(Debug)]
 enum ApplyKind {
     Overwrite,
     Union,
-}
-
-#[derive(Debug)]
-struct PendingLocal {
-    kind: LocalKind,
-    dst: BufKey,
-    range: ByteRange,
 }
 
 /// A local copy/reduce whose fluid flow is draining; applied to the
@@ -280,20 +258,11 @@ struct PendingApply {
     attempts: u32,
 }
 
-#[derive(Debug)]
-enum LocalKind {
-    Copy { src: BufKey, cross_socket: bool },
-    Reduce { srcs: Vec<BufKey> },
-}
-
-struct RankState {
-    pc: usize,
-    status: Status,
+struct RankState<'a> {
     blocked_span: Option<(SpanKind, SimTime, u64, Phase)>,
     bufs: HashMap<u32, CoverageMap>,
-    reqs: Vec<ReqState>,
-    waiting: Vec<ReqId>,
-    pending_local: Option<PendingLocal>,
+    /// A local op in its startup latency: (op, dst, range).
+    pending_local: Option<(Local<'a>, BufKey, ByteRange)>,
     pending_apply: Option<PendingApply>,
     finish: Option<SimTime>,
     /// The event that most recently unblocked this rank (traced runs
@@ -307,8 +276,8 @@ struct Msg {
     tag: Tag,
     range: ByteRange,
     payload: CoverageMap,
-    send_req: (u32, u32),
-    eager: bool,
+    /// The sender's request for this send.
+    send_req: u32,
     intra: bool,
     cross_socket: bool,
     hops: u32,
@@ -335,20 +304,12 @@ enum FlowToken {
     Local(u32),
 }
 
-struct BarrierState {
-    arrived: u32,
-    released: bool,
-}
-
 struct SharpOpState {
     group: u32,
-    arrived: u32,
     accum: CoverageMap,
     range: Option<ByteRange>,
     /// `(rank, destination buffer)` of every member, resumed on completion.
     dsts: Vec<(Rank, BufKey)>,
-    started: bool,
-    done: bool,
     /// Last member to join and when — the op's release dependency for the
     /// critical-path walk.
     last_join: Option<(u32, SimTime)>,
@@ -424,16 +385,7 @@ impl<'a> Simulator<'a> {
 
     /// Execute a world program to completion.
     pub fn run(&self, world: &WorldProgram) -> Result<RunReport, SimError> {
-        let mut st = SimState::new(
-            self.cfg,
-            world,
-            self.sharp,
-            self.event_budget,
-            self.time_budget,
-            self.faults,
-            self.fault_attempt,
-            self.trace,
-        );
+        let mut st = SimState::new(self, world);
         if let Err(e) = st.run() {
             crate::flight::global().record("sim.error", None, format!("{e}"));
             return Err(e);
@@ -476,32 +428,24 @@ impl<'a> Simulator<'a> {
 }
 
 struct SimState<'a> {
+    sim: &'a Simulator<'a>,
     cfg: &'a SimConfig,
     world: &'a WorldProgram,
-    oracle: Option<&'a dyn SharpOracle>,
     now: SimTime,
     events: EventQueue<Ev>,
-    ranks: Vec<RankState>,
+    ranks: Vec<RankState<'a>>,
     shared: Vec<HashMap<u32, CoverageMap>>,
     msgs: Vec<Msg>,
-    recv_waiting: HashMap<(u32, u32, Tag), VecDeque<(u32, u32)>>,
-    arrived: HashMap<(u32, u32, Tag), VecDeque<usize>>,
     nic_queue: Vec<VecDeque<usize>>,
     nic_busy: Vec<bool>,
     fluid: FluidSystem<FlowToken>,
     flow_gen: u64,
     flow_of_msg: HashMap<usize, FlowId>,
     flow_of_rank: HashMap<u32, FlowId>,
-    barriers: HashMap<u32, BarrierState>,
     sharp_ops: Vec<SharpOpState>,
-    sharp_op_of_group: HashMap<u32, usize>,
     sharp_queue: VecDeque<usize>,
     sharp_active: u32,
     stats: RunStats,
-    event_budget: u64,
-    time_budget: f64,
-    faults: Option<&'a FaultPlan>,
-    fault_attempt: u32,
     /// Per-rank jitter draw counters (deterministic noise stream).
     noise_draws: Vec<u64>,
     /// Per-rank data-fault draw counters (wire outcomes and shm flips;
@@ -530,17 +474,8 @@ struct SimState<'a> {
 }
 
 impl<'a> SimState<'a> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        cfg: &'a SimConfig,
-        world: &'a WorldProgram,
-        oracle: Option<&'a dyn SharpOracle>,
-        event_budget: u64,
-        time_budget: f64,
-        faults: Option<&'a FaultPlan>,
-        fault_attempt: u32,
-        trace: bool,
-    ) -> Self {
+    fn new(sim: &'a Simulator<'a>, world: &'a WorldProgram) -> Self {
+        let cfg = sim.cfg;
         let p = world.world_size();
         assert_eq!(p, cfg.map.world_size(), "program size must match cluster");
         let h = cfg.map.spec().num_nodes as usize;
@@ -575,7 +510,7 @@ impl<'a> SimState<'a> {
         let res_proc_cpu = (0..p)
             .map(|_| fluid.add_resource(mem.per_proc_copy_bw))
             .collect();
-        if trace {
+        if sim.trace {
             // Profiled runs also account per-resource occupancy.
             fluid.enable_utilization();
         }
@@ -585,12 +520,8 @@ impl<'a> SimState<'a> {
                 let mut bufs = HashMap::new();
                 bufs.insert(0, world.initial_input(Rank(r)));
                 RankState {
-                    pc: 0,
-                    status: Status::Ready,
                     blocked_span: None,
                     bufs,
-                    reqs: Vec::new(),
-                    waiting: Vec::new(),
                     pending_local: None,
                     pending_apply: None,
                     finish: None,
@@ -600,32 +531,24 @@ impl<'a> SimState<'a> {
             .collect();
 
         let mut st = SimState {
+            sim,
             cfg,
             world,
-            oracle,
             now: SimTime::ZERO,
             events: EventQueue::new(),
             ranks,
             shared: (0..h).map(|_| HashMap::new()).collect(),
             msgs: Vec::new(),
-            recv_waiting: HashMap::new(),
-            arrived: HashMap::new(),
             nic_queue: (0..h).map(|_| VecDeque::new()).collect(),
             nic_busy: vec![false; h],
             fluid,
             flow_gen: 0,
             flow_of_msg: HashMap::new(),
             flow_of_rank: HashMap::new(),
-            barriers: HashMap::new(),
             sharp_ops: Vec::new(),
-            sharp_op_of_group: HashMap::new(),
             sharp_queue: VecDeque::new(),
             sharp_active: 0,
             stats: RunStats::default(),
-            event_budget,
-            time_budget,
-            faults,
-            fault_attempt,
             noise_draws: vec![0; p as usize],
             data_draws: vec![0; p as usize],
             node_bw_factor: vec![1.0; h],
@@ -634,7 +557,7 @@ impl<'a> SimState<'a> {
             recompute_pending: false,
             first_crash: None,
             aborted_ops: Vec::new(),
-            trace: trace.then(Trace::default),
+            trace: sim.trace.then(Trace::default),
             res_tx,
             res_rx,
             res_mem,
@@ -655,7 +578,7 @@ impl<'a> SimState<'a> {
                 bufs.insert(*id, cov);
             }
         }
-        if let Some(plan) = st.faults {
+        if let Some(plan) = sim.faults {
             // One capacity-refresh event per degrade/restore boundary;
             // between boundaries the factors are constant. A zero plan has
             // no boundaries and schedules nothing.
@@ -686,7 +609,7 @@ impl<'a> SimState<'a> {
     /// Refresh per-node NIC capacities and message-rate factors from the
     /// fault plan's link windows active at the current time.
     fn apply_link_faults(&mut self) {
-        let Some(plan) = self.faults else { return };
+        let Some(plan) = self.sim.faults else { return };
         let clk = FaultClock::new(plan);
         let t = self.now.seconds();
         let nominal = self.cfg.fabric.nic.node_bw;
@@ -704,7 +627,7 @@ impl<'a> SimState<'a> {
     /// The rank's next deterministic noise stretch factor (exactly 1.0
     /// when no faults are injected — fault-free timing must not move).
     fn noise_factor(&mut self, r: u32) -> f64 {
-        match self.faults {
+        match self.sim.faults {
             None => 1.0,
             Some(plan) => {
                 let c = self.noise_draws[r as usize];
@@ -750,8 +673,9 @@ impl<'a> SimState<'a> {
     }
 
     fn run(&mut self) -> Result<(), SimError> {
+        let mut steps = Stepper::new(self.world);
         let mut processed: u64 = 0;
-        while self.pump_one(&mut processed)? {}
+        while self.pump_one(&mut steps, &mut processed)? {}
         self.stats.events = processed;
         if self.ranks.iter().any(|r| r.finish.is_none()) {
             // A fail-stop crash takes precedence over deadlock/link
@@ -760,12 +684,12 @@ impl<'a> SimState<'a> {
             // rank. Report the structured ledger.
             if let Some((rank, t)) = self.first_crash {
                 let mut pending_ops = std::mem::take(&mut self.aborted_ops);
-                for (i, rs) in self.ranks.iter().enumerate() {
-                    if rs.finish.is_none() && !matches!(rs.status, Status::Dead) {
+                for (i, rs) in (0..).zip(&self.ranks) {
+                    if rs.finish.is_none() && steps.status(i) != Status::Dead {
                         pending_ops.push(PendingOp {
-                            rank: i as u32,
-                            pc: rs.pc,
-                            what: format!("survivor blocked ({:?})", rs.status),
+                            rank: i,
+                            pc: steps.pc(i),
+                            what: format!("survivor blocked ({:?})", steps.status(i)),
                         });
                     }
                 }
@@ -785,12 +709,10 @@ impl<'a> SimState<'a> {
             }) {
                 return Err(SimError::LinkDown { node: h as u32 });
             }
-            let blocked = self
-                .ranks
-                .iter()
-                .enumerate()
+            let blocked = (0..)
+                .zip(&self.ranks)
                 .filter(|(_, r)| r.finish.is_none())
-                .map(|(i, r)| (i as u32, r.pc, format!("{:?}", r.status)))
+                .map(|(i, _)| (i, steps.pc(i), format!("{:?}", steps.status(i))))
                 .collect();
             return Err(SimError::Deadlock { blocked });
         }
@@ -800,31 +722,35 @@ impl<'a> SimState<'a> {
     /// Pop and execute one event — plus the same-timestamp drain and the
     /// quantized fluid-rate recompute that follow it. Returns `Ok(false)`
     /// when the queue is empty.
-    fn pump_one(&mut self, processed: &mut u64) -> Result<bool, SimError> {
+    fn pump_one(
+        &mut self,
+        steps: &mut Stepper<'a, usize>,
+        processed: &mut u64,
+    ) -> Result<bool, SimError> {
         let Some((t, ev)) = self.events.pop() else {
             return Ok(false);
         };
         *processed += 1;
-        if *processed > self.event_budget {
-            return Err(SimError::EventBudgetExceeded(self.event_budget));
+        if *processed > self.sim.event_budget {
+            return Err(SimError::EventBudgetExceeded(self.sim.event_budget));
         }
         debug_assert!(t >= self.now, "event in the past");
         if let Ev::Crash(r) = ev {
             // A rank that finished before its scheduled crash time
             // outlived the fault; drop the event without advancing the
             // clock (it may lie beyond the time budget).
-            if matches!(self.ranks[r as usize].status, Status::Done) {
+            if steps.status(r) == Status::Done {
                 return Ok(true);
             }
         }
-        if t.seconds() > self.time_budget {
-            return Err(SimError::TimeBudgetExceeded(self.time_budget));
+        if t.seconds() > self.sim.time_budget {
+            return Err(SimError::TimeBudgetExceeded(self.sim.time_budget));
         }
         if t > self.now {
             self.fluid.advance_to(t);
             self.now = t;
         }
-        self.handle(ev)?;
+        self.handle(steps, ev)?;
         // Drain every event at this exact timestamp before recomputing
         // fluid rates: synchronized collectives start/finish thousands
         // of flows at the same instant, and one shared recompute turns
@@ -832,10 +758,10 @@ impl<'a> SimState<'a> {
         while self.events.peek_time().is_some_and(|t2| t2 <= self.now) {
             let (_, ev2) = self.events.pop().expect("peeked");
             *processed += 1;
-            if *processed > self.event_budget {
-                return Err(SimError::EventBudgetExceeded(self.event_budget));
+            if *processed > self.sim.event_budget {
+                return Err(SimError::EventBudgetExceeded(self.sim.event_budget));
             }
-            self.handle(ev2)?;
+            self.handle(steps, ev2)?;
         }
         if self.fluid.is_dirty() {
             // `0.99 *` guards against f64 rounding: `(t + q) - t` can
@@ -867,32 +793,31 @@ impl<'a> SimState<'a> {
         }
     }
 
-    fn handle(&mut self, ev: Ev) -> Result<(), SimError> {
+    fn handle(&mut self, steps: &mut Stepper<'a, usize>, ev: Ev) -> Result<(), SimError> {
         match ev {
             Ev::Resume(r) => {
-                if !matches!(self.ranks[r as usize].status, Status::Done | Status::Dead) {
+                if steps.live(r) {
                     self.end_span(r);
-                    self.ranks[r as usize].status = Status::Ready;
-                    self.run_rank(r)?;
+                    steps.resume(r, self)?;
                 }
             }
-            Ev::Inject(m) => self.inject(m),
+            Ev::Inject(m) => self.inject(steps, m),
             Ev::NicService(node) => self.nic_service(node),
-            Ev::CopyStart(r) | Ev::ReduceStart(r) => self.local_start(r),
+            Ev::LocalStart(r) => self.local_start(steps, r),
             Ev::FlowWake(gen) => {
                 if gen == self.flow_gen {
                     self.flow_wake()?;
                 }
             }
-            Ev::MsgArrive(m) => self.msg_arrive(m)?,
-            Ev::SharpDone(op) => self.sharp_done(op)?,
+            Ev::MsgArrive(m) => self.msg_arrive(steps, m)?,
+            Ev::SharpDone(op) => self.sharp_done(steps, op),
             Ev::SharpFail(op) => {
                 return Err(SimError::SharpTimeout {
                     group: self.sharp_ops[op].group,
                 });
             }
             Ev::LinkChange => self.apply_link_faults(),
-            Ev::Crash(r) => self.kill_rank(r),
+            Ev::Crash(r) => self.kill_rank(steps, r),
             Ev::RecomputePoint => {
                 self.recompute_pending = false;
                 if self.fluid.is_dirty() {
@@ -901,118 +826,6 @@ impl<'a> SimState<'a> {
             }
         }
         Ok(())
-    }
-
-    // ---- program interpretation ------------------------------------------
-
-    fn run_rank(&mut self, r: u32) -> Result<(), SimError> {
-        // Copy the program reference out of `self` so the interpreter can
-        // match instructions in place (no per-step `Instr` clone) while
-        // still calling `&mut self` handlers.
-        let world = self.world;
-        loop {
-            let pc = self.ranks[r as usize].pc;
-            let prog = &world.programs[r as usize];
-            if pc >= prog.instrs.len() {
-                self.ranks[r as usize].status = Status::Done;
-                self.ranks[r as usize].finish = Some(self.now);
-                return Ok(());
-            }
-            let phase = prog.phase_at(pc);
-            match &prog.instrs[pc] {
-                Instr::ISend {
-                    to,
-                    tag,
-                    src,
-                    range,
-                } => {
-                    self.ranks[r as usize].pc += 1;
-                    self.begin_span(r, SpanKind::SendInject, range.len(), phase);
-                    self.exec_isend(r, *to, *tag, *src, *range, phase);
-                    return Ok(()); // busy for the injection overhead
-                }
-                Instr::IRecv { from, tag, dst } => {
-                    self.ranks[r as usize].pc += 1;
-                    self.exec_irecv(r, *from, *tag, *dst)?;
-                    // continues immediately
-                }
-                Instr::WaitAll { reqs } => {
-                    let all_done = reqs
-                        .iter()
-                        .all(|q| self.ranks[r as usize].reqs[q.0 as usize] == ReqState::Done);
-                    if all_done {
-                        self.ranks[r as usize].pc += 1;
-                        continue;
-                    }
-                    self.ranks[r as usize].waiting = reqs.clone();
-                    self.ranks[r as usize].status = Status::OnWait;
-                    self.begin_span(r, SpanKind::Wait, 0, phase);
-                    return Ok(());
-                }
-                Instr::Copy {
-                    src,
-                    dst,
-                    range,
-                    cross_socket,
-                } => {
-                    let cross_socket = *cross_socket;
-                    self.ranks[r as usize].pc += 1;
-                    self.begin_span(r, SpanKind::Copy, range.len(), phase);
-                    self.ranks[r as usize].pending_local = Some(PendingLocal {
-                        kind: LocalKind::Copy {
-                            src: *src,
-                            cross_socket,
-                        },
-                        dst: *dst,
-                        range: *range,
-                    });
-                    self.ranks[r as usize].status = Status::Busy;
-                    let lat = self.cfg.fabric.mem.copy_latency(cross_socket) * self.noise_factor(r);
-                    self.push(self.now.after(lat), Ev::CopyStart(r));
-                    self.stats.copies += 1;
-                    return Ok(());
-                }
-                Instr::Reduce { srcs, dst, range } => {
-                    self.ranks[r as usize].pc += 1;
-                    self.begin_span(r, SpanKind::Reduce, range.len() * srcs.len() as u64, phase);
-                    self.ranks[r as usize].pending_local = Some(PendingLocal {
-                        kind: LocalKind::Reduce { srcs: srcs.clone() },
-                        dst: *dst,
-                        range: *range,
-                    });
-                    self.ranks[r as usize].status = Status::Busy;
-                    let lat = self.cfg.fabric.compute.reduce_latency * self.noise_factor(r);
-                    self.push(self.now.after(lat), Ev::ReduceStart(r));
-                    self.stats.reduces += 1;
-                    return Ok(());
-                }
-                Instr::Compute { seconds } => {
-                    self.ranks[r as usize].pc += 1;
-                    self.begin_span(r, SpanKind::Compute, 0, phase);
-                    self.ranks[r as usize].status = Status::Busy;
-                    let dur = seconds.max(0.0) * self.noise_factor(r);
-                    self.push(self.now.after(dur), Ev::Resume(r));
-                    return Ok(());
-                }
-                Instr::Barrier { id } => {
-                    self.ranks[r as usize].pc += 1;
-                    self.begin_span(r, SpanKind::Barrier, 0, phase);
-                    self.exec_barrier(r, *id)?;
-                    return Ok(());
-                }
-                Instr::Sharp {
-                    group,
-                    src,
-                    dst,
-                    range,
-                } => {
-                    self.ranks[r as usize].pc += 1;
-                    self.begin_span(r, SpanKind::Sharp, range.len(), phase);
-                    self.exec_sharp(r, *group, *src, *dst, *range)?;
-                    return Ok(());
-                }
-            }
-        }
     }
 
     // ---- buffers -----------------------------------------------------------
@@ -1058,78 +871,13 @@ impl<'a> SimState<'a> {
 
     // ---- sends / receives ---------------------------------------------------
 
-    fn exec_isend(
-        &mut self,
-        r: u32,
-        to: Rank,
-        tag: Tag,
-        src: BufKey,
-        range: ByteRange,
-        phase: Phase,
-    ) {
-        let payload = self.buf_snapshot(r, src, range);
-        let src_node = self.cfg.map.node_of(Rank(r));
-        let dst_node = self.cfg.map.node_of(to);
-        let intra = src_node == dst_node;
-        let cross_socket = intra && !self.cfg.map.same_socket(Rank(r), to);
-        let hops = self
-            .cfg
-            .tree
-            .hop_count(src_node, dst_node)
-            .expect("valid nodes");
-        let eager = range.len() <= self.cfg.fabric.nic.eager_threshold;
-        let req_idx = self.ranks[r as usize].reqs.len() as u32;
-        self.ranks[r as usize].reqs.push(if eager || intra {
-            ReqState::Done
-        } else {
-            ReqState::SendPending
-        });
-        let m = self.msgs.len();
-        self.msgs.push(Msg {
-            src: Rank(r),
-            dst: to,
-            tag,
-            range,
-            payload,
-            send_req: (r, req_idx),
-            eager: eager || intra,
-            intra,
-            cross_socket,
-            hops,
-            injected_at: None,
-            wire_start: None,
-            attempts: 0,
-            first_posted: None,
-            phase,
-            trace_idx: None,
-        });
-        self.stats.messages += 1;
-        if !intra {
-            self.stats.inter_node_messages += 1;
-            self.stats.inter_node_bytes += range.len();
-        }
-        // Intra-node transfers go through a shared-memory bounce buffer:
-        // the sender's own core performs the copy-in, so the send occupies
-        // the sender for the full copy duration; inter-node sends only pay
-        // the injection overhead before the NIC takes over.
-        let overhead = if intra {
-            self.cfg.fabric.mem.copy_latency(cross_socket)
-                + range.len() as f64 / self.cfg.fabric.mem.copy_bw(cross_socket)
-        } else {
-            self.cfg.fabric.nic.proc_overhead
-        } * self.noise_factor(r);
-        self.ranks[r as usize].status = Status::Busy;
-        self.push(self.now.after(overhead), Ev::Inject(m));
-        self.push(self.now.after(overhead), Ev::Resume(r));
-    }
-
-    fn inject(&mut self, m: usize) {
+    fn inject(&mut self, steps: &Stepper<'a, usize>, m: usize) {
         // A message whose endpoint died before injection never enters the
         // network; the crash ledger records the loss.
-        if matches!(self.ranks[self.msgs[m].src.index()].status, Status::Dead)
-            || matches!(self.ranks[self.msgs[m].dst.index()].status, Status::Dead)
+        if steps.status(self.msgs[m].src.0) == Status::Dead
+            || steps.status(self.msgs[m].dst.0) == Status::Dead
         {
-            self.record_aborted_msg(m);
+            self.record_aborted_msg(steps, m);
             return;
         }
         self.msgs[m].injected_at = Some(self.now);
@@ -1200,76 +948,13 @@ impl<'a> SimState<'a> {
         }
     }
 
-    fn exec_irecv(&mut self, r: u32, from: Rank, tag: Tag, dst: BufKey) -> Result<(), SimError> {
-        let req_idx = self.ranks[r as usize].reqs.len() as u32;
-        self.ranks[r as usize]
-            .reqs
-            .push(ReqState::RecvPending { dst });
-        let key = (r, from.0, tag);
-        if let Some(q) = self.arrived.get_mut(&key) {
-            if let Some(m) = q.pop_front() {
-                if q.is_empty() {
-                    self.arrived.remove(&key);
-                }
-                self.deliver(m, r, req_idx);
-                return Ok(());
-            }
-        }
-        self.recv_waiting
-            .entry(key)
-            .or_default()
-            .push_back((r, req_idx));
-        Ok(())
-    }
-
-    fn deliver(&mut self, m: usize, r: u32, req_idx: u32) {
-        let dst = match &self.ranks[r as usize].reqs[req_idx as usize] {
-            ReqState::RecvPending { dst } => *dst,
-            other => panic!("delivering to non-recv request {other:?}"),
-        };
-        // A message is delivered exactly once: move its payload out
-        // instead of cloning it, so the message log stops holding it.
-        let payload = std::mem::take(&mut self.msgs[m].payload);
-        let range = self.msgs[m].range;
-        self.buf_apply(r, dst, range, payload, &ApplyKind::Overwrite);
-        self.ranks[r as usize].reqs[req_idx as usize] = ReqState::Done;
-        let release = self.msgs[m].trace_idx.map(|idx| Release::Msg { idx });
-        self.maybe_unblock_wait(r, release);
-    }
-
-    /// Resume a rank blocked in `WaitAll` once its requests are all done,
-    /// recording `release` — the event that completed the final request —
-    /// for the critical-path analysis.
-    fn maybe_unblock_wait(&mut self, r: u32, release: Option<Release>) {
-        if self.ranks[r as usize].status != Status::OnWait {
-            return;
-        }
-        let ok = self.ranks[r as usize]
-            .waiting
-            .iter()
-            .all(|q| self.ranks[r as usize].reqs[q.0 as usize] == ReqState::Done);
-        if ok {
-            self.ranks[r as usize].waiting.clear();
-            self.ranks[r as usize].status = Status::Ready;
-            self.ranks[r as usize].last_release = release;
-            self.push(self.now, Ev::Resume(r));
-        }
-    }
-
-    fn msg_arrive(&mut self, m: usize) -> Result<(), SimError> {
+    fn msg_arrive(&mut self, steps: &mut Stepper<'a, usize>, m: usize) -> Result<(), SimError> {
         // The receiver died while the message was on the wire: the bytes
         // left the sender's buffer (its rendezvous send is complete) but
         // there is no process to deliver to.
-        if matches!(self.ranks[self.msgs[m].dst.index()].status, Status::Dead) {
-            let (sr, sreq) = self.msgs[m].send_req;
-            if !self.msgs[m].eager
-                && !matches!(self.ranks[sr as usize].status, Status::Dead)
-                && self.ranks[sr as usize].reqs[sreq as usize] == ReqState::SendPending
-            {
-                self.ranks[sr as usize].reqs[sreq as usize] = ReqState::Done;
-                self.maybe_unblock_wait(sr, None);
-            }
-            self.record_aborted_msg(m);
+        if steps.status(self.msgs[m].dst.0) == Status::Dead {
+            steps.complete(self.msgs[m].src.0, self.msgs[m].send_req, m, self);
+            self.record_aborted_msg(steps, m);
             return Ok(());
         }
         // Injected data faults: decide this delivery attempt's wire
@@ -1279,7 +964,7 @@ impl<'a> SimState<'a> {
         // schedule a retransmission until the retry budget runs out.
         // Intra-node transfers move through shared memory and are covered
         // by the shm flip model instead.
-        if let Some(plan) = self.faults {
+        if let Some(plan) = self.sim.faults {
             if !self.msgs[m].intra && !plan.data.is_zero() {
                 let src = self.msgs[m].src.0;
                 let c = self.data_draws[src as usize];
@@ -1337,67 +1022,47 @@ impl<'a> SimState<'a> {
             let idx = trace.messages.len() - 1;
             self.msgs[m].trace_idx = Some(idx);
         }
-        // Rendezvous send completes on delivery-side arrival.
-        let (sr, sreq) = self.msgs[m].send_req;
-        if !self.msgs[m].eager
-            && self.ranks[sr as usize].reqs[sreq as usize] == ReqState::SendPending
-        {
-            self.ranks[sr as usize].reqs[sreq as usize] = ReqState::Done;
-            let release = self.msgs[m].trace_idx.map(|idx| Release::Msg { idx });
-            self.maybe_unblock_wait(sr, release);
-        }
-        let key = (self.msgs[m].dst.0, self.msgs[m].src.0, self.msgs[m].tag);
-        if let Some(q) = self.recv_waiting.get_mut(&key) {
-            if let Some((r, req_idx)) = q.pop_front() {
-                if q.is_empty() {
-                    self.recv_waiting.remove(&key);
-                }
-                self.deliver(m, r, req_idx);
-                return Ok(());
-            }
-        }
-        self.arrived.entry(key).or_default().push_back(m);
+        // Rendezvous send completes on delivery-side arrival (an eager
+        // send's request completed when it was posted).
+        steps.complete(self.msgs[m].src.0, self.msgs[m].send_req, m, self);
+        let Msg { dst, src, tag, .. } = self.msgs[m];
+        steps.arrive(dst.0, src.0, tag, m, self);
         Ok(())
     }
 
     // ---- local copy / reduce -------------------------------------------------
 
-    fn local_start(&mut self, r: u32) {
-        if matches!(self.ranks[r as usize].status, Status::Dead) {
+    fn local_start(&mut self, steps: &Stepper<'a, usize>, r: u32) {
+        if steps.status(r) == Status::Dead {
             return; // aborted at crash time; pending_local already drained
         }
-        let pending = self.ranks[r as usize]
+        let (op, dst, range) = self.ranks[r as usize]
             .pending_local
             .take()
             .expect("pending local op");
         let node = self.cfg.map.node_of(Rank(r)).index();
-        let (payload, kind, bytes, cap) = match pending.kind {
-            LocalKind::Copy { src, cross_socket } => {
-                let p = self.buf_snapshot(r, src, pending.range);
+        let (payload, kind, bytes, cap) = match op {
+            Local::Copy(src, cross_socket) => {
+                let p = self.buf_snapshot(r, src, range);
                 let cap = self.cfg.fabric.mem.copy_bw(cross_socket);
-                (p, ApplyKind::Overwrite, pending.range.len() as f64, cap)
+                (p, ApplyKind::Overwrite, range.len() as f64, cap)
             }
-            LocalKind::Reduce { srcs } => {
+            Local::Reduce(srcs) => {
                 // `union_merge` reads each source in place, so no
                 // per-source snapshot is taken; an absent buffer
                 // contributes nothing.
                 let mut acc = CoverageMap::empty();
                 for b in srcs.iter().filter_map(|s| self.buf_ref(r, *s)) {
-                    acc.union_merge(b, pending.range.start, pending.range.end);
+                    acc.union_merge(b, range.start, range.end);
                 }
                 let passes = srcs.len() as f64;
                 let cap = self.cfg.fabric.compute.per_core_reduce_bw;
-                (
-                    acc,
-                    ApplyKind::Union,
-                    pending.range.len() as f64 * passes,
-                    cap,
-                )
+                (acc, ApplyKind::Union, range.len() as f64 * passes, cap)
             }
         };
         self.ranks[r as usize].pending_apply = Some(PendingApply {
-            dst: pending.dst,
-            range: pending.range,
+            dst,
+            range,
             payload,
             kind,
             bytes,
@@ -1440,7 +1105,7 @@ impl<'a> SimState<'a> {
                     // publish checksum catches it and the copy/reduce is
                     // redone from the intact private sources — or the run
                     // fails structurally once the budget is spent.
-                    if let Some(plan) = self.faults {
+                    if let Some(plan) = self.sim.faults {
                         if matches!(apply.dst, BufKey::Shared(_)) && !plan.data.is_zero() {
                             let c = self.data_draws[r as usize];
                             self.data_draws[r as usize] += 1;
@@ -1479,131 +1144,26 @@ impl<'a> SimState<'a> {
         Ok(())
     }
 
-    // ---- barriers ------------------------------------------------------------
-
-    fn exec_barrier(&mut self, r: u32, id: u32) -> Result<(), SimError> {
-        let members = self
-            .world
-            .barriers
-            .get(&id)
-            .ok_or(SimError::UnknownGroup("barrier", id))?;
-        let total = members.len() as u32;
-        let st = self.barriers.entry(id).or_insert(BarrierState {
-            arrived: 0,
-            released: false,
-        });
-        assert!(!st.released, "barrier {id} reused after release");
-        st.arrived += 1;
-        self.ranks[r as usize].status = Status::OnBarrier;
-        if st.arrived == total {
-            st.released = true;
-            // Dissemination-style cost: lg(members) cache-line rounds.
-            let rounds = if total <= 1 {
-                0
-            } else {
-                (total - 1).ilog2() + 1
-            };
-            let cost = self.cfg.fabric.mem.copy_latency * rounds as f64;
-            let members = members.clone();
-            // `r` is the last arrival: it releases everyone, which the
-            // critical-path walk records as the barrier's dependency edge.
-            let release = Release::Barrier {
-                rank: r,
-                at: self.now.seconds(),
-            };
-            for m in members {
-                if self.trace.is_some() {
-                    self.ranks[m.index()].last_release = Some(release);
-                }
-                self.push(self.now.after(cost), Ev::Resume(m.0));
-            }
-        }
-        Ok(())
-    }
-
     // ---- SHArP -----------------------------------------------------------------
 
-    fn exec_sharp(
-        &mut self,
-        r: u32,
-        group: u32,
-        src: BufKey,
-        dst: BufKey,
-        range: ByteRange,
-    ) -> Result<(), SimError> {
-        if self.oracle.is_none() {
-            return Err(SimError::NoSharpOracle);
-        }
-        if self.faults.is_some_and(|p| p.sharp.deny_groups) {
-            // The switch refuses the group allocation outright — the
-            // caller (dpml-core) is expected to fall back to a host-based
-            // schedule.
-            return Err(SimError::SharpDenied(group));
-        }
-        let members = self
-            .world
-            .sharp_groups
-            .get(&group)
-            .ok_or(SimError::UnknownGroup("sharp group", group))?;
-        let total = members.len() as u32;
-        let op_idx = match self.sharp_op_of_group.get(&group) {
-            Some(&i) if !self.sharp_ops[i].done => i,
-            _ => {
-                let i = self.sharp_ops.len();
-                self.sharp_ops.push(SharpOpState {
-                    group,
-                    arrived: 0,
-                    accum: CoverageMap::empty(),
-                    range: None,
-                    dsts: Vec::new(),
-                    started: false,
-                    done: false,
-                    last_join: None,
-                });
-                self.sharp_op_of_group.insert(group, i);
-                i
-            }
-        };
-        let payload = self.buf_snapshot(r, src, range);
-        let op = &mut self.sharp_ops[op_idx];
-        assert!(!op.started, "sharp group {group} joined after start");
-        if let Some(prev) = op.range {
-            assert_eq!(prev, range, "sharp group {group} members disagree on range");
-        }
-        op.range = Some(range);
-        op.accum.union_merge(&payload, range.start, range.end);
-        op.dsts.push((Rank(r), dst));
-        op.arrived += 1;
-        op.last_join = Some((r, self.now));
-        self.ranks[r as usize].status = Status::OnSharp;
-        if op.arrived == total {
-            self.sharp_queue.push_back(op_idx);
-            self.try_start_sharp();
-        }
-        Ok(())
-    }
-
     fn try_start_sharp(&mut self) {
-        let oracle = self.oracle.expect("oracle checked at exec");
+        let oracle = self.sim.sharp.expect("oracle checked at join");
         while self.sharp_active < oracle.max_concurrent_ops() {
             let Some(op_idx) = self.sharp_queue.pop_front() else {
                 return;
             };
-            let (group, bytes) = {
-                let op = &mut self.sharp_ops[op_idx];
-                op.started = true;
-                (op.group, op.range.map(|r| r.len()).unwrap_or(0))
-            };
+            let op = &self.sharp_ops[op_idx];
+            let (group, bytes) = (op.group, op.range.map_or(0, |r| r.len()));
             let members = &self.world.sharp_groups[&group];
             let dur = oracle.op_time(members, bytes);
             self.sharp_active += 1;
             // Flaky attempts hang the op; the op watchdog converts the
             // hang into a SharpTimeout after the plan's op_timeout.
-            let hang = self.faults.is_some_and(|p| {
-                self.fault_attempt < p.sharp.flaky_attempts && p.sharp.op_timeout > 0.0
+            let hang = self.sim.faults.is_some_and(|p| {
+                self.sim.fault_attempt < p.sharp.flaky_attempts && p.sharp.op_timeout > 0.0
             });
             if hang {
-                let timeout = self.faults.expect("checked above").sharp.op_timeout;
+                let timeout = self.sim.faults.expect("checked above").sharp.op_timeout;
                 self.push(self.now.after(timeout), Ev::SharpFail(op_idx));
             } else {
                 self.push(self.now.after(dur), Ev::SharpDone(op_idx));
@@ -1611,10 +1171,9 @@ impl<'a> SimState<'a> {
         }
     }
 
-    fn sharp_done(&mut self, op_idx: usize) -> Result<(), SimError> {
+    fn sharp_done(&mut self, steps: &Stepper<'a, usize>, op_idx: usize) {
         let (accum, range, dsts, last_join) = {
             let op = &mut self.sharp_ops[op_idx];
-            op.done = true;
             (
                 std::mem::take(&mut op.accum),
                 op.range.expect("range set"),
@@ -1627,7 +1186,7 @@ impl<'a> SimState<'a> {
             at: at.seconds(),
         });
         for (rank, dst) in dsts {
-            if matches!(self.ranks[rank.index()].status, Status::Dead) {
+            if steps.status(rank.0) == Status::Dead {
                 continue; // joined the op, then died before it completed
             }
             self.buf_apply(rank.0, dst, range, accum.clone(), &ApplyKind::Overwrite);
@@ -1639,7 +1198,6 @@ impl<'a> SimState<'a> {
         self.sharp_active -= 1;
         self.stats.sharp_ops += 1;
         self.try_start_sharp();
-        Ok(())
     }
 
     // ---- fail-stop crashes ----------------------------------------------------
@@ -1649,20 +1207,20 @@ impl<'a> SimState<'a> {
     /// is sending or receiving — is aborted immediately and recorded in
     /// the completion ledger. Work it already deposited into node shared
     /// memory survives (the process dies; the segment does not).
-    fn kill_rank(&mut self, r: u32) {
+    fn kill_rank(&mut self, steps: &mut Stepper<'a, usize>, r: u32) {
         let idx = r as usize;
-        if matches!(self.ranks[idx].status, Status::Done | Status::Dead) {
+        if !steps.live(r) {
             return;
         }
         if self.first_crash.is_none() {
             self.first_crash = Some((r, self.now));
         }
         self.end_span(r);
-        let pc = self.ranks[idx].pc;
+        let pc = steps.pc(r);
         self.aborted_ops.push(PendingOp {
             rank: r,
             pc,
-            what: format!("crashed ({:?})", self.ranks[idx].status),
+            what: format!("crashed ({:?})", steps.status(r)),
         });
         // Abort an in-progress local copy/reduce: either still in its
         // startup latency (pending_local) or already a memory flow
@@ -1670,15 +1228,15 @@ impl<'a> SimState<'a> {
         if let Some(fid) = self.flow_of_rank.remove(&r) {
             self.fluid.remove_flow(fid);
         }
-        if let Some(p) = self.ranks[idx].pending_local.take() {
-            let kind = match p.kind {
-                LocalKind::Copy { .. } => "copy",
-                LocalKind::Reduce { .. } => "reduce",
+        if let Some((op, _, range)) = self.ranks[idx].pending_local.take() {
+            let kind = match op {
+                Local::Copy(..) => "copy",
+                Local::Reduce(_) => "reduce",
             };
             self.aborted_ops.push(PendingOp {
                 rank: r,
                 pc,
-                what: format!("aborted local {kind} of {}B", p.range.len()),
+                what: format!("aborted local {kind} of {}B", range.len()),
             });
         }
         if let Some(p) = self.ranks[idx].pending_apply.take() {
@@ -1705,16 +1263,9 @@ impl<'a> SimState<'a> {
                 self.fluid.remove_flow(fid);
             }
             if self.msgs[m].dst.0 == r {
-                let (sr, sreq) = self.msgs[m].send_req;
-                if !self.msgs[m].eager
-                    && !matches!(self.ranks[sr as usize].status, Status::Dead)
-                    && self.ranks[sr as usize].reqs[sreq as usize] == ReqState::SendPending
-                {
-                    self.ranks[sr as usize].reqs[sreq as usize] = ReqState::Done;
-                    self.maybe_unblock_wait(sr, None);
-                }
+                steps.complete(self.msgs[m].src.0, self.msgs[m].send_req, m, self);
             }
-            self.record_aborted_msg(m);
+            self.record_aborted_msg(steps, m);
         }
         // Drop queued NIC injections involving the dead rank (any node:
         // it can be the destination of a remote queue entry).
@@ -1725,21 +1276,19 @@ impl<'a> SimState<'a> {
                 .partition(|&m| self.msgs[m].src.0 == r || self.msgs[m].dst.0 == r);
             self.nic_queue[node] = kept.into();
             for m in dropped {
-                self.record_aborted_msg(m);
+                self.record_aborted_msg(steps, m);
             }
         }
         // Posted receives of the dead rank must never match an arrival,
         // and arrivals parked for it will never be claimed.
-        self.recv_waiting.retain(|key, _| key.0 != r);
-        self.arrived.retain(|key, _| key.0 != r);
-        self.ranks[idx].status = Status::Dead;
+        steps.kill(r);
     }
 
-    fn record_aborted_msg(&mut self, m: usize) {
+    fn record_aborted_msg(&mut self, steps: &Stepper<'a, usize>, m: usize) {
         let msg = &self.msgs[m];
         self.aborted_ops.push(PendingOp {
             rank: msg.src.0,
-            pc: self.ranks[msg.src.index()].pc,
+            pc: steps.pc(msg.src.0),
             what: format!(
                 "aborted {}B send {} -> {} (tag {})",
                 msg.range.len(),
@@ -1829,6 +1378,200 @@ impl<'a> SimState<'a> {
     }
 }
 
+/// The timed host: it charges each effect its time through the NIC,
+/// event queue and fluid model, and moves coverage between buffers.
+impl<'a> Host<'a> for SimState<'a> {
+    type Msg = usize;
+    type Error = SimError;
+
+    fn send(&mut self, r: u32, phase: Phase, req: u32, msg: Outgoing) -> Sent<usize> {
+        let (to, tag, src, range) = msg;
+        self.begin_span(r, SpanKind::SendInject, range.len(), phase);
+        let payload = self.buf_snapshot(r, src, range);
+        let src_node = self.cfg.map.node_of(Rank(r));
+        let dst_node = self.cfg.map.node_of(to);
+        let intra = src_node == dst_node;
+        let cross_socket = intra && !self.cfg.map.same_socket(Rank(r), to);
+        let hops = self
+            .cfg
+            .tree
+            .hop_count(src_node, dst_node)
+            .expect("valid nodes");
+        let eager = range.len() <= self.cfg.fabric.nic.eager_threshold;
+        let m = self.msgs.len();
+        self.msgs.push(Msg {
+            src: Rank(r),
+            dst: to,
+            tag,
+            range,
+            payload,
+            send_req: req,
+            intra,
+            cross_socket,
+            hops,
+            injected_at: None,
+            wire_start: None,
+            attempts: 0,
+            first_posted: None,
+            phase,
+            trace_idx: None,
+        });
+        self.stats.messages += 1;
+        if !intra {
+            self.stats.inter_node_messages += 1;
+            self.stats.inter_node_bytes += range.len();
+        }
+        // Intra-node transfers go through a shared-memory bounce buffer:
+        // the sender's own core performs the copy-in, so the send occupies
+        // the sender for the full copy duration; inter-node sends only pay
+        // the injection overhead before the NIC takes over.
+        let overhead = if intra {
+            self.cfg.fabric.mem.copy_latency(cross_socket)
+                + range.len() as f64 / self.cfg.fabric.mem.copy_bw(cross_socket)
+        } else {
+            self.cfg.fabric.nic.proc_overhead
+        } * self.noise_factor(r);
+        self.push(self.now.after(overhead), Ev::Inject(m));
+        self.push(self.now.after(overhead), Ev::Resume(r));
+        // Busy for the injection overhead; eager and intra-node sends
+        // complete at once.
+        Sent::Busy {
+            done: eager || intra,
+        }
+    }
+
+    fn recv(&mut self, r: u32, m: usize, dst: BufKey) {
+        // A message is delivered exactly once: move its payload out
+        // instead of cloning it, so the message log stops holding it.
+        let payload = std::mem::take(&mut self.msgs[m].payload);
+        let range = self.msgs[m].range;
+        self.buf_apply(r, dst, range, payload, &ApplyKind::Overwrite);
+    }
+
+    fn local(
+        &mut self,
+        r: u32,
+        phase: Phase,
+        op: Local<'a>,
+        dst: BufKey,
+        range: ByteRange,
+    ) -> Step {
+        let (span, bytes, lat) = match op {
+            Local::Copy(_, cross_socket) => {
+                self.stats.copies += 1;
+                let lat = self.cfg.fabric.mem.copy_latency(cross_socket);
+                (SpanKind::Copy, range.len(), lat)
+            }
+            Local::Reduce(srcs) => {
+                self.stats.reduces += 1;
+                let bytes = range.len() * srcs.len() as u64;
+                (
+                    SpanKind::Reduce,
+                    bytes,
+                    self.cfg.fabric.compute.reduce_latency,
+                )
+            }
+        };
+        self.begin_span(r, span, bytes, phase);
+        self.ranks[r as usize].pending_local = Some((op, dst, range));
+        let lat = lat * self.noise_factor(r);
+        self.push(self.now.after(lat), Ev::LocalStart(r));
+        Step::Busy
+    }
+
+    fn compute(&mut self, r: u32, phase: Phase, seconds: f64) -> Step {
+        self.begin_span(r, SpanKind::Compute, 0, phase);
+        let dur = seconds.max(0.0) * self.noise_factor(r);
+        self.push(self.now.after(dur), Ev::Resume(r));
+        Step::Busy
+    }
+
+    fn join(
+        &mut self,
+        r: u32,
+        phase: Phase,
+        meet: Meet,
+        arrival: Result<Arrival<'a>, UnknownGroup>,
+    ) -> Result<(), SimError> {
+        let unknown = |UnknownGroup(kind, id)| SimError::UnknownGroup(kind, id);
+        let Meet::Sharp(group, src, dst, range) = meet else {
+            self.begin_span(r, SpanKind::Barrier, 0, phase);
+            let Arrival { members, last, .. } = arrival.map_err(unknown)?;
+            if !last {
+                return Ok(());
+            }
+            // Dissemination-style cost: lg(members) cache-line rounds.
+            let rounds = members.len().next_power_of_two().ilog2();
+            let cost = self.cfg.fabric.mem.copy_latency * rounds as f64;
+            // `r` is the last arrival: it releases everyone, which the
+            // critical-path walk records as the barrier's dependency edge.
+            let release = Release::Barrier {
+                rank: r,
+                at: self.now.seconds(),
+            };
+            for m in members {
+                if self.trace.is_some() {
+                    self.ranks[m.index()].last_release = Some(release);
+                }
+                self.push(self.now.after(cost), Ev::Resume(m.0));
+            }
+            return Ok(());
+        };
+        self.begin_span(r, SpanKind::Sharp, range.len(), phase);
+        if self.sim.sharp.is_none() {
+            return Err(SimError::NoSharpOracle);
+        }
+        if self.sim.faults.is_some_and(|p| p.sharp.deny_groups) {
+            // The switch refuses the group allocation outright — the
+            // caller (dpml-core) is expected to fall back to a host-based
+            // schedule.
+            return Err(SimError::SharpDenied(group));
+        }
+        let arrival = arrival.map_err(unknown)?;
+        let op_idx = arrival.occurrence;
+        if op_idx == self.sharp_ops.len() {
+            self.sharp_ops.push(SharpOpState {
+                group,
+                accum: CoverageMap::empty(),
+                range: None,
+                dsts: Vec::new(),
+                last_join: None,
+            });
+        }
+        let payload = self.buf_snapshot(r, src, range);
+        let op = &mut self.sharp_ops[op_idx];
+        if let Some(prev) = op.range {
+            assert_eq!(prev, range, "sharp group {group} members disagree on range");
+        }
+        op.range = Some(range);
+        op.accum.union_merge(&payload, range.start, range.end);
+        op.dsts.push((Rank(r), dst));
+        op.last_join = Some((r, self.now));
+        if arrival.last {
+            self.sharp_queue.push_back(op_idx);
+            self.try_start_sharp();
+        }
+        Ok(())
+    }
+
+    fn wait(&mut self, r: u32, phase: Phase) {
+        self.begin_span(r, SpanKind::Wait, 0, phase);
+    }
+
+    /// Resume `r`, recording the message that completed its final request
+    /// for the critical-path analysis. A message torn down or sent to a
+    /// dead rank never arrived, so it has no trace record to name.
+    fn wake(&mut self, r: u32, m: usize) {
+        self.ranks[r as usize].last_release =
+            self.msgs[m].trace_idx.map(|idx| Release::Msg { idx });
+        self.push(self.now, Ev::Resume(r));
+    }
+
+    fn done(&mut self, r: u32) {
+        self.ranks[r as usize].finish = Some(self.now);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1879,20 +1622,21 @@ mod tests {
         let cfg = config(2, 1);
         let n = 100;
         let mut w = WorldProgram::new(2, n);
-        // Rank 0 sends [0,50) then [50,100); rank 1 receives into result.
+        // Rank 0 sends [0,50) then [50,100) under one tag. Rank 1 posts
+        // both receives before waiting, so both queue at once, and folds
+        // each scratch buffer over the half it must hold: a receive that
+        // took the later message would leave rank 0's contribution out.
         let p0 = w.rank(Rank(0));
         p0.send(Rank(1), 7, BUF_INPUT, ByteRange::new(0, 50));
         p0.send(Rank(1), 7, BUF_INPUT, ByteRange::new(50, 100));
         let p1 = w.rank(Rank(1));
         p1.copy(BUF_INPUT, BUF_RESULT, ByteRange::whole(n), false);
-        p1.recv(Rank(0), 7, BufKey::Priv(2));
-        p1.recv(Rank(0), 7, BufKey::Priv(2));
-        p1.reduce(vec![BufKey::Priv(2)], BUF_RESULT, ByteRange::whole(n));
+        let first = p1.irecv(Rank(0), 7, BufKey::Priv(2));
+        let second = p1.irecv(Rank(0), 7, BufKey::Priv(3));
+        p1.wait_all(vec![first, second]);
+        p1.reduce(vec![BufKey::Priv(2)], BUF_RESULT, ByteRange::new(0, 50));
+        p1.reduce(vec![BufKey::Priv(3)], BUF_RESULT, ByteRange::new(50, 100));
         let rep = Simulator::new(&cfg).run(&w).unwrap();
-        // Rank 1's scratch got both halves; result = {0,1} over second half
-        // only if both recvs landed in order without clobbering... the
-        // second recv overwrites [50,100) only. Verify via coverage of the
-        // scratch-reduced result: rank 1 holds {0,1} everywhere.
         let full = crate::coverage::Contrib::full(2);
         assert!(rep.result_coverage[1].covers_exactly(0, n, full));
     }

@@ -76,17 +76,17 @@ const SPAN_TAIL: u64 = 8;
 /// calls and allocated bytes per run. Ring is the engine's flow and
 /// coverage-map worst case.
 const POINTS: [(&str, &str, u64, u64, u64, u64, u64); 4] = [
-    ("b", "ring", 64 << 10, 28_288, 44_523, 134_547, 13_479_960),
-    ("b", "ring", 1 << 20, 28_288, 44_373, 142_052, 16_515_500),
-    ("a", "dpml:4:ring", 1 << 20, 2_272, 4_210, 12_465, 1_151_963),
+    ("b", "ring", 64 << 10, 28_288, 44_523, 122_756, 13_279_896),
+    ("b", "ring", 1 << 20, 28_288, 44_373, 129_892, 16_301_664),
+    ("a", "dpml:4:ring", 1 << 20, 2_272, 4_210, 11_714, 1_136_463),
     (
         "d",
         "dpml-pipelined:2:4",
         64 << 10,
         1_184,
         2_033,
-        6_958,
-        628_052,
+        6_703,
+        619_848,
     ),
 ];
 

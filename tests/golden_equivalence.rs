@@ -36,9 +36,10 @@ fn clusters() -> Vec<(&'static str, Preset)> {
     ]
 }
 
-/// Eight host-based algorithms (SHArP designs are excluded so the same
-/// matrix runs on all four clusters; SHArP timing is locked down by the
-/// fig8/recovery suites instead).
+/// Eight host-based algorithms. SHArP designs are excluded so the same
+/// matrix runs on all four clusters; SHArP timing is pinned instead by
+/// `figures --check` over `fig8_sharp.json`, `fig11_apps.json` and
+/// `ablate_sharp_groups.json`, and by the engine's `sharp_*` unit tests.
 fn algorithms() -> Vec<Algorithm> {
     vec![
         Algorithm::RecursiveDoubling,
