@@ -57,9 +57,11 @@ fn multi_pair_program(
             .map(|m| sp.isend(d, m, BUF_INPUT, ByteRange::whole(bytes)))
             .collect();
         sp.wait_all(reqs);
+        // Each receive of the window lands in its own buffer, so no two
+        // outstanding receives write the same bytes.
         let dp = w.rank(d);
         let reqs: Vec<_> = (0..window)
-            .map(|m| dp.irecv(s, m, BufKey::Priv(2)))
+            .map(|m| dp.irecv(s, m, BufKey::Priv(2 + m)))
             .collect();
         dp.wait_all(reqs);
     }

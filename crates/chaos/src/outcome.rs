@@ -28,6 +28,7 @@ use dpml_core::{
     IntegrityErrorKind, IntegrityPolicy, VerifiedError,
 };
 use dpml_engine::report::RunStats;
+use dpml_engine::sim::SimError;
 use dpml_fabric::presets::Preset;
 use dpml_faults::{fnv1a64, FaultPlan};
 use serde::{Deserialize, Serialize};
@@ -129,20 +130,20 @@ fn stats_detail(stats: &RunStats) -> String {
 }
 
 /// Classify an infrastructure error. Engine hangs (deadlock, tripped
-/// budgets) and verification failures are violations: the machinery
-/// exists precisely to turn faults into structured degradation, never
-/// into a hang or a wrong answer.
+/// budgets), races and verification failures are violations: the
+/// machinery exists precisely to turn faults into structured
+/// degradation, never into a hang or a wrong answer.
 fn classify_run_error(e: &RunError) -> Classified {
     let (class, violation) = match e {
         RunError::Sim(se) => {
             let class = format!("err:{}", se.label());
-            let violation = matches!(
-                se,
-                dpml_engine::sim::SimError::Deadlock { .. }
-                    | dpml_engine::sim::SimError::EventBudgetExceeded(_)
-                    | dpml_engine::sim::SimError::TimeBudgetExceeded(_)
-            )
-            .then(|| format!("engine hang: {se}"));
+            let violation = match se {
+                SimError::Deadlock { .. }
+                | SimError::EventBudgetExceeded(_)
+                | SimError::TimeBudgetExceeded(_) => Some(format!("engine hang: {se}")),
+                SimError::Race(_) => Some(format!("timing-dependent result: {se}")),
+                _ => None,
+            };
             (class, violation)
         }
         RunError::Verify(v) => (

@@ -122,9 +122,9 @@ pub enum IntegrityErrorKind {
     BudgetExhausted,
     /// Partition-scoped recovery kept exhausting its own retry budget.
     RecoveryFailed,
-    /// A completed run failed end-to-end verification or diverged from
-    /// the fault-free baseline (an escape the ladder exists to prevent;
-    /// reaching this kind is a bug in the protocol, not in the caller).
+    /// A completed run failed end-to-end verification (an escape the
+    /// ladder exists to prevent; reaching this kind is a bug in the
+    /// protocol, not in the caller).
     VerifyMismatch,
 }
 
@@ -301,9 +301,9 @@ impl IntegrityReport {
 }
 
 /// Run `alg` under `plan` with the full integrity ladder. On success the
-/// result provably holds every rank's contribution over the whole vector
-/// and matches the fault-free baseline segment-for-segment; on failure
-/// the error is structured, never a silently wrong answer.
+/// result provably holds every rank's contribution exactly once over the
+/// whole vector; on failure the error is structured, never a silently
+/// wrong answer.
 pub fn run_allreduce_verified(
     preset: &Preset,
     spec: &ClusterSpec,
@@ -342,7 +342,7 @@ pub fn run_allreduce_verified(
         match simulate(preset, &map, &world, &exec) {
             Ok(report) => {
                 let total = penalty_us + report.latency_us();
-                return finish(alg, bytes, report, &clean, baselines, total, restarts, None);
+                return finish(alg, bytes, report, baselines, total, restarts, None);
             }
             Err(RunError::Sim(SimError::RetryBudgetExhausted {
                 src,
@@ -358,8 +358,8 @@ pub fn run_allreduce_verified(
                 if let Algorithm::Dpml { leaders, inner } = alg {
                     if src != dst {
                         return recover_partition(
-                            preset, &map, leaders, inner, alg, bytes, plan, &policy, vs, &clean,
-                            baselines, penalty_us, restarts, dst, attempts, at,
+                            preset, &map, leaders, inner, alg, bytes, plan, &policy, vs, baselines,
+                            penalty_us, restarts, dst, attempts, at,
                         );
                     }
                 }
@@ -402,7 +402,6 @@ fn recover_partition(
     plan: &FaultPlan,
     policy: &IntegrityPolicy,
     verify_secs: f64,
-    clean: &RunReport,
     baselines: Baselines,
     penalty_us: f64,
     restarts: u32,
@@ -442,7 +441,6 @@ fn recover_partition(
                     alg,
                     bytes,
                     report,
-                    clean,
                     baselines,
                     total,
                     restarts,
@@ -574,14 +572,12 @@ fn build_continuation(
 }
 
 /// Gatekeeper every success path funnels through: the completed run must
-/// verify end-to-end *and* match the fault-free baseline's result
-/// coverage segment-for-segment before the caller sees a report.
-#[allow(clippy::too_many_arguments)]
+/// verify end-to-end before the caller sees a report. The fault-free
+/// baseline verified too, so the two hold the same canonical coverage.
 fn finish(
     alg: Algorithm,
     bytes: u64,
     report: RunReport,
-    clean: &RunReport,
     baselines: Baselines,
     total_latency_us: f64,
     restarts: u32,
@@ -592,14 +588,6 @@ fn finish(
             kind: IntegrityErrorKind::VerifyMismatch,
             attempts: 0,
             detail: format!("end-to-end verification failed: {e}"),
-        }
-        .into());
-    }
-    if report.result_coverage != clean.result_coverage {
-        return Err(IntegrityError {
-            kind: IntegrityErrorKind::VerifyMismatch,
-            attempts: 0,
-            detail: "result coverage diverged from the fault-free baseline".into(),
         }
         .into());
     }
@@ -799,9 +787,9 @@ mod tests {
     }
 
     /// The continuation's presets and re-reduce compute the full sum on
-    /// every rank: exact under the untimed interpreter.
+    /// every rank: exact and race-free under the untimed interpreter.
     #[test]
-    fn partition_continuation_is_lanes_exact() {
+    fn partition_continuation_is_exact() {
         let p = cluster_b();
         for (nodes, ppn, leaders) in [(4, 4, 2), (3, 5, 3), (5, 1, 1)] {
             let map = RankMap::block(&p.spec(nodes, ppn).unwrap());
@@ -813,8 +801,11 @@ mod tests {
             ] {
                 for j in 0..leaders {
                     let cont = partition_continuation(&map, &set, j, 997, inner, 1e-6);
-                    dpml_engine::exec::check_allreduce(&cont, &map)
-                        .unwrap_or_else(|e| panic!("{nodes}x{ppn} l{leaders} {inner:?} j{j}: {e}"));
+                    let at = || format!("{nodes}x{ppn} l{leaders} {inner:?} j{j}");
+                    let results = dpml_engine::exec::run(&cont, &map)
+                        .unwrap_or_else(|e| panic!("{}: {e}", at()));
+                    dpml_engine::report::verify_allreduce(&results, 997)
+                        .unwrap_or_else(|e| panic!("{}: {e}", at()));
                 }
             }
         }

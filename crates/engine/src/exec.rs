@@ -1,41 +1,34 @@
 //! Untimed interpreter: what a [`WorldProgram`] computes, with no clock.
 //!
-//! The simulator answers *when*; this module answers *what*. Both are
-//! hosts of one instruction stepper, so matching and rendezvous follow
-//! the same rules. Ranks run round-robin, each until it blocks (in
-//! `WaitAll`, `Barrier` or `Sharp`) or ends; a sweep that resumes no rank
-//! ends in [`ExecError::Deadlock`] instead of a hang. A send snapshots its
-//! range when posted and never blocks.
+//! The simulator answers *when*; this module answers *what*, and
+//! [`crate::Simulator::run`] asks it once per run for
+//! [`crate::RunReport::result_coverage`]. Both are hosts of one
+//! instruction stepper, so matching and rendezvous follow the same rules.
+//! Ranks run round-robin, each until it blocks (in `WaitAll`, `Barrier`
+//! or `Sharp`) or ends; a sweep that resumes no rank ends in
+//! [`ExecError::Deadlock`] instead of a hang. A send snapshots its range
+//! when posted and never blocks.
 //!
-//! Values live in the *lanes* domain: one `u64` per byte. Rank `r`'s input
-//! at byte `b` is `lane(r, b)`, a splitmix hash. `Reduce` is
-//! `dst += Σ srcs` with wrapping addition; `Copy`, a matched `IRecv` and a
-//! completed `Sharp` overwrite. Wrapping addition is exact under any
-//! association order, so an allreduce is right exactly when every result
-//! lane equals `Σ_r lane(r, b)`. A contribution lost or folded twice
-//! shows as a wrong value. The simulator's coverage sums catch the same
-//! defects (`lane(r, 0)` is its per-rank hash), but once per segment
-//! rather than per byte; the lanes also see a byte moved to another
-//! offset, which no instruction can do. A `preset_shared` entry becomes,
-//! per byte of its range, the lane sum of its contributor ranks.
+//! Values live in the coverage domain: every buffer is a
+//! [`CoverageMap`], rank `r`'s input holds its own contribution over the
+//! whole vector, and a `preset_shared` entry holds its contributor ranks'
+//! over its range. `Copy`, a matched `IRecv` and a completed `Sharp`
+//! overwrite; `Reduce` adds. [`crate::RunReport::verify_allreduce`] then
+//! checks the result maps.
+//!
+//! One run is one legal order of the program, so its result is the
+//! program's only if no other order could compute another. The race
+//! check (see [`Race`]) flags the accesses that could.
 
-use crate::program::{BufKey, ByteRange, WorldProgram, BUF_INPUT, BUF_RESULT};
+use crate::coverage::CoverageMap;
+use crate::program::{BufKey, ByteRange, ReqId, WorldProgram, BUF_INPUT, BUF_RESULT};
+pub use crate::race::Race;
+use crate::race::Races;
 use crate::stepper::{
-    Arrival, Host, Local, Meet, Outgoing, Sent, Status, Step, Stepper, UnknownGroup,
+    Arrival, Host, IntMap, Local, Meet, Outgoing, Sent, Status, Step, Stepper, UnknownGroup,
 };
 use crate::trace::Phase;
-use dpml_faults::splitmix64;
 use dpml_topology::{Rank, RankMap};
-use std::collections::HashMap;
-
-/// Rank `rank`'s input value at byte `byte`.
-fn lane(rank: u32, byte: u64) -> u64 {
-    splitmix64(
-        u64::from(rank)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(byte),
-    )
-}
 
 /// Why an interpretation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,13 +40,8 @@ pub enum ExecError {
     },
     /// A `Barrier` or `Sharp` names an id the world never registered.
     UnknownGroup(&'static str, u32),
-    /// `rank`'s result holds the wrong value at `byte` (the first one).
-    Mismatch {
-        /// The rank with the wrong result.
-        rank: u32,
-        /// First wrong byte.
-        byte: u64,
-    },
+    /// The result may depend on the order the ranks run in.
+    Race(Race),
 }
 
 impl std::fmt::Display for ExecError {
@@ -61,50 +49,16 @@ impl std::fmt::Display for ExecError {
         match self {
             ExecError::Deadlock { blocked } => write!(f, "deadlock: ranks {blocked:?} blocked"),
             ExecError::UnknownGroup(kind, id) => write!(f, "unregistered {kind} id {id}"),
-            ExecError::Mismatch { rank, byte } => {
-                write!(f, "rank {rank} holds a wrong value at byte {byte}")
-            }
+            ExecError::Race(race) => write!(f, "{race}"),
         }
     }
 }
 
 impl std::error::Error for ExecError {}
 
-/// Every rank's result buffer after a finished run, `vector_bytes` lanes
-/// each (bytes never written read as zero).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Lanes {
-    /// Result lanes indexed by rank.
-    pub results: Vec<Vec<u64>>,
-}
-
-impl Lanes {
-    /// Every rank must hold `Σ_r lane(r, b)` at every byte `b`.
-    pub fn check_allreduce(&self) -> Result<(), ExecError> {
-        let p = self.results.len() as u32;
-        let n = self.results.first().map_or(0, Vec::len) as u64;
-        let want: Vec<u64> = (0..n)
-            .map(|b| (0..p).fold(0u64, |acc, r| acc.wrapping_add(lane(r, b))))
-            .collect();
-        for (rank, got) in self.results.iter().enumerate() {
-            if let Some(byte) = got.iter().zip(&want).position(|(g, w)| g != w) {
-                return Err(ExecError::Mismatch {
-                    rank: rank as u32,
-                    byte: byte as u64,
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Interpret `world` on `map` and check that it computes an allreduce.
-pub fn check_allreduce(world: &WorldProgram, map: &RankMap) -> Result<(), ExecError> {
-    run(world, map)?.check_allreduce()
-}
-
-/// Interpret `world` on `map` to completion and return the result lanes.
-pub fn run(world: &WorldProgram, map: &RankMap) -> Result<Lanes, ExecError> {
+/// Interpret `world` on `map` to completion and return every rank's
+/// result buffer, indexed by rank.
+pub fn run(world: &WorldProgram, map: &RankMap) -> Result<Vec<CoverageMap>, ExecError> {
     let mut steps = Stepper::new(world);
     let mut mem = Memory::new(world, map);
     let p = world.world_size();
@@ -125,59 +79,58 @@ pub fn run(world: &WorldProgram, map: &RankMap) -> Result<Lanes, ExecError> {
     if !blocked.is_empty() {
         return Err(ExecError::Deadlock { blocked });
     }
-    let n = world.vector_bytes;
-    let results = (0..p)
-        .map(|r| mem.read(r, BUF_RESULT, ByteRange::whole(n)))
-        .collect();
-    Ok(Lanes { results })
+    if let Some(race) = mem.races.found {
+        return Err(ExecError::Race(race));
+    }
+    Ok((0..p)
+        .map(|r| mem.bufs.get(&(BUF_RESULT, r)).cloned().unwrap_or_default())
+        .collect())
 }
 
 /// One SHArP occurrence: the running sum and the buffers it lands in.
 #[derive(Default)]
 struct SharpSum {
     range: Option<ByteRange>,
-    accum: Vec<u64>,
+    accum: CoverageMap,
     dsts: Vec<(u32, BufKey)>,
 }
 
-/// The untimed host: every buffer's lanes, and which ranks may run.
+/// The untimed host: every buffer's coverage, and which ranks may run.
 struct Memory<'w> {
     map: &'w RankMap,
-    /// Lanes by buffer and owner: the rank for a private buffer, the node
-    /// for a shared one.
-    bufs: HashMap<(BufKey, u32), Vec<u64>>,
-    /// Sent payloads, taken when matched.
-    msgs: Vec<(ByteRange, Vec<u64>)>,
+    /// Coverage by buffer and owner: the rank for a private buffer, the
+    /// node for a shared one.
+    bufs: IntMap<(BufKey, u32), CoverageMap>,
+    /// Sent payloads by message, until received.
+    msgs: Vec<(ByteRange, CoverageMap)>,
+    /// Slots of `msgs` already received, for reuse.
+    free: Vec<usize>,
     /// Per SHArP occurrence.
     sums: Vec<SharpSum>,
     /// Ranks to resume in the next sweep.
     ready: Vec<bool>,
+    races: Races<'w>,
 }
 
 impl<'w> Memory<'w> {
     fn new(world: &WorldProgram, map: &'w RankMap) -> Self {
         let n = world.vector_bytes;
         let p = world.world_size();
-        let mut bufs: HashMap<_, Vec<u64>> = (0..p)
-            .map(|r| ((BUF_INPUT, r), (0..n).map(|b| lane(r, b)).collect()))
+        let mut bufs: IntMap<_, _> = (0..p)
+            .map(|r| ((BUF_INPUT, r), CoverageMap::singleton(r, 0, n)))
             .collect();
         for (node, id, range, ranks) in &world.preset_shared {
-            let sum = |b| {
-                ranks
-                    .clone()
-                    .fold(0u64, |acc, q| acc.wrapping_add(lane(q, b)))
-            };
-            let buf = (0..range.end)
-                .map(|b| if b < range.start { 0 } else { sum(b) })
-                .collect();
-            bufs.insert((BufKey::Shared(*id), *node), buf);
+            let cov = CoverageMap::ranks(ranks.clone(), range.start, range.end);
+            bufs.insert((BufKey::Shared(*id), *node), cov);
         }
         Memory {
             map,
             bufs,
             msgs: Vec::new(),
+            free: Vec::new(),
             sums: Vec::new(),
             ready: vec![true; p as usize],
+            races: Races::new(map),
         }
     }
 
@@ -189,62 +142,95 @@ impl<'w> Memory<'w> {
         }
     }
 
-    /// `key[range]` of rank `r`; absent or short buffers read as zero.
-    fn read(&self, r: u32, key: BufKey, range: ByteRange) -> Vec<u64> {
-        let mut out = vec![0; range.len() as usize];
-        self.fold(&mut out, r, key, range);
-        out
-    }
-
-    /// `acc += key[range]` of rank `r`, lane by lane.
-    fn fold(&self, acc: &mut [u64], r: u32, key: BufKey, range: ByteRange) {
-        let buf = self
-            .bufs
+    /// `r` reads `key[range]`; an absent buffer reads as empty.
+    fn read(&mut self, r: u32, key: BufKey, range: ByteRange) -> CoverageMap {
+        self.races.access(r, key, range, false);
+        self.bufs
             .get(&self.at(r, key))
-            .map_or(&[][..], Vec::as_slice);
-        let (s, e) = (range.start as usize, buf.len().min(range.end as usize));
-        for (a, v) in acc.iter_mut().zip(buf.get(s..e).unwrap_or_default()) {
-            *a = a.wrapping_add(*v);
+            .map(|b| b.restrict(range.start, range.end))
+            .unwrap_or_default()
+    }
+
+    /// `r` adds `key[range]` into `acc`.
+    fn fold(&mut self, acc: &mut CoverageMap, r: u32, key: BufKey, range: ByteRange) {
+        self.races.access(r, key, range, false);
+        if let Some(b) = self.bufs.get(&self.at(r, key)) {
+            acc.union_merge(b, range.start, range.end);
         }
     }
 
-    /// `key[range] = vals` on rank `r`, zero-extending the buffer.
-    fn write(&mut self, r: u32, key: BufKey, range: ByteRange, vals: &[u64]) {
-        let buf = self.bufs.entry(self.at(r, key)).or_default();
-        if (buf.len() as u64) < range.end {
-            buf.resize(range.end as usize, 0);
-        }
-        buf[range.start as usize..range.end as usize].copy_from_slice(vals);
+    /// `r` overwrites `key[range]` with `vals`, which lies inside `range`.
+    fn write(&mut self, r: u32, key: BufKey, range: ByteRange, vals: CoverageMap) {
+        self.races.access(r, key, range, true);
+        let at = self.at(r, key);
+        self.bufs
+            .entry(at)
+            .or_default()
+            .overwrite_owned(vals, range.start, range.end);
     }
 }
 
-impl<'w> Host<'w> for Memory<'_> {
+impl<'w> Host<'w> for Memory<'w> {
     type Msg = usize;
     type Error = ExecError;
 
     fn send(&mut self, r: u32, _: Phase, _: u32, (_, _, src, range): Outgoing) -> Sent<usize> {
-        self.msgs.push((range, self.read(r, src, range)));
-        Sent::Arrived(self.msgs.len() - 1)
+        let msg = (range, self.read(r, src, range));
+        Sent::Arrived(match self.free.pop() {
+            Some(m) => {
+                self.msgs[m] = msg;
+                m
+            }
+            None => {
+                self.msgs.push(msg);
+                self.msgs.len() - 1
+            }
+        })
     }
 
-    fn recv(&mut self, r: u32, m: usize, dst: BufKey) {
-        let (range, payload) = &mut self.msgs[m];
-        let (range, payload) = (*range, std::mem::take(payload));
-        self.write(r, dst, range, &payload);
+    fn posted(&mut self, r: u32, req: u32, dst: BufKey) {
+        self.races.posted(r, req, dst);
+    }
+
+    fn recv(&mut self, r: u32, req: u32, m: usize, dst: BufKey) {
+        let range = self.msgs[m].0;
+        let payload = std::mem::take(&mut self.msgs[m].1);
+        self.free.push(m);
+        self.races.delivered(r, req, dst, range);
+        let at = self.at(r, dst);
+        self.bufs
+            .entry(at)
+            .or_default()
+            .overwrite_owned(payload, range.start, range.end);
+    }
+
+    fn waited(&mut self, r: u32, reqs: &[ReqId]) {
+        self.races.waited(r, reqs);
     }
 
     fn local(&mut self, r: u32, _: Phase, op: Local<'w>, dst: BufKey, range: ByteRange) -> Step {
-        let vals = match op {
-            Local::Copy(src, _) => self.read(r, src, range),
+        match op {
+            Local::Copy(src, _) => {
+                let vals = self.read(r, src, range);
+                self.write(r, dst, range, vals);
+            }
             Local::Reduce(srcs) => {
-                let mut acc = self.read(r, dst, range);
+                // Fold each source into `dst` in place, out of the map
+                // while the sources are read, unless `dst` is one of them.
+                let at = self.at(r, dst);
+                let acc = if srcs.contains(&dst) {
+                    self.bufs.get(&at).cloned()
+                } else {
+                    self.bufs.remove(&at)
+                };
+                let mut acc = acc.unwrap_or_default();
                 for src in srcs {
                     self.fold(&mut acc, r, *src, range);
                 }
-                acc
+                self.races.access(r, dst, range, true);
+                self.bufs.insert(at, acc);
             }
-        };
-        self.write(r, dst, range, &vals);
+        }
         Step::Next
     }
 
@@ -263,6 +249,7 @@ impl<'w> Host<'w> for Memory<'_> {
             arrival.map_err(|UnknownGroup(kind, id)| ExecError::UnknownGroup(kind, id))?;
         let Meet::Sharp(_, src, dst, range) = meet else {
             if arrival.last {
+                self.races.sync(arrival.members);
                 for m in arrival.members {
                     self.ready[m.index()] = true;
                 }
@@ -275,15 +262,15 @@ impl<'w> Host<'w> for Memory<'_> {
         let mut sum = std::mem::take(&mut self.sums[arrival.occurrence]);
         let prev = *sum.range.get_or_insert(range);
         assert_eq!(prev, range, "sharp group members disagree on range");
-        sum.accum.resize(range.len() as usize, 0);
         self.fold(&mut sum.accum, r, src, range);
         sum.dsts.push((r, dst));
         if !arrival.last {
             self.sums[arrival.occurrence] = sum;
             return Ok(());
         }
+        self.races.sync(arrival.members);
         for (m, dst) in sum.dsts {
-            self.write(m, dst, range, &sum.accum);
+            self.write(m, dst, range, sum.accum.clone());
             self.ready[m as usize] = true;
         }
         Ok(())
@@ -302,7 +289,7 @@ impl<'w> Host<'w> for Memory<'_> {
 mod tests {
     use super::*;
     use crate::coverage::Contrib;
-    use crate::report::{RunReport, VerifyError};
+    use crate::report::{verify_allreduce, RunReport, VerifyError};
     use crate::sim::{SharpOracle, SimConfig, SimError, Simulator};
     use dpml_fabric::presets::cluster_b;
     use dpml_topology::ClusterSpec;
@@ -329,18 +316,26 @@ mod tests {
         Simulator::new(&cfg).with_sharp(&Serial).run(w)
     }
 
-    /// Both hosts run `w` to the end and give the same allreduce verdict;
-    /// returns it.
-    fn agreed(w: &WorldProgram, m: &RankMap) -> bool {
-        let lanes = check_allreduce(w, m).is_ok();
-        let coverage = simulate(w, m).unwrap().verify_allreduce().is_ok();
-        assert_eq!(lanes, coverage, "the hosts disagree");
-        lanes
+    /// `w` computes an allreduce, and the engine's report says the same.
+    fn verifies(w: &WorldProgram, m: &RankMap) -> bool {
+        let ok = verify_allreduce(&run(w, m).unwrap(), w.vector_bytes).is_ok();
+        let engine = simulate(w, m).unwrap().verify_allreduce().is_ok();
+        assert_eq!(ok, engine, "the engine reports another verdict");
+        ok
+    }
+
+    /// The race `exec` finds in `w`, which the engine reports too.
+    fn race(w: &WorldProgram, m: &RankMap) -> Race {
+        let Err(ExecError::Race(race)) = run(w, m) else {
+            panic!("no race found");
+        };
+        assert_eq!(simulate(w, m), Err(SimError::Race(race.clone())));
+        race
     }
 
     /// Two ranks on two nodes: copy the input to the result, exchange
-    /// inputs, reduce the peer's in; with `double`, also fold the own
-    /// input a second time and the received buffer twice.
+    /// inputs, reduce the peer's in; with `double`, also fold the result
+    /// into itself and the received buffer in twice.
     fn exchange(n: u64, double: bool) -> WorldProgram {
         let mut w = WorldProgram::new(2, n);
         let tmp = BufKey::Priv(2);
@@ -348,7 +343,7 @@ mod tests {
             let p = w.rank(Rank(r));
             p.copy(BUF_INPUT, BUF_RESULT, ByteRange::whole(n), false);
             if double {
-                p.reduce(vec![BUF_INPUT], BUF_RESULT, ByteRange::whole(n));
+                p.reduce(vec![BUF_RESULT], BUF_RESULT, ByteRange::whole(n));
             }
             p.sendrecv(Rank(1 - r), 0, BUF_INPUT, ByteRange::whole(n), tmp);
             let srcs = if double { vec![tmp, tmp] } else { vec![tmp] };
@@ -359,41 +354,29 @@ mod tests {
 
     #[test]
     fn exchange_sums_exactly() {
-        let lanes = run(&exchange(64, false), &map(2, 1)).unwrap();
-        for r in 0..2 {
-            assert_eq!(lanes.results[r][5], lane(0, 5).wrapping_add(lane(1, 5)));
-        }
-        lanes.check_allreduce().unwrap();
+        let results = run(&exchange(64, false), &map(2, 1)).unwrap();
+        assert_eq!(results[1].at(5), Some(Contrib::full(2)));
+        assert!(verifies(&exchange(64, false), &map(2, 1)));
     }
 
     #[test]
-    fn lane_zero_is_the_coverage_hash() {
-        for r in [0, 1, 63, 64, 10_239] {
-            assert_eq!(Contrib::rank(r).0, lane(r, 0));
-        }
-    }
-
-    #[test]
-    fn double_fold_fails_lanes_and_coverage() {
+    fn double_fold_fails_verification() {
         let (w, m) = (exchange(64, true), map(2, 1));
-        let err = check_allreduce(&w, &m).unwrap_err();
-        assert_eq!(err, ExecError::Mismatch { rank: 0, byte: 0 });
-        // Coverage sums count multiplicity, so the simulator rejects it too.
-        let preset = cluster_b();
-        let cfg = SimConfig::new(m, preset.fabric, preset.switch).unwrap();
-        let err = Simulator::new(&cfg)
-            .run(&w)
-            .unwrap()
-            .verify_allreduce()
-            .unwrap_err();
-        assert!(matches!(
+        let results = run(&w, &m).unwrap();
+        let full = Contrib::full(2);
+        assert_eq!(results[0].at(0), Some(full + full));
+        let err = verify_allreduce(&results, 64).unwrap_err();
+        assert_eq!(
             err,
             VerifyError::WrongResult {
                 rank: 0,
                 correct_bytes: 0,
-                ..
+                expected_bytes: 64,
             }
-        ));
+        );
+        // Coverage sums count multiplicity, so the engine's report, filled
+        // by the same pass, rejects it too.
+        assert!(!verifies(&w, &m));
     }
 
     #[test]
@@ -434,7 +417,7 @@ mod tests {
                 ByteRange::whole(n),
             );
         }
-        assert!(agreed(&w, &map(1, 2)));
+        assert!(verifies(&w, &map(1, 2)));
         // Barrier 0 again, twice: the first keeps each rank from
         // overwriting its deposit before the peer folded it, the second
         // from reading the peer's before it is written.
@@ -450,7 +433,15 @@ mod tests {
                 false,
             );
         }
-        assert!(agreed(&w, &map(1, 2)));
+        assert!(verifies(&w, &map(1, 2)));
+        // Without the last barrier, rank 1 may overwrite its deposit while
+        // rank 0 still reads it.
+        let mut racy = w.clone();
+        let last = racy.programs[1].instrs.len() - 2;
+        racy.programs[1].instrs.remove(last);
+        racy.programs[0].instrs.remove(last);
+        let got = race(&racy, &map(1, 2));
+        assert_eq!((got.rank, got.with, got.buf), (1, 0, BufKey::Shared(1)));
         w.rank(Rank(0)).barrier(7);
         assert_eq!(
             run(&w, &map(1, 2)),
@@ -463,6 +454,39 @@ mod tests {
     }
 
     #[test]
+    fn unordered_reads_do_not_race() {
+        // Both ranks read one preset shared buffer with nothing between.
+        let n = 16;
+        let mut w = WorldProgram::new(2, n);
+        w.preset_shared(0, 3, ByteRange::whole(n), 0..2);
+        for r in 0..2u32 {
+            w.rank(Rank(r))
+                .copy(BufKey::Shared(3), BUF_RESULT, ByteRange::whole(n), false);
+        }
+        assert!(verifies(&w, &map(1, 2)));
+        // A write by one of them would race with the other's read.
+        w.rank(Rank(1))
+            .copy(BUF_INPUT, BufKey::Shared(3), ByteRange::new(4, 8), false);
+        let got = race(&w, &map(1, 2));
+        assert_eq!((got.rank, got.with), (1, 0));
+        assert_eq!(got.range, ByteRange::new(4, 8));
+    }
+
+    #[test]
+    fn touching_a_receive_before_its_wait_races() {
+        // `exchange` with each rank's fold of the received buffer moved
+        // before the `WaitAll` that completes the receive.
+        let mut w = exchange(64, false);
+        for prog in &mut w.programs {
+            let n = prog.instrs.len();
+            prog.instrs.swap(n - 2, n - 1);
+        }
+        let got = race(&w, &map(2, 1));
+        assert_eq!((got.rank, got.with, got.buf), (0, 0, BufKey::Priv(2)));
+        assert!(got.to_string().contains("before the WaitAll"));
+    }
+
+    #[test]
     fn sharp_meets_once_per_occurrence() {
         let n = 16;
         let mut w = WorldProgram::new(3, n);
@@ -471,28 +495,33 @@ mod tests {
             w.rank(Rank(r))
                 .sharp(0, BUF_INPUT, BUF_RESULT, ByteRange::whole(n));
         }
-        assert!(agreed(&w, &map(3, 1)));
+        assert!(verifies(&w, &map(3, 1)));
         // A second occurrence sums the sums: three times the allreduce.
         for r in 0..3u32 {
             w.rank(Rank(r))
                 .sharp(0, BUF_RESULT, BUF_RESULT, ByteRange::whole(n));
         }
-        let lanes = run(&w, &map(3, 1)).unwrap();
-        let sum = (0..3).fold(0u64, |a, r| a.wrapping_add(lane(r, 9)));
-        assert_eq!(lanes.results[2][9], sum.wrapping_mul(3));
-        assert!(!agreed(&w, &map(3, 1)));
+        let full = Contrib::full(3);
+        assert_eq!(
+            run(&w, &map(3, 1)).unwrap()[2].at(9),
+            Some(full + full + full)
+        );
+        assert!(!verifies(&w, &map(3, 1)));
         assert_eq!(simulate(&w, &map(3, 1)).unwrap().stats.sharp_ops, 2);
     }
 
     #[test]
-    fn shared_presets_become_lane_sums() {
+    fn shared_presets_seed_coverage() {
         let n = 24;
-        let mut w = WorldProgram::new(2, n);
-        w.preset_shared(0, 3, ByteRange::whole(n), 0..2);
-        for r in 0..2u32 {
+        let mut w = WorldProgram::new(4, n);
+        // Later entries replace earlier ones for the same buffer.
+        w.preset_shared(0, 3, ByteRange::whole(n), 0..1);
+        w.preset_shared(0, 3, ByteRange::whole(n), 0..4);
+        w.preset_shared(1, 3, ByteRange::whole(n), 0..4);
+        for r in 0..4u32 {
             w.rank(Rank(r))
                 .copy(BufKey::Shared(3), BUF_RESULT, ByteRange::whole(n), false);
         }
-        check_allreduce(&w, &map(1, 2)).unwrap();
+        assert!(verifies(&w, &map(2, 2)));
     }
 }

@@ -21,14 +21,19 @@
 //!
 //! ## Correctness model
 //!
-//! Every buffer carries a [`coverage::CoverageMap`]: per byte range, a
-//! checksum of the rank contributions it currently holds. Sends snapshot
-//! coverage, receives overwrite it, `Reduce` adds it (charging compute
-//! time). [`report::RunReport::verify_allreduce`] then proves that the
-//! schedule delivered every contribution to every rank exactly once —
-//! so a simulated collective cannot be "fast but wrong". The untimed
-//! interpreter in [`exec`] checks the same arithmetic per byte, with no
-//! clock.
+//! The engine keeps no buffer values: it computes *when*. [`exec`], an
+//! untimed interpreter of the same program, computes *what*: every
+//! buffer is a [`coverage::CoverageMap`], per byte range a checksum of
+//! the rank contributions it holds. Sends snapshot coverage, receives
+//! overwrite it, `Reduce` adds it. [`sim::Simulator::run`] runs it once
+//! after the timed pass to fill [`report::RunReport::result_coverage`],
+//! and [`report::RunReport::verify_allreduce`] then proves that the
+//! schedule delivered every contribution to every rank exactly once — so
+//! a simulated collective cannot be "fast but wrong". Because the result
+//! no longer follows the timed order, the interpreter also checks that no
+//! order could compute another: a race on a shared buffer, or a touch of
+//! a receive's bytes before its `WaitAll`, fails the run
+//! ([`sim::SimError::Race`]).
 //!
 //! ## One stepper, two hosts
 //!
@@ -37,8 +42,8 @@
 //! rank's program counter, request states and status, FIFO message
 //! matching per (destination, source, tag), and the barrier and SHArP
 //! rendezvous (each id has at most one open occurrence; the last member
-//! to arrive closes it). The hosts own what the effects cost and what they
-//! compute.
+//! to arrive closes it). The engine owns what the effects cost; the
+//! interpreter owns what they compute and the race check.
 
 pub mod coverage;
 pub mod critical;
@@ -46,6 +51,7 @@ pub mod exec;
 pub mod flight;
 pub mod program;
 pub mod queue;
+mod race;
 pub mod report;
 pub mod resources;
 pub mod sim;

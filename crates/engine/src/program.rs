@@ -6,7 +6,6 @@
 //! buffers or node-shared buffers (the simulated shared-memory regions DPML
 //! phases 1/2/4 operate on).
 
-use crate::coverage::CoverageMap;
 use crate::trace::Phase;
 use dpml_topology::Rank;
 use serde::{Deserialize, Serialize};
@@ -345,11 +344,6 @@ impl WorldProgram {
         self.programs.iter().map(|p| p.instrs.len()).sum()
     }
 
-    /// The initial coverage of a rank's input buffer.
-    pub fn initial_input(&self, r: Rank) -> CoverageMap {
-        CoverageMap::singleton(r.0, 0, self.vector_bytes)
-    }
-
     /// Start `node`'s shared buffer `buf` holding `ranks`' contributions
     /// over `range` instead of empty.
     pub fn preset_shared(&mut self, node: u32, buf: u32, range: ByteRange, ranks: Range<u32>) {
@@ -525,12 +519,5 @@ mod tests {
         assert_eq!(p.phase_at(2), Phase::InterLeader);
         assert_eq!(p.phase_at(3), Phase::Broadcast);
         assert_eq!(p.phase_at(99), Phase::Unknown);
-    }
-
-    #[test]
-    fn initial_input_is_own_contribution() {
-        let w = WorldProgram::new(4, 128);
-        let c = w.initial_input(Rank(3));
-        assert!(c.covers_exactly(0, 128, crate::coverage::Contrib::rank(3)));
     }
 }

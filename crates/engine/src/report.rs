@@ -133,27 +133,32 @@ impl RunReport {
         self.makespan().micros()
     }
 
-    /// Verify an allreduce: every rank's result buffer must hold every
-    /// rank's contribution exactly once over the whole vector.
+    /// Verify an allreduce: see [`verify_allreduce`].
     pub fn verify_allreduce(&self) -> Result<(), VerifyError> {
-        let p = self.finish_times.len() as u32;
-        let full = Contrib::full(p);
-        for (r, cov) in self.result_coverage.iter().enumerate() {
-            if !cov.covers_exactly(0, self.vector_bytes, full) {
-                let correct = cov
-                    .segments()
-                    .filter(|(_, _, sum)| *sum == full)
-                    .map(|(s, e, _)| e - s)
-                    .sum();
-                return Err(VerifyError::WrongResult {
-                    rank: r as u32,
-                    correct_bytes: correct,
-                    expected_bytes: self.vector_bytes,
-                });
-            }
-        }
-        Ok(())
+        verify_allreduce(&self.result_coverage, self.vector_bytes)
     }
+}
+
+/// Verify an allreduce over `n` bytes from `results`, one result buffer
+/// per rank: each must hold every rank's contribution exactly once over
+/// the whole vector.
+pub fn verify_allreduce(results: &[CoverageMap], n: u64) -> Result<(), VerifyError> {
+    let full = Contrib::full(results.len() as u32);
+    for (r, cov) in results.iter().enumerate() {
+        if !cov.covers_exactly(0, n, full) {
+            let correct = cov
+                .segments()
+                .filter(|(_, _, sum)| *sum == full)
+                .map(|(s, e, _)| e - s)
+                .sum();
+            return Err(VerifyError::WrongResult {
+                rank: r as u32,
+                correct_bytes: correct,
+                expected_bytes: n,
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -18,8 +18,8 @@
 //!   (Section 3).
 //! * Event ties are broken by insertion sequence, making runs deterministic.
 
-use crate::coverage::CoverageMap;
-use crate::program::{BufKey, ByteRange, Tag, WorldProgram, BUF_RESULT};
+use crate::exec::{self, ExecError, Race};
+use crate::program::{BufKey, ByteRange, Tag, WorldProgram};
 use crate::queue::EventQueue;
 use crate::report::{ResourceUsage, RunReport, RunStats};
 use crate::resources::{FlowId, FluidSystem, ResourceId};
@@ -127,6 +127,9 @@ pub enum SimError {
         /// recovery layer above the engine learns of the failure.
         at: f64,
     },
+    /// The program's result depends on timing: the untimed pass found two
+    /// unordered accesses to the same bytes (see [`crate::exec`]).
+    Race(Race),
 }
 
 /// One entry in the crash ledger: an operation aborted by a fail-stop
@@ -158,6 +161,7 @@ impl SimError {
             SimError::LinkDown { .. } => "link-down",
             SimError::RankDead { .. } => "rank-dead",
             SimError::RetryBudgetExhausted { .. } => "retry-exhausted",
+            SimError::Race(_) => "race",
         }
     }
 }
@@ -208,6 +212,7 @@ impl std::fmt::Display for SimError {
                  (given up at {:.1}us)",
                 at * 1e6
             ),
+            SimError::Race(race) => write!(f, "{race}"),
         }
     }
 }
@@ -237,22 +242,13 @@ enum Ev {
 /// that would otherwise each trigger a global refill.
 const RECOMPUTE_QUANTUM: f64 = 25e-9;
 
-#[derive(Debug)]
-enum ApplyKind {
-    Overwrite,
-    Union,
-}
-
-/// A local copy/reduce whose fluid flow is draining; applied to the
-/// destination buffer when the flow completes. Flow sizing is kept so a
-/// deposit that fails its publish checksum (injected shm bit flip) can be
-/// redone from the intact private source.
+/// A local copy/reduce whose fluid flow is draining; the rank resumes
+/// when the flow completes. Flow sizing is kept so a deposit that fails
+/// its publish checksum (injected shm bit flip) can be redone.
 #[derive(Debug)]
 struct PendingApply {
     dst: BufKey,
     range: ByteRange,
-    payload: CoverageMap,
-    kind: ApplyKind,
     bytes: f64,
     cap: f64,
     attempts: u32,
@@ -260,7 +256,6 @@ struct PendingApply {
 
 struct RankState<'a> {
     blocked_span: Option<(SpanKind, SimTime, u64, Phase)>,
-    bufs: HashMap<u32, CoverageMap>,
     /// A local op in its startup latency: (op, dst, range).
     pending_local: Option<(Local<'a>, BufKey, ByteRange)>,
     pending_apply: Option<PendingApply>,
@@ -275,7 +270,6 @@ struct Msg {
     dst: Rank,
     tag: Tag,
     range: ByteRange,
-    payload: CoverageMap,
     /// The sender's request for this send.
     send_req: u32,
     intra: bool,
@@ -306,10 +300,9 @@ enum FlowToken {
 
 struct SharpOpState {
     group: u32,
-    accum: CoverageMap,
     range: Option<ByteRange>,
-    /// `(rank, destination buffer)` of every member, resumed on completion.
-    dsts: Vec<(Rank, BufKey)>,
+    /// Every member, resumed on completion.
+    members: Vec<Rank>,
     /// Last member to join and when — the op's release dependency for the
     /// critical-path walk.
     last_join: Option<(u32, SimTime)>,
@@ -383,14 +376,21 @@ impl<'a> Simulator<'a> {
         self
     }
 
-    /// Execute a world program to completion.
+    /// Execute a world program to completion. The timed pass answers
+    /// when; then, with its state dropped, one untimed [`exec`] pass over
+    /// the same program answers what, filling
+    /// [`RunReport::result_coverage`].
     pub fn run(&self, world: &WorldProgram) -> Result<RunReport, SimError> {
-        let mut st = SimState::new(self, world);
-        if let Err(e) = st.run() {
+        let run = SimState::new(self, world).run().and_then(|mut report| {
+            report.result_coverage = exec::run(world, &self.cfg.map).map_err(|e| match e {
+                ExecError::Race(race) => SimError::Race(race),
+                e => unreachable!("the timed pass finished, so the untimed one does: {e}"),
+            })?;
+            Ok(report)
+        });
+        let report = run.inspect_err(|e| {
             crate::flight::global().record("sim.error", None, format!("{e}"));
-            return Err(e);
-        }
-        let report = st.report(world);
+        })?;
         let flight = crate::flight::global();
         flight.record(
             "sim.end",
@@ -434,7 +434,6 @@ struct SimState<'a> {
     now: SimTime,
     events: EventQueue<Ev>,
     ranks: Vec<RankState<'a>>,
-    shared: Vec<HashMap<u32, CoverageMap>>,
     msgs: Vec<Msg>,
     nic_queue: Vec<VecDeque<usize>>,
     nic_busy: Vec<bool>,
@@ -516,17 +515,12 @@ impl<'a> SimState<'a> {
         }
 
         let ranks = (0..p)
-            .map(|r| {
-                let mut bufs = HashMap::new();
-                bufs.insert(0, world.initial_input(Rank(r)));
-                RankState {
-                    blocked_span: None,
-                    bufs,
-                    pending_local: None,
-                    pending_apply: None,
-                    finish: None,
-                    last_release: None,
-                }
+            .map(|_| RankState {
+                blocked_span: None,
+                pending_local: None,
+                pending_apply: None,
+                finish: None,
+                last_release: None,
             })
             .collect();
 
@@ -537,7 +531,6 @@ impl<'a> SimState<'a> {
             now: SimTime::ZERO,
             events: EventQueue::new(),
             ranks,
-            shared: (0..h).map(|_| HashMap::new()).collect(),
             msgs: Vec::new(),
             nic_queue: (0..h).map(|_| VecDeque::new()).collect(),
             nic_busy: vec![false; h],
@@ -569,14 +562,6 @@ impl<'a> SimState<'a> {
         };
         for r in 0..p {
             st.push(SimTime::ZERO, Ev::Resume(r));
-        }
-        // Continuation worlds (the partition re-reduce) start nodes from
-        // checkpointed shared-buffer state instead of empty buffers.
-        for (node, id, range, ranks) in &world.preset_shared {
-            if let Some(bufs) = st.shared.get_mut(*node as usize) {
-                let cov = CoverageMap::ranks(ranks.clone(), range.start, range.end);
-                bufs.insert(*id, cov);
-            }
         }
         if let Some(plan) = sim.faults {
             // One capacity-refresh event per degrade/restore boundary;
@@ -672,7 +657,8 @@ impl<'a> SimState<'a> {
         self.events.push(t, ev);
     }
 
-    fn run(&mut self) -> Result<(), SimError> {
+    /// Run to the end and report everything but the result coverage.
+    fn run(mut self) -> Result<RunReport, SimError> {
         let mut steps = Stepper::new(self.world);
         let mut processed: u64 = 0;
         while self.pump_one(&mut steps, &mut processed)? {}
@@ -716,7 +702,7 @@ impl<'a> SimState<'a> {
                 .collect();
             return Err(SimError::Deadlock { blocked });
         }
-        Ok(())
+        Ok(self.report())
     }
 
     /// Pop and execute one event — plus the same-timestamp drain and the
@@ -826,47 +812,6 @@ impl<'a> SimState<'a> {
             }
         }
         Ok(())
-    }
-
-    // ---- buffers -----------------------------------------------------------
-
-    /// The buffer a snapshot would read, if it exists (an absent buffer
-    /// snapshots to the empty map).
-    fn buf_ref(&self, r: u32, key: BufKey) -> Option<&CoverageMap> {
-        match key {
-            BufKey::Priv(id) => self.ranks[r as usize].bufs.get(&id),
-            BufKey::Shared(id) => {
-                let node = self.cfg.map.node_of(Rank(r)).index();
-                self.shared[node].get(&id)
-            }
-        }
-    }
-
-    fn buf_snapshot(&self, r: u32, key: BufKey, range: ByteRange) -> CoverageMap {
-        self.buf_ref(r, key)
-            .map(|b| b.restrict(range.start, range.end))
-            .unwrap_or_default()
-    }
-
-    fn buf_apply(
-        &mut self,
-        r: u32,
-        key: BufKey,
-        range: ByteRange,
-        payload: CoverageMap,
-        kind: &ApplyKind,
-    ) {
-        let buf = match key {
-            BufKey::Priv(id) => self.ranks[r as usize].bufs.entry(id).or_default(),
-            BufKey::Shared(id) => {
-                let node = self.cfg.map.node_of(Rank(r)).index();
-                self.shared[node].entry(id).or_default()
-            }
-        };
-        match kind {
-            ApplyKind::Overwrite => buf.overwrite_owned(payload, range.start, range.end),
-            ApplyKind::Union => buf.union_merge(&payload, range.start, range.end),
-        }
     }
 
     // ---- sends / receives ---------------------------------------------------
@@ -1041,30 +986,20 @@ impl<'a> SimState<'a> {
             .take()
             .expect("pending local op");
         let node = self.cfg.map.node_of(Rank(r)).index();
-        let (payload, kind, bytes, cap) = match op {
-            Local::Copy(src, cross_socket) => {
-                let p = self.buf_snapshot(r, src, range);
+        let (bytes, cap) = match op {
+            Local::Copy(_, cross_socket) => {
                 let cap = self.cfg.fabric.mem.copy_bw(cross_socket);
-                (p, ApplyKind::Overwrite, range.len() as f64, cap)
+                (range.len() as f64, cap)
             }
             Local::Reduce(srcs) => {
-                // `union_merge` reads each source in place, so no
-                // per-source snapshot is taken; an absent buffer
-                // contributes nothing.
-                let mut acc = CoverageMap::empty();
-                for b in srcs.iter().filter_map(|s| self.buf_ref(r, *s)) {
-                    acc.union_merge(b, range.start, range.end);
-                }
                 let passes = srcs.len() as f64;
                 let cap = self.cfg.fabric.compute.per_core_reduce_bw;
-                (acc, ApplyKind::Union, range.len() as f64 * passes, cap)
+                (range.len() as f64 * passes, cap)
             }
         };
         self.ranks[r as usize].pending_apply = Some(PendingApply {
             dst,
             range,
-            payload,
-            kind,
             bytes,
             cap,
             attempts: 0,
@@ -1103,8 +1038,8 @@ impl<'a> SimState<'a> {
                     // Checksum-on-publish: a deposit into node shared
                     // memory may be hit by an injected bit flip. The
                     // publish checksum catches it and the copy/reduce is
-                    // redone from the intact private sources — or the run
-                    // fails structurally once the budget is spent.
+                    // redone — paying its flow again — or the run fails
+                    // structurally once the budget is spent.
                     if let Some(plan) = self.sim.faults {
                         if matches!(apply.dst, BufKey::Shared(_)) && !plan.data.is_zero() {
                             let c = self.data_draws[r as usize];
@@ -1136,7 +1071,6 @@ impl<'a> SimState<'a> {
                             }
                         }
                     }
-                    self.buf_apply(r, apply.dst, apply.range, apply.payload, &apply.kind);
                     self.push(self.now, Ev::Resume(r));
                 }
             }
@@ -1172,24 +1106,16 @@ impl<'a> SimState<'a> {
     }
 
     fn sharp_done(&mut self, steps: &Stepper<'a, usize>, op_idx: usize) {
-        let (accum, range, dsts, last_join) = {
-            let op = &mut self.sharp_ops[op_idx];
-            (
-                std::mem::take(&mut op.accum),
-                op.range.expect("range set"),
-                std::mem::take(&mut op.dsts),
-                op.last_join,
-            )
-        };
-        let release = last_join.map(|(rank, at)| Release::Sharp {
+        let op = &mut self.sharp_ops[op_idx];
+        let members = std::mem::take(&mut op.members);
+        let release = op.last_join.map(|(rank, at)| Release::Sharp {
             rank,
             at: at.seconds(),
         });
-        for (rank, dst) in dsts {
+        for rank in members {
             if steps.status(rank.0) == Status::Dead {
                 continue; // joined the op, then died before it completed
             }
-            self.buf_apply(rank.0, dst, range, accum.clone(), &ApplyKind::Overwrite);
             if self.trace.is_some() {
                 self.ranks[rank.index()].last_release = release;
             }
@@ -1224,7 +1150,7 @@ impl<'a> SimState<'a> {
         });
         // Abort an in-progress local copy/reduce: either still in its
         // startup latency (pending_local) or already a memory flow
-        // (pending_apply + flow). The destination buffer is never touched.
+        // (pending_apply + flow).
         if let Some(fid) = self.flow_of_rank.remove(&r) {
             self.fluid.remove_flow(fid);
         }
@@ -1301,11 +1227,7 @@ impl<'a> SimState<'a> {
 
     // ---- reporting --------------------------------------------------------------
 
-    fn report(&mut self, world: &WorldProgram) -> RunReport {
-        let result_key = match BUF_RESULT {
-            BufKey::Priv(id) => id,
-            _ => unreachable!(),
-        };
+    fn report(&mut self) -> RunReport {
         let finish_times: Vec<SimTime> = self
             .ranks
             .iter()
@@ -1323,13 +1245,9 @@ impl<'a> SimState<'a> {
         // scales with the detections actually observed.
         self.stats.undetected_risk = self.stats.corruptions_detected as f64 * 2f64.powi(-32);
         RunReport {
-            result_coverage: self
-                .ranks
-                .iter()
-                .map(|r| r.bufs.get(&result_key).cloned().unwrap_or_default())
-                .collect(),
+            result_coverage: Vec::new(),
             finish_times,
-            vector_bytes: world.vector_bytes,
+            vector_bytes: self.world.vector_bytes,
             stats: self.stats,
             trace: self.trace.take(),
             resources: self.resource_usage(makespan),
@@ -1379,15 +1297,14 @@ impl<'a> SimState<'a> {
 }
 
 /// The timed host: it charges each effect its time through the NIC,
-/// event queue and fluid model, and moves coverage between buffers.
+/// event queue and fluid model, and keeps no buffer values.
 impl<'a> Host<'a> for SimState<'a> {
     type Msg = usize;
     type Error = SimError;
 
     fn send(&mut self, r: u32, phase: Phase, req: u32, msg: Outgoing) -> Sent<usize> {
-        let (to, tag, src, range) = msg;
+        let (to, tag, _, range) = msg;
         self.begin_span(r, SpanKind::SendInject, range.len(), phase);
-        let payload = self.buf_snapshot(r, src, range);
         let src_node = self.cfg.map.node_of(Rank(r));
         let dst_node = self.cfg.map.node_of(to);
         let intra = src_node == dst_node;
@@ -1404,7 +1321,6 @@ impl<'a> Host<'a> for SimState<'a> {
             dst: to,
             tag,
             range,
-            payload,
             send_req: req,
             intra,
             cross_socket,
@@ -1438,14 +1354,6 @@ impl<'a> Host<'a> for SimState<'a> {
         Sent::Busy {
             done: eager || intra,
         }
-    }
-
-    fn recv(&mut self, r: u32, m: usize, dst: BufKey) {
-        // A message is delivered exactly once: move its payload out
-        // instead of cloning it, so the message log stops holding it.
-        let payload = std::mem::take(&mut self.msgs[m].payload);
-        let range = self.msgs[m].range;
-        self.buf_apply(r, dst, range, payload, &ApplyKind::Overwrite);
     }
 
     fn local(
@@ -1494,7 +1402,7 @@ impl<'a> Host<'a> for SimState<'a> {
         arrival: Result<Arrival<'a>, UnknownGroup>,
     ) -> Result<(), SimError> {
         let unknown = |UnknownGroup(kind, id)| SimError::UnknownGroup(kind, id);
-        let Meet::Sharp(group, src, dst, range) = meet else {
+        let Meet::Sharp(group, _, _, range) = meet else {
             self.begin_span(r, SpanKind::Barrier, 0, phase);
             let Arrival { members, last, .. } = arrival.map_err(unknown)?;
             if !last {
@@ -1532,20 +1440,17 @@ impl<'a> Host<'a> for SimState<'a> {
         if op_idx == self.sharp_ops.len() {
             self.sharp_ops.push(SharpOpState {
                 group,
-                accum: CoverageMap::empty(),
                 range: None,
-                dsts: Vec::new(),
+                members: Vec::new(),
                 last_join: None,
             });
         }
-        let payload = self.buf_snapshot(r, src, range);
         let op = &mut self.sharp_ops[op_idx];
         if let Some(prev) = op.range {
             assert_eq!(prev, range, "sharp group {group} members disagree on range");
         }
         op.range = Some(range);
-        op.accum.union_merge(&payload, range.start, range.end);
-        op.dsts.push((Rank(r), dst));
+        op.members.push(Rank(r));
         op.last_join = Some((r, self.now));
         if arrival.last {
             self.sharp_queue.push_back(op_idx);

@@ -5,17 +5,53 @@
 //! the two ways ranks meet. Messages match receives FIFO per (destination,
 //! source, tag). Each barrier id and SHArP group has at most one open
 //! occurrence: the last registered member to arrive closes it, and the
-//! next arrival opens a new one. The [`Host`] owns the rest (time, values)
-//! and is a generic parameter, so no call is dynamic. An effect the host
-//! answers `Busy`, and a rendezvous, park the rank until the host resumes
-//! it; `WaitAll` blocks until [`Stepper::complete`] or a matching
+//! next arrival opens a new one. The [`Host`] owns the rest (time or
+//! values) and is a generic parameter, so no call is dynamic. An effect
+//! the host answers `Busy`, and a rendezvous, park the rank until the host
+//! resumes it; `WaitAll` blocks until [`Stepper::complete`] or a matching
 //! [`Stepper::arrive`] wakes it.
 
 use crate::program::{BufKey, ByteRange, Instr, ReqId, Tag, WorldProgram};
 use crate::trace::Phase;
 use dpml_topology::Rank;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A hash map keyed by the program's own integers (ranks, tags, buffer
+/// ids). They come from compiled programs, not from outside, so a
+/// multiply-rotate hash stands in for SipHash, whose flood resistance
+/// they do not need and whose cost both hosts pay per message.
+pub(crate) type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
+#[derive(Default)]
+pub(crate) struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits, which the multiply mixes
+        // least.
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.write_u64(i.into());
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+}
 
 /// Where a rank stands; the names appear in the engine's error text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -90,8 +126,13 @@ pub(crate) trait Host<'w> {
 
     /// `r` posts `msg` as request `req`.
     fn send(&mut self, r: u32, phase: Phase, req: u32, msg: Outgoing) -> Sent<Self::Msg>;
-    /// Message `m` lands in `r`'s buffer `dst`.
-    fn recv(&mut self, r: u32, m: Self::Msg, dst: BufKey);
+    /// `r` posts a receive into `dst` as request `req`. A host that keeps
+    /// no values ignores this and the next two calls.
+    fn posted(&mut self, _r: u32, _req: u32, _dst: BufKey) {}
+    /// Message `m` lands in `r`'s buffer `dst` through request `req`.
+    fn recv(&mut self, _r: u32, _req: u32, _m: Self::Msg, _dst: BufKey) {}
+    /// `r` passes a `WaitAll` on `reqs`: every one is complete.
+    fn waited(&mut self, _r: u32, _reqs: &[ReqId]) {}
     /// `op` on `r`'s `dst[range]`.
     fn local(&mut self, r: u32, phase: Phase, op: Local<'w>, dst: BufKey, range: ByteRange)
         -> Step;
@@ -116,8 +157,49 @@ pub(crate) trait Host<'w> {
 /// Matching key: (destination, source, tag).
 type MsgKey = (u32, u32, Tag);
 
-/// FIFO queues per key; a key leaves its map when its queue empties.
-type Queues<T> = HashMap<MsgKey, VecDeque<T>>;
+/// One FIFO queue per key, with no allocation per queue: `ends` holds
+/// each non-empty queue's head and tail sequence numbers, `items` its
+/// entries by (key, sequence number). A key leaves `ends` when its queue
+/// empties.
+struct Queues<T> {
+    ends: IntMap<MsgKey, (u32, u32)>,
+    items: IntMap<(MsgKey, u32), T>,
+}
+
+impl<T> Queues<T> {
+    fn new() -> Self {
+        Queues {
+            ends: IntMap::default(),
+            items: IntMap::default(),
+        }
+    }
+
+    fn push(&mut self, key: MsgKey, item: T) {
+        let (_, tail) = self.ends.entry(key).or_insert((0, 0));
+        self.items.insert((key, *tail), item);
+        *tail += 1;
+    }
+
+    /// The oldest entry under `key`.
+    fn pop(&mut self, key: MsgKey) -> Option<T> {
+        let Entry::Occupied(mut ends) = self.ends.entry(key) else {
+            return None;
+        };
+        let (head, tail) = ends.get_mut();
+        let item = self.items.remove(&(key, *head));
+        *head += 1;
+        if head == tail {
+            ends.remove();
+        }
+        item
+    }
+
+    /// Drop every queue for destination `r`.
+    fn drop_dst(&mut self, r: u32) {
+        self.ends.retain(|key, _| key.0 != r);
+        self.items.retain(|(key, _), _| key.0 != r);
+    }
+}
 
 #[derive(Default)]
 struct RankState {
@@ -136,7 +218,7 @@ pub(crate) struct Stepper<'w, M> {
     /// Arrived, unmatched messages.
     msgs: Queues<M>,
     /// Open occurrences by (is SHArP, id): (members joined, occurrence).
-    open: HashMap<(bool, u32), (usize, usize)>,
+    open: IntMap<(bool, u32), (usize, usize)>,
     /// Occurrences opened so far: barriers, SHArP.
     opened: [usize; 2],
 }
@@ -147,9 +229,9 @@ impl<'w, M: Copy> Stepper<'w, M> {
         Stepper {
             world,
             ranks: ranks.collect(),
-            recvs: HashMap::new(),
-            msgs: HashMap::new(),
-            open: HashMap::new(),
+            recvs: Queues::new(),
+            msgs: Queues::new(),
+            open: IntMap::default(),
             opened: [0; 2],
         }
     }
@@ -205,6 +287,7 @@ impl<'w, M: Copy> Stepper<'w, M> {
                     }
                 },
                 &Instr::IRecv { from, tag, dst } => {
+                    host.posted(r, req, dst);
                     let matched = pair(
                         &mut self.msgs,
                         &mut self.recvs,
@@ -212,7 +295,7 @@ impl<'w, M: Copy> Stepper<'w, M> {
                         (req, dst),
                     );
                     if let Some(m) = matched {
-                        host.recv(r, m, dst);
+                        host.recv(r, req, m, dst);
                     }
                     self.ranks[r as usize].reqs.push(matched.is_some());
                     Step::Next
@@ -223,7 +306,10 @@ impl<'w, M: Copy> Stepper<'w, M> {
                     host.wait(r, phase);
                     return Ok(());
                 }
-                Instr::WaitAll { .. } => Step::Next,
+                Instr::WaitAll { reqs } => {
+                    host.waited(r, reqs);
+                    Step::Next
+                }
                 &Instr::Copy {
                     src,
                     dst,
@@ -260,7 +346,7 @@ impl<'w, M: Copy> Stepper<'w, M> {
         host: &mut H,
     ) {
         if let Some((req, buf)) = pair(&mut self.recvs, &mut self.msgs, (dst, src, tag), m) {
-            host.recv(dst, m, buf);
+            host.recv(dst, req, m, buf);
             self.complete(dst, req, m, host);
         }
     }
@@ -285,8 +371,8 @@ impl<'w, M: Copy> Stepper<'w, M> {
 
     /// Rank `r` crashed: it never runs again, and nothing matches to it.
     pub(crate) fn kill(&mut self, r: u32) {
-        self.recvs.retain(|key, _| key.0 != r);
-        self.msgs.retain(|key, _| key.0 != r);
+        self.recvs.drop_dst(r);
+        self.msgs.drop_dst(r);
         self.ranks[r as usize].status = Status::Dead;
     }
 
@@ -337,15 +423,11 @@ impl<'w, M: Copy> Stepper<'w, M> {
 
 /// Take the oldest of `theirs` under `key`, or else queue `mine` in `ours`.
 fn pair<A, B>(theirs: &mut Queues<A>, ours: &mut Queues<B>, key: MsgKey, mine: B) -> Option<A> {
-    if let Entry::Occupied(mut q) = theirs.entry(key) {
-        let oldest = q.get_mut().pop_front();
-        if q.get().is_empty() {
-            q.remove();
-        }
-        return oldest;
+    let oldest = theirs.pop(key);
+    if oldest.is_none() {
+        ours.push(key, mine);
     }
-    ours.entry(key).or_default().push_back(mine);
-    None
+    oldest
 }
 
 /// Every request in `wait` is complete.

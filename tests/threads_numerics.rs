@@ -1,12 +1,14 @@
 //! Numerical validation. Compiled schedules run under the untimed
-//! interpreter (`dpml_engine::exec`), whose lanes must sum exactly to the
-//! allreduce; the real-threads intra-node runtime must match a serial
-//! sum within reassociation tolerance.
+//! interpreter (`dpml_engine::exec`), whose coverage must hold every
+//! contribution exactly once and whose race check must find nothing; the
+//! real-threads intra-node runtime must match a serial sum within
+//! reassociation tolerance.
 
 use dpml::core::algorithms::{Algorithm, FlatAlg};
-use dpml::core::run::{simulate, Exec};
+use dpml::core::run::{simulate, Exec, RunError};
 use dpml::engine::exec::{self, ExecError};
-use dpml::engine::{Instr, VerifyError, WorldProgram};
+use dpml::engine::report::verify_allreduce;
+use dpml::engine::{CoverageMap, Instr, SimError, VerifyError, WorldProgram};
 use dpml::fabric::presets::{all_presets, cluster_b, Preset};
 use dpml::shm::kernels::{assert_close, serial_reference};
 use dpml::shm::NodeRuntime;
@@ -41,9 +43,15 @@ fn map(nodes: u32, ppn: u32) -> RankMap {
 }
 
 /// Compile `alg` and interpret it.
-fn lanes(alg: Algorithm, map: &RankMap, bytes: u64) -> Result<exec::Lanes, ExecError> {
+fn results(alg: Algorithm, map: &RankMap, bytes: u64) -> Result<Vec<CoverageMap>, ExecError> {
     let world = alg.build(map, bytes).expect("build");
     exec::run(&world, map)
+}
+
+/// Compile `alg`, interpret it and verify the allreduce.
+fn check(alg: Algorithm, map: &RankMap, bytes: u64) -> Result<(), String> {
+    let results = results(alg, map, bytes).map_err(|e| e.to_string())?;
+    verify_allreduce(&results, bytes).map_err(|e| e.to_string())
 }
 
 proptest! {
@@ -58,7 +66,7 @@ proptest! {
         inner in 0usize..3,
     ) {
         let alg = Algorithm::Dpml { leaders: 1 + l_seed % ppn, inner: INNERS[inner] };
-        prop_assert_eq!(lanes(alg, &map(nodes, ppn), n).and_then(|l| l.check_allreduce()), Ok(()));
+        prop_assert_eq!(check(alg, &map(nodes, ppn), n), Ok(()));
     }
 
     #[test]
@@ -67,8 +75,7 @@ proptest! {
         ppn in 1u32..4,
         n in 1u64..150,
     ) {
-        let got = lanes(Algorithm::RecursiveDoubling, &map(nodes, ppn), n);
-        prop_assert_eq!(got.and_then(|l| l.check_allreduce()), Ok(()));
+        prop_assert_eq!(check(Algorithm::RecursiveDoubling, &map(nodes, ppn), n), Ok(()));
     }
 
     #[test]
@@ -98,13 +105,10 @@ fn dpml_and_flat_rd_agree_exactly_shaped() {
         leaders: 3,
         inner: FlatAlg::RecursiveDoubling,
     };
-    let a = lanes(dpml, &m, 1013).unwrap();
-    let b = lanes(Algorithm::RecursiveDoubling, &m, 1013).unwrap();
-    a.check_allreduce().unwrap();
-    assert_eq!(
-        a, b,
-        "wrapping sums are exact, so the two must agree bit for bit"
-    );
+    let a = results(dpml, &m, 1013).unwrap();
+    let b = results(Algorithm::RecursiveDoubling, &m, 1013).unwrap();
+    verify_allreduce(&a, 1013).unwrap();
+    assert_eq!(a, b, "coverage sums are exact, so the two must agree");
 }
 
 /// Every variant this geometry admits: each `FlatAlg` inner for
@@ -138,12 +142,10 @@ fn host_variants(ppn: u32) -> Vec<Algorithm> {
     algs
 }
 
-/// On every preset that can run `alg`, the engine verifies the point and
-/// its lanes are exact; returns the number of (preset, program) points.
-/// Lanes depend only on the compiled program, so presets that share a
-/// node shape, and hence a rank map, interpret it once.
+/// On every preset that can run `alg`, the engine runs the point and its
+/// untimed pass finds no race and verifies the result; returns the number
+/// of (preset, program) points.
 fn differential(presets: &[Preset], nodes: u32, ppn: u32, alg: Algorithm, bytes: u64) -> usize {
-    let mut interpreted: Vec<RankMap> = Vec::new();
     let mut points = 0;
     for preset in presets
         .iter()
@@ -155,18 +157,14 @@ fn differential(presets: &[Preset], nodes: u32, ppn: u32, alg: Algorithm, bytes:
         simulate(preset, &m, &world, &Exec::default())
             .unwrap_or_else(|e| panic!("{}: {e}", at()))
             .verify_allreduce()
-            .unwrap_or_else(|e| panic!("{}: engine: {e}", at()));
-        if !interpreted.contains(&m) {
-            exec::check_allreduce(&world, &m).unwrap_or_else(|e| panic!("{}: lanes: {e}", at()));
-            interpreted.push(m);
-        }
+            .unwrap_or_else(|e| panic!("{}: {e}", at()));
         points += 1;
     }
     points
 }
 
 #[test]
-fn every_variant_is_lanes_exact_on_the_matrix() {
+fn every_variant_is_exact_and_race_free_on_the_matrix() {
     // `tests/allreduce_matrix.rs`'s geometries; SHArP designs also at its
     // SHArP-only shapes.
     let presets = all_presets();
@@ -225,7 +223,7 @@ fn reduce_mutants(world: &WorldProgram, dup: bool) -> Vec<WorldProgram> {
 }
 
 #[test]
-fn double_folds_fail_lanes_and_coverage() {
+fn double_folds_fail_verification() {
     let preset = cluster_b();
     let m = map(3, 4);
     let algs = [
@@ -248,12 +246,17 @@ fn double_folds_fail_lanes_and_coverage() {
         for dup in [true, false] {
             for (i, mutant) in reduce_mutants(&world, dup).iter().enumerate() {
                 let at = || format!("{} mutant {i} (dup {dup})", alg.name());
-                match exec::check_allreduce(mutant, &m) {
-                    Err(ExecError::Mismatch { .. }) => {}
-                    other => panic!("{}: lanes {other:?}", at()),
-                }
-                // Coverage sums count multiplicity, so the engine rejects
-                // every mutant too.
+                // Coverage sums count multiplicity, so both the untimed
+                // pass and the engine's report reject every mutant.
+                let got = exec::run(mutant, &m).expect("no race");
+                assert!(
+                    matches!(
+                        verify_allreduce(&got, 997),
+                        Err(VerifyError::WrongResult { .. })
+                    ),
+                    "{}: exec accepted a double fold",
+                    at()
+                );
                 let rep = simulate(&preset, &m, mutant, &Exec::default()).expect("sim");
                 assert!(
                     matches!(rep.verify_allreduce(), Err(VerifyError::WrongResult { .. })),
@@ -265,4 +268,55 @@ fn double_folds_fail_lanes_and_coverage() {
         }
     }
     assert!(mutants >= 24, "only {mutants} mutants");
+}
+
+/// `world` without each rank's first barrier: DPML's `gather_done`, so a
+/// leader may fold a slot before its writer deposits it.
+fn without_first_barrier(world: &WorldProgram) -> WorldProgram {
+    let mut w = world.clone();
+    for prog in &mut w.programs {
+        let instrs = &mut prog.instrs;
+        let pc = instrs
+            .iter()
+            .position(|i| matches!(i, Instr::Barrier { .. }))
+            .expect("a barrier");
+        instrs.remove(pc);
+    }
+    w
+}
+
+/// `world` with rank 0's first `Reduce` after a `WaitAll` moved before
+/// it, so it folds a receive buffer that may not have been written yet.
+fn reduce_before_wait(world: &WorldProgram) -> WorldProgram {
+    let mut w = world.clone();
+    let instrs = &mut w.programs[0].instrs;
+    let pc = instrs
+        .windows(2)
+        .position(|p| matches!(p, [Instr::WaitAll { .. }, Instr::Reduce { .. }]))
+        .expect("a reduce after a wait");
+    instrs.swap(pc, pc + 1);
+    w
+}
+
+#[test]
+fn racy_mutants_fail_with_a_race() {
+    let preset = cluster_b();
+    let m = map(3, 4);
+    let dpml = Algorithm::Dpml {
+        leaders: 2,
+        inner: FlatAlg::RecursiveDoubling,
+    };
+    let world = dpml.build(&m, 997).expect("build");
+    for mutant in [without_first_barrier(&world), reduce_before_wait(&world)] {
+        assert!(
+            matches!(exec::run(&mutant, &m), Err(ExecError::Race(_))),
+            "exec missed the race"
+        );
+        let err = simulate(&preset, &m, &mutant, &Exec::default()).unwrap_err();
+        let RunError::Sim(err) = err else {
+            panic!("engine: {err}");
+        };
+        assert!(matches!(err, SimError::Race(_)), "engine: {err}");
+        assert_eq!(err.label(), "race");
+    }
 }
