@@ -5,9 +5,8 @@ use super::{dpml, say, Output, Report};
 use crate::{fmt_bytes, fmt_us, sweep, Table};
 use dpml_core::algorithms::{Algorithm, FlatAlg};
 use dpml_core::integrity::{
-    run_allreduce_verified, IntegrityErrorKind, IntegrityPolicy, VerifiedError,
+    run_allreduce_verified, IntegrityErrorKind, IntegrityPolicy, IntegrityReport, VerifiedError,
 };
-use dpml_core::resilience::run_allreduce_resilient;
 use dpml_fabric::presets::{cluster_a, cluster_b};
 use dpml_faults::{DataFaults, FaultPlan, SharpFaults};
 use dpml_shm::metrics::{SHM_CRC_FAIL, SHM_RETRANSMIT};
@@ -22,9 +21,11 @@ use serde::Serialize;
 /// increasing intensity against recursive doubling, DPML, and the SHArP
 /// socket-leader design on Cluster A, 8 nodes, reporting the slowdown
 /// relative to each algorithm's own fault-free baseline. A second section
-/// exercises the SHArP degradation ladder: group denial and flaky
+/// exercises the ladder's SHArP rungs: group denial and flaky
 /// operations, showing the fallback completing (and verifying) on a
-/// host-based schedule.
+/// host-based schedule. Every point runs through the one recovery ladder
+/// ([`run_allreduce_verified`]), so each latency includes the per-rank
+/// result checksum.
 pub(super) fn resilience() -> Output {
     #[derive(Serialize)]
     struct Point {
@@ -33,7 +34,7 @@ pub(super) fn resilience() -> Output {
         intensity: f64,
         latency_us: f64,
         slowdown: f64,
-        sharp_retries: u32,
+        sharp_retries: u64,
         fell_back: bool,
         completed_with: String,
     }
@@ -44,7 +45,7 @@ pub(super) fn resilience() -> Output {
         algorithm: String,
         bytes: u64,
         latency_us: f64,
-        sharp_retries: u32,
+        sharp_retries: u64,
         fell_back: bool,
         completed_with: String,
     }
@@ -71,6 +72,14 @@ pub(super) fn resilience() -> Output {
         (Algorithm::SharpSocketLeader, 256),
     ];
 
+    let verified = |alg, bytes, plan: &FaultPlan| {
+        run_allreduce_verified(&preset, &spec, alg, bytes, plan, IntegrityPolicy::default())
+    };
+    let sharp_rungs = |rep: &IntegrityReport| {
+        let stats = &rep.report.stats;
+        (stats.sharp_retries, stats.sharp_fallbacks > 0)
+    };
+
     let mut r = Report::default();
     let (fabric, ppn) = (&preset.fabric.name, spec.ppn);
     say!(
@@ -90,42 +99,42 @@ pub(super) fn resilience() -> Output {
     for (alg, bytes) in cases {
         let mut baseline_us = None;
         for intensity in [0.0, 0.25, 0.5, 1.0] {
-            let plan = FaultPlan::canonical(seed, intensity);
-            let rep = run_allreduce_resilient(&preset, &spec, alg, bytes, &plan)
+            let rep = verified(alg, bytes, &FaultPlan::canonical(seed, intensity))
                 .expect("faulted run completes");
-            let base = *baseline_us.get_or_insert(rep.latency_us);
-            let slowdown = rep.latency_us / base;
-            let note = if rep.fell_back {
+            let base = *baseline_us.get_or_insert(rep.total_latency_us);
+            let slowdown = rep.total_latency_us / base;
+            let (sharp_retries, fell_back) = sharp_rungs(&rep);
+            let note = if fell_back {
                 format!("fell back to {}", rep.completed_with)
-            } else if rep.sharp_retries > 0 {
-                format!("{} retries", rep.sharp_retries)
+            } else if sharp_retries > 0 {
+                format!("{sharp_retries} retries")
             } else {
                 String::new()
             };
             table.row([
-                rep.report.algorithm.clone(),
+                rep.algorithm.clone(),
                 fmt_bytes(bytes),
                 format!("{intensity:.2}"),
-                fmt_us(rep.latency_us),
+                fmt_us(rep.total_latency_us),
                 format!("{slowdown:.2}x"),
                 note,
             ]);
             sweep.push(Point {
-                algorithm: rep.report.algorithm.clone(),
+                algorithm: rep.algorithm,
                 bytes,
                 intensity,
-                latency_us: rep.latency_us,
+                latency_us: rep.total_latency_us,
                 slowdown,
-                sharp_retries: rep.sharp_retries,
-                fell_back: rep.fell_back,
+                sharp_retries,
+                fell_back,
                 completed_with: rep.completed_with,
             });
         }
     }
     r.table(&table);
 
-    // SHArP degradation ladder: denial falls straight back to a host
-    // schedule; a flaky fabric retries then succeeds. Both verify.
+    // The SHArP rungs: denial falls straight back to a host schedule; a
+    // flaky fabric retries then succeeds. Both verify.
     say!(r, "\nSHArP degradation ladder (socket-leader, 256B):");
     let mut degradation = Vec::new();
     let mut ladder = Table::new(["scenario", "latency", "retries", "completed with"]);
@@ -151,21 +160,22 @@ pub(super) fn resilience() -> Output {
             sharp,
             ..FaultPlan::zero()
         };
-        let rep = run_allreduce_resilient(&preset, &spec, Algorithm::SharpSocketLeader, 256, &plan)
-            .expect("degraded run completes");
+        let rep =
+            verified(Algorithm::SharpSocketLeader, 256, &plan).expect("degraded run completes");
+        let (sharp_retries, fell_back) = sharp_rungs(&rep);
         ladder.row([
             name.to_string(),
-            fmt_us(rep.latency_us),
-            rep.sharp_retries.to_string(),
+            fmt_us(rep.total_latency_us),
+            sharp_retries.to_string(),
             rep.completed_with.clone(),
         ]);
         degradation.push(Degradation {
             scenario: name.to_string(),
-            algorithm: Algorithm::SharpSocketLeader.name(),
+            algorithm: rep.algorithm,
             bytes: 256,
-            latency_us: rep.latency_us,
-            sharp_retries: rep.sharp_retries,
-            fell_back: rep.fell_back,
+            latency_us: rep.total_latency_us,
+            sharp_retries,
+            fell_back,
             completed_with: rep.completed_with,
         });
     }

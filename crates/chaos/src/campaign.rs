@@ -47,9 +47,9 @@ pub struct CampaignConfig {
 
 impl CampaignConfig {
     /// The default chaos geometry: small worlds across the recovery
-    /// paths — DPML (fail-stop restart), a flat baseline (integrity
-    /// ladder), and a SHArP design on the one fabric that has SHArP
-    /// (resilience ladder).
+    /// ladder's rungs — DPML (cold restart, partition re-reduce), a flat
+    /// baseline (full restart), and a SHArP design on the one fabric
+    /// that has SHArP (SHArP retry and fallback).
     fn default_menu() -> Vec<Scenario> {
         let mut menu = Vec::new();
         for (preset, alg) in [

@@ -6,9 +6,9 @@
 //! This crate replaces blind sampling with a search (DESIGN.md §13):
 //!
 //! * [`outcome`] — runs one `(scenario, fault plan)` case through the
-//!   full recovery machinery (integrity ladder, fail-stop restart, SHArP
-//!   resilience) and classifies what happened into **outcome-coverage
-//!   cells**: which degradation-ladder rungs fired, which `SimError`
+//!   one recovery ladder (SHArP retry and fallback, fail-stop restart,
+//!   the integrity rungs) and classifies what happened into
+//!   **outcome-coverage cells**: which degradation-ladder rungs fired, which `SimError`
 //!   variants surfaced, which recovery paths ran.
 //! * [`campaign`] — a seeded search loop that mutates `FaultPlan`s
 //!   (via `dpml_faults::mutate`) and preferentially explores plans that

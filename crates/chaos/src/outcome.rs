@@ -2,15 +2,10 @@
 //!
 //! A chaos *case* is a scenario (cluster preset, geometry, algorithm,
 //! message size) plus a [`FaultPlan`]. Running a case drives it through
-//! whichever recovery machinery owns its fault classes:
-//!
-//! * fail-stop process faults on a DPML schedule → the fail-stop runner
-//!   (`dpml_core::failstop`): cold-restart / clean;
-//! * SHArP designs → the resilience ladder (`dpml_core::resilience`):
-//!   retry / fallback;
-//! * everything else → the self-verifying integrity ladder
-//!   (`dpml_core::integrity`): retransmit → shm redo → partition
-//!   re-reduce → restart → structured error.
+//! the one recovery ladder, `dpml_core::run_allreduce_verified`: SHArP
+//! retry and host fallback, cold restart after a DPML crash, then
+//! retransmit → shm redo → partition re-reduce → restart → structured
+//! error.
 //!
 //! The outcome is classified into **coverage cells** — strings like
 //! `class:cold-restart`, `rung:retransmit`, `pair:ok|restart` — which the
@@ -24,8 +19,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dpml_core::run::RunError;
 use dpml_core::{
-    run_allreduce_resilient, run_allreduce_verified, run_dpml_failstop, Algorithm, FailstopOutcome,
-    IntegrityErrorKind, IntegrityPolicy, VerifiedError,
+    run_allreduce_verified, Algorithm, IntegrityErrorKind, IntegrityPolicy, LadderRung,
+    VerifiedError,
 };
 use dpml_engine::report::RunStats;
 use dpml_engine::sim::SimError;
@@ -99,23 +94,6 @@ struct Classified {
     /// Extra digest material: counters, error strings.
     detail: String,
     violation: Option<String>,
-}
-
-fn stats_rungs(stats: &RunStats) -> Vec<&'static str> {
-    let mut rungs = Vec::new();
-    if stats.retransmits > 0 {
-        rungs.push("retransmit");
-    }
-    if stats.shm_crc_fails > 0 {
-        rungs.push("shm-redo");
-    }
-    if stats.sharp_retries > 0 {
-        rungs.push("sharp-retry");
-    }
-    if stats.sharp_fallbacks > 0 {
-        rungs.push("sharp-fallback");
-    }
-    rungs
 }
 
 fn stats_detail(stats: &RunStats) -> String {
@@ -197,64 +175,6 @@ fn run_case_inner(sc: &Scenario, plan: &FaultPlan) -> Classified {
         }
     };
 
-    // Fail-stop faults on a DPML schedule go through the fail-stop
-    // runner; everything else surfaces them as structured `rank-dead`
-    // errors below.
-    if let Algorithm::Dpml { leaders, inner } = alg {
-        if !plan.process.is_zero() {
-            return match run_dpml_failstop(&preset, &spec, leaders, inner, sc.bytes, plan) {
-                Ok(out) => {
-                    let stats = &out.report().report.stats;
-                    let mut rungs = stats_rungs(stats);
-                    let (class, dead) = match &out {
-                        FailstopOutcome::Clean { .. } => ("ok", String::new()),
-                        FailstopOutcome::ColdRestart { recovery, .. } => {
-                            rungs.push("cold-restart");
-                            ("cold-restart", format!("dead={:?}", recovery.dead_ranks))
-                        }
-                    };
-                    Classified {
-                        class: class.into(),
-                        rungs,
-                        latency_us: out.total_latency_us(),
-                        detail: format!("{} {dead}", stats_detail(stats)),
-                        violation: None,
-                    }
-                }
-                Err(e) => classify_run_error(&e),
-            };
-        }
-    }
-
-    if alg.needs_sharp() {
-        return match run_allreduce_resilient(&preset, &spec, alg, sc.bytes, plan) {
-            Ok(rep) => {
-                let mut rungs = stats_rungs(&rep.report.report.stats);
-                let class = if rep.fell_back {
-                    if !rungs.contains(&"sharp-fallback") {
-                        rungs.push("sharp-fallback");
-                    }
-                    "sharp-fallback"
-                } else {
-                    "ok"
-                };
-                Classified {
-                    class: class.into(),
-                    rungs,
-                    latency_us: rep.latency_us,
-                    detail: format!(
-                        "{} with={} retries={}",
-                        stats_detail(&rep.report.report.stats),
-                        rep.completed_with,
-                        rep.sharp_retries
-                    ),
-                    violation: None,
-                }
-            }
-            Err(e) => classify_run_error(&e),
-        };
-    }
-
     match run_allreduce_verified(
         &preset,
         &spec,
@@ -264,23 +184,28 @@ fn run_case_inner(sc: &Scenario, plan: &FaultPlan) -> Classified {
         IntegrityPolicy::default(),
     ) {
         Ok(rep) => {
-            let mut rungs = stats_rungs(&rep.report.stats);
-            for rung in rep.rungs() {
-                let label = rung.label();
-                if !rungs.contains(&label) {
-                    rungs.push(label);
-                }
+            let rungs = rep.rungs();
+            let class = [LadderRung::ColdRestart, LadderRung::SharpFallback]
+                .into_iter()
+                .find(|rung| rungs.contains(rung))
+                .map_or("ok", |rung| rung.label());
+            let mut detail = format!(
+                "{} restarts={} passes={}",
+                stats_detail(&rep.report.stats),
+                rep.restarts,
+                rep.recovery.as_ref().map(|r| r.passes).unwrap_or(0)
+            );
+            if rep.completed_with != rep.algorithm {
+                detail += &format!(" with={}", rep.completed_with);
+            }
+            if let Some(restart) = &rep.cold_restart {
+                detail += &format!(" dead={:?}", restart.dead_ranks);
             }
             Classified {
-                class: "ok".into(),
-                rungs,
+                class: class.into(),
+                rungs: rungs.iter().map(LadderRung::label).collect(),
                 latency_us: rep.total_latency_us,
-                detail: format!(
-                    "{} restarts={} passes={}",
-                    stats_detail(&rep.report.stats),
-                    rep.restarts,
-                    rep.recovery.as_ref().map(|r| r.passes).unwrap_or(0)
-                ),
+                detail,
                 violation: None,
             }
         }

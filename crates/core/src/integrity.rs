@@ -1,12 +1,12 @@
-//! Self-verifying allreduce: end-to-end integrity under injected
-//! silent-corruption faults.
+//! The one recovery ladder: a self-verifying allreduce that survives
+//! silent corruption, SHArP faults and fail-stop crashes.
 //!
 //! The engine's transport already detects corrupted or dropped wire
 //! payloads and retransmits them ([`dpml_faults::DataFaults`]); this
-//! module adds the layers above it so a collective under data faults
+//! module adds the layers above it so a collective under any fault plan
 //! either returns a result **bit-identical to a fault-free run** or a
-//! structured [`IntegrityError`] — never silently wrong data and never a
-//! hang. The degradation ladder, cheapest rung first:
+//! structured error — never silently wrong data and never a hang. The
+//! integrity rungs, cheapest first:
 //!
 //! 1. **Wire CRC + retransmit** (engine): corrupted payloads are NACKed,
 //!    dropped ones hit the sender's ack timeout; both retransmit with
@@ -22,6 +22,22 @@
 //! 5. **[`IntegrityError`]**: every budget exhausted. The caller gets a
 //!    structured failure, not a wrong answer.
 //!
+//! The same loop handles the two failures the paper's designs assume
+//! away:
+//!
+//! * **SHArP.** A denied aggregation group falls back at once to a
+//!   host-based schedule. An operation timeout is transient: the SHArP
+//!   schedule retries with capped exponential backoff, up to
+//!   `MAX_SHARP_RETRIES` times, then falls back. Each failed attempt is
+//!   charged its op timeout plus the backoff.
+//! * **Fail-stop crash on DPML.** The failure detector fires the plan's
+//!   detection timeout after the crash, and the collective restarts cold
+//!   with the process faults scrubbed. Under any other algorithm a crash
+//!   stays a structured `RankDead` error.
+//!
+//! A run after a fallback or a cold restart goes through rungs 1–5 like
+//! any other.
+//!
 //! Verification itself is not free: every rank checksums its final
 //! result vector before declaring completion, modeled as an appended
 //! compute of `verify_base_us + bytes / verify_bw` per rank. The same
@@ -29,18 +45,14 @@
 //! faulted-vs-clean comparison stays apples-to-apples and
 //! [`IntegrityReport::verify_overhead_us`] isolates the pure cost of
 //! checking (the overhead measured at corruption rate zero).
-//!
-//! Process (fail-stop) faults are the province of
-//! [`crate::failstop::run_dpml_failstop`]; a plan carrying them surfaces
-//! `RankDead` as a plain [`RunError`] here.
 
 use crate::algorithms::flat::emit_flat_range;
-use crate::algorithms::{Algorithm, FlatAlg};
+use crate::algorithms::{Algorithm, BuildError, FlatAlg};
 use crate::run::{simulate, Exec, RunError};
 use dpml_engine::program::{BufKey, ByteRange, ProgramBuilder, BUF_RESULT};
-use dpml_engine::{Phase, RunReport, SimError, WorldProgram};
+use dpml_engine::{PendingOp, Phase, RunReport, SimError, WorldProgram};
 use dpml_fabric::Preset;
-use dpml_faults::{DataFaults, FaultPlan, ProcessFaults};
+use dpml_faults::{DataFaults, FaultPlan, ProcessFaults, RetryPlan, SharpFaults};
 use dpml_topology::{ClusterSpec, LeaderPolicy, LeaderSet, NodeId, Rank, RankMap};
 use serde::{Deserialize, Serialize};
 
@@ -50,6 +62,15 @@ const REPLAN_BASE_US: f64 = 5.0;
 /// Per-rank cost of re-generating and distributing a replanned program,
 /// microseconds.
 const REPLAN_PER_RANK_US: f64 = 0.5;
+
+/// SHArP operation retries before falling back to a host schedule.
+const MAX_SHARP_RETRIES: u32 = 2;
+/// Backoff before the first SHArP retry, microseconds; it doubles per
+/// retry.
+const SHARP_BACKOFF_US: f64 = 10.0;
+/// The SHArP retry budget and its backoff, in microseconds.
+const SHARP_RETRY: RetryPlan =
+    RetryPlan::capped_exponential(SHARP_BACKOFF_US, 20, MAX_SHARP_RETRIES);
 
 /// Knobs for the self-verifying runner.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -85,7 +106,7 @@ impl IntegrityPolicy {
     }
 }
 
-/// One rung of the degradation ladder, as exported for outcome-coverage
+/// One rung of the recovery ladder, as exported for outcome-coverage
 /// accounting (the chaos campaign engine keys its coverage map on which
 /// rungs a run actually exercised).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -100,6 +121,13 @@ pub enum LadderRung {
     PartitionRereduce,
     /// Rung 4: the whole collective restarted with a reseeded plan.
     FullRestart,
+    /// A timed-out SHArP operation was retried after backoff.
+    SharpRetry,
+    /// SHArP was denied or kept timing out; a host schedule completed.
+    SharpFallback,
+    /// A rank of a DPML run died; the collective restarted after
+    /// detection.
+    ColdRestart,
 }
 
 impl LadderRung {
@@ -111,6 +139,9 @@ impl LadderRung {
             LadderRung::ShmRedo => "shm-redo",
             LadderRung::PartitionRereduce => "partition-rereduce",
             LadderRung::FullRestart => "restart",
+            LadderRung::SharpRetry => "sharp-retry",
+            LadderRung::SharpFallback => "sharp-fallback",
+            LadderRung::ColdRestart => "cold-restart",
         }
     }
 }
@@ -223,15 +254,29 @@ pub struct PartitionRecovery {
     pub replan_us: f64,
 }
 
+/// The cold restart a DPML run took after a fail-stop crash.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ColdRestart {
+    /// Ranks that died, ascending.
+    pub dead_ranks: Vec<u32>,
+    /// When the failure detector fired: crash time plus the plan's
+    /// detection timeout, microseconds from collective start.
+    pub detected_at_us: f64,
+}
+
 /// A verified allreduce: the result is bit-identical to a fault-free
-/// run's, and the report says what the integrity machinery paid for it.
+/// run's, and the report says what the recovery ladder paid for it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IntegrityReport {
     /// Requested algorithm name.
     pub algorithm: String,
+    /// The algorithm that completed: the requested one, or the host
+    /// schedule after a SHArP fallback.
+    pub completed_with: String,
     /// Vector size in bytes.
     pub bytes: u64,
     /// The engine report of the run (or continuation) that completed.
+    /// Its `stats` also carry the SHArP retries and fallback.
     pub report: RunReport,
     /// Fault-free latency *without* verification, microseconds.
     pub base_latency_us: f64,
@@ -247,6 +292,8 @@ pub struct IntegrityReport {
     pub restarts: u32,
     /// Partition-scoped recovery taken, if any (ladder rung 3).
     pub recovery: Option<PartitionRecovery>,
+    /// The cold restart after a fail-stop crash, if any.
+    pub cold_restart: Option<ColdRestart>,
 }
 
 impl IntegrityReport {
@@ -270,23 +317,22 @@ impl IntegrityReport {
         self.report.stats.undetected_risk
     }
 
-    /// Which degradation-ladder rungs this run exercised, ascending —
-    /// the coverage export consumed by the chaos campaign engine.
+    /// Which recovery-ladder rungs this run exercised, ascending — the
+    /// coverage export consumed by the chaos campaign engine.
     pub fn rungs(&self) -> Vec<LadderRung> {
-        let mut out = Vec::new();
-        if self.retransmits() > 0 {
-            out.push(LadderRung::WireRetransmit);
-        }
-        if self.shm_crc_fails() > 0 {
-            out.push(LadderRung::ShmRedo);
-        }
-        if self.recovery.is_some() {
-            out.push(LadderRung::PartitionRereduce);
-        }
-        if self.restarts > 0 {
-            out.push(LadderRung::FullRestart);
-        }
-        out
+        let stats = &self.report.stats;
+        [
+            (LadderRung::WireRetransmit, stats.retransmits > 0),
+            (LadderRung::ShmRedo, stats.shm_crc_fails > 0),
+            (LadderRung::PartitionRereduce, self.recovery.is_some()),
+            (LadderRung::FullRestart, self.restarts > 0),
+            (LadderRung::SharpRetry, stats.sharp_retries > 0),
+            (LadderRung::SharpFallback, stats.sharp_fallbacks > 0),
+            (LadderRung::ColdRestart, self.cold_restart.is_some()),
+        ]
+        .into_iter()
+        .filter_map(|(rung, fired)| fired.then_some(rung))
+        .collect()
     }
 
     /// Slowdown of the end-to-end verified run over the unverified
@@ -300,7 +346,7 @@ impl IntegrityReport {
     }
 }
 
-/// Run `alg` under `plan` with the full integrity ladder. On success the
+/// Run `alg` under `plan` with the whole recovery ladder. On success the
 /// result provably holds every rank's contribution exactly once over the
 /// whole vector; on failure the error is structured, never a silently
 /// wrong answer.
@@ -313,15 +359,14 @@ pub fn run_allreduce_verified(
     policy: IntegrityPolicy,
 ) -> Result<IntegrityReport, VerifiedError> {
     let map = RankMap::block(spec);
-    let vs = policy.verify_secs(bytes);
-
     let base_world = alg.build(&map, bytes)?;
     let mut world = base_world.clone();
-    append_verify(&mut world, vs);
+    append_verify(&mut world, policy.verify_secs(bytes));
 
     // Fault-free baselines keep the plan's noise and link faults (they
     // perturb timing, never data) but scrub everything the ladder heals.
     let scrubbed = FaultPlan {
+        sharp: SharpFaults::default(),
         data: DataFaults::default(),
         process: ProcessFaults::default(),
         ..plan.clone()
@@ -329,20 +374,35 @@ pub fn run_allreduce_verified(
     let base = simulate(preset, &map, &base_world, &Exec::faulted(&scrubbed, 0))?;
     let clean = simulate(preset, &map, &world, &Exec::faulted(&scrubbed, 0))?;
     clean.verify_allreduce().map_err(RunError::Verify)?;
-    let baselines = Baselines {
+    let job = Job {
+        preset,
+        map: &map,
+        alg,
+        bytes,
+        policy,
         base_latency_us: base.latency_us(),
         clean_latency_us: clean.latency_us(),
     };
 
-    let mut penalty_us = 0.0;
-    let mut restarts = 0u32;
+    let mut ladder = Ladder {
+        running: alg,
+        plan: plan.clone(),
+        penalty_us: 0.0,
+        restarts: 0,
+        sharp_retries: 0,
+        cold_restart: None,
+    };
+    if alg.needs_sharp() && plan.sharp.deny_groups {
+        // A denied group is permanent: no SHArP retry can help.
+        world = job.fall_back(&mut ladder)?;
+    }
     loop {
-        let attempt_plan = reseed(plan, restarts);
-        let exec = Exec::faulted(&attempt_plan, restarts);
+        let attempt_plan = reseed(&ladder.plan, ladder.restarts);
+        let exec = Exec::faulted(&attempt_plan, ladder.sharp_retries);
         match simulate(preset, &map, &world, &exec) {
             Ok(report) => {
-                let total = penalty_us + report.latency_us();
-                return finish(alg, bytes, report, baselines, total, restarts, None);
+                let total = ladder.penalty_us + report.latency_us();
+                return job.finish(report, total, ladder, None);
             }
             Err(RunError::Sim(SimError::RetryBudgetExhausted {
                 src,
@@ -355,14 +415,12 @@ pub fn run_allreduce_verified(
                 // phase 3, between leaders of one partition) only loses
                 // that partition. Shm exhaustion (`src == dst`) means the
                 // deposits themselves never landed: restart.
-                if let Algorithm::Dpml { leaders, inner } = alg {
+                if let Algorithm::Dpml { leaders, inner } = ladder.running {
                     if src != dst {
-                        return recover_partition(
-                            preset, &map, leaders, inner, alg, bytes, plan, &policy, vs, baselines,
-                            penalty_us, restarts, dst, attempts, at,
-                        );
+                        return job.recover_partition(leaders, inner, ladder, dst, attempts, at);
                     }
                 }
+                let restarts = ladder.restarts;
                 if restarts >= policy.max_restarts {
                     return Err(IntegrityError {
                         kind: IntegrityErrorKind::BudgetExhausted,
@@ -374,94 +432,208 @@ pub fn run_allreduce_verified(
                     }
                     .into());
                 }
-                penalty_us += at * 1e6;
-                restarts += 1;
+                ladder.penalty_us += at * 1e6;
+                ladder.restarts += 1;
+            }
+            Err(RunError::Sim(SimError::SharpTimeout { .. })) => {
+                // The failed attempt sat on the fabric for the full op
+                // timeout; a retry then waits out the backoff.
+                ladder.penalty_us += plan.sharp.op_timeout * 1e6;
+                match SHARP_RETRY.delay(ladder.sharp_retries) {
+                    Some(backoff_us) => {
+                        ladder.penalty_us += backoff_us;
+                        ladder.sharp_retries += 1;
+                    }
+                    None => world = job.fall_back(&mut ladder)?,
+                }
+            }
+            Err(RunError::Sim(SimError::RankDead {
+                rank,
+                time,
+                pending_ops,
+            })) if matches!(ladder.running, Algorithm::Dpml { .. }) => {
+                // Detection fires the timeout after the crash; the restart
+                // sees the plan's other faults but no further deaths.
+                ladder.penalty_us += (time + ladder.plan.process.detection_timeout) * 1e6;
+                ladder.cold_restart = Some(ColdRestart {
+                    dead_ranks: dead_ranks(rank, &pending_ops),
+                    detected_at_us: ladder.penalty_us,
+                });
+                ladder.plan.process = ProcessFaults::default();
             }
             Err(other) => return Err(other.into()),
         }
     }
 }
 
-#[derive(Clone, Copy)]
-struct Baselines {
+/// What stays fixed while the ladder climbs: the request and its
+/// fault-free baselines.
+struct Job<'a> {
+    preset: &'a Preset,
+    map: &'a RankMap,
+    alg: Algorithm,
+    bytes: u64,
+    policy: IntegrityPolicy,
     base_latency_us: f64,
     clean_latency_us: f64,
 }
 
-/// Ladder rung 3: re-reduce one partition from the intact shared-memory
-/// deposits. The continuation runs under reseeded data faults (the wire
-/// is as hostile as before) and may itself need several passes.
-#[allow(clippy::too_many_arguments)]
-fn recover_partition(
-    preset: &Preset,
-    map: &RankMap,
-    leaders: u32,
-    inner: FlatAlg,
-    alg: Algorithm,
-    bytes: u64,
-    plan: &FaultPlan,
-    policy: &IntegrityPolicy,
-    verify_secs: f64,
-    baselines: Baselines,
+/// Where the ladder stands.
+struct Ladder {
+    /// The schedule that runs: the requested one, or the host fallback.
+    running: Algorithm,
+    /// The plan in force: its process faults are gone after a cold
+    /// restart.
+    plan: FaultPlan,
+    /// Virtual time burned by aborted attempts, detection and backoff,
+    /// microseconds.
     penalty_us: f64,
     restarts: u32,
-    dst: u32,
-    attempts: u32,
-    at: f64,
-) -> Result<IntegrityReport, VerifiedError> {
-    let set = LeaderPolicy::PerNode(leaders)
-        .build(map)
-        .map_err(RunError::from)?;
-    let Some(j) = set.leader_index(Rank(dst)) else {
-        return Err(IntegrityError {
+    sharp_retries: u32,
+    cold_restart: Option<ColdRestart>,
+}
+
+impl Job<'_> {
+    /// Give up on SHArP: switch the ladder to the host-based schedule and
+    /// return its self-verifying world.
+    fn fall_back(&self, ladder: &mut Ladder) -> Result<WorldProgram, BuildError> {
+        ladder.running = host_fallback(self.map.spec());
+        let mut world = ladder.running.build(self.map, self.bytes)?;
+        append_verify(&mut world, self.policy.verify_secs(self.bytes));
+        Ok(world)
+    }
+
+    /// Ladder rung 3: re-reduce one partition from the intact
+    /// shared-memory deposits. The continuation runs under reseeded data
+    /// faults (the wire is as hostile as before) and may itself need
+    /// several passes.
+    fn recover_partition(
+        &self,
+        leaders: u32,
+        inner: FlatAlg,
+        ladder: Ladder,
+        dst: u32,
+        attempts: u32,
+        at: f64,
+    ) -> Result<IntegrityReport, VerifiedError> {
+        let set = LeaderPolicy::PerNode(leaders)
+            .build(self.map)
+            .map_err(RunError::from)?;
+        let Some(j) = set.leader_index(Rank(dst)) else {
+            return Err(IntegrityError {
+                kind: IntegrityErrorKind::RecoveryFailed,
+                attempts,
+                detail: format!("receiver rank {dst} is not a leader; cannot scope recovery"),
+            }
+            .into());
+        };
+        let verify_secs = self.policy.verify_secs(self.bytes);
+        let cont = partition_continuation(self.map, &set, j, self.bytes, inner, verify_secs);
+
+        let detected_at_us = at * 1e6;
+        let replan_us = REPLAN_BASE_US + REPLAN_PER_RANK_US * set.leader_comm(j).len() as f64;
+        let mut rec_penalty_us = 0.0;
+        for pass in 0..self.policy.max_recovery_passes {
+            let pass_plan = reseed(&ladder.plan, RECOVERY_ROUND_BASE + pass);
+            match simulate(
+                self.preset,
+                self.map,
+                &cont,
+                &Exec::faulted(&pass_plan, pass),
+            ) {
+                Ok(report) => {
+                    let total = ladder.penalty_us
+                        + detected_at_us
+                        + replan_us
+                        + rec_penalty_us
+                        + report.latency_us();
+                    let recovery = PartitionRecovery {
+                        partition: j,
+                        passes: pass + 1,
+                        detected_at_us,
+                        replan_us,
+                    };
+                    return self.finish(report, total, ladder, Some(recovery));
+                }
+                Err(RunError::Sim(SimError::RetryBudgetExhausted { at, .. })) => {
+                    rec_penalty_us += at * 1e6;
+                }
+                Err(other) => return Err(other.into()),
+            }
+        }
+        Err(IntegrityError {
             kind: IntegrityErrorKind::RecoveryFailed,
             attempts,
-            detail: format!("receiver rank {dst} is not a leader; cannot scope recovery"),
+            detail: format!(
+                "partition {j} re-reduction still exhausting its retry budget after {} passes",
+                self.policy.max_recovery_passes
+            ),
         }
-        .into());
-    };
-    let cont = partition_continuation(map, &set, j, bytes, inner, verify_secs);
+        .into())
+    }
 
-    let detected_at_us = at * 1e6;
-    let replan_us = REPLAN_BASE_US + REPLAN_PER_RANK_US * set.leader_comm(j).len() as f64;
-    let mut rec_penalty_us = 0.0;
-    for pass in 0..policy.max_recovery_passes {
-        let pass_plan = reseed(plan, RECOVERY_ROUND_BASE + pass);
-        match simulate(preset, map, &cont, &Exec::faulted(&pass_plan, pass)) {
-            Ok(report) => {
-                let total =
-                    penalty_us + detected_at_us + replan_us + rec_penalty_us + report.latency_us();
-                let recovery = PartitionRecovery {
-                    partition: j,
-                    passes: pass + 1,
-                    detected_at_us,
-                    replan_us,
-                };
-                return finish(
-                    alg,
-                    bytes,
-                    report,
-                    baselines,
-                    total,
-                    restarts,
-                    Some(recovery),
-                );
+    /// Gatekeeper every success path funnels through: the completed run
+    /// must verify end-to-end before the caller sees a report. The
+    /// fault-free baseline verified too, so the two hold the same
+    /// canonical coverage.
+    fn finish(
+        &self,
+        mut report: RunReport,
+        total_latency_us: f64,
+        ladder: Ladder,
+        recovery: Option<PartitionRecovery>,
+    ) -> Result<IntegrityReport, VerifiedError> {
+        if let Err(e) = report.verify_allreduce() {
+            return Err(IntegrityError {
+                kind: IntegrityErrorKind::VerifyMismatch,
+                attempts: 0,
+                detail: format!("end-to-end verification failed: {e}"),
             }
-            Err(RunError::Sim(SimError::RetryBudgetExhausted { at, .. })) => {
-                rec_penalty_us += at * 1e6;
-            }
-            Err(other) => return Err(other.into()),
+            .into());
+        }
+        report.stats.sharp_retries = u64::from(ladder.sharp_retries);
+        report.stats.sharp_fallbacks = u64::from(ladder.running != self.alg);
+        Ok(IntegrityReport {
+            algorithm: self.alg.name(),
+            completed_with: ladder.running.name(),
+            bytes: self.bytes,
+            report,
+            base_latency_us: self.base_latency_us,
+            clean_latency_us: self.clean_latency_us,
+            verify_overhead_us: self.clean_latency_us - self.base_latency_us,
+            total_latency_us,
+            restarts: ladder.restarts,
+            recovery,
+            cold_restart: ladder.cold_restart,
+        })
+    }
+}
+
+/// The host-based schedule used when SHArP is unavailable: the classic
+/// single-leader hierarchy (flat recursive doubling at ppn = 1) —
+/// latency shaped, like the small-message sizes SHArP targets.
+fn host_fallback(spec: &ClusterSpec) -> Algorithm {
+    if spec.ppn == 1 {
+        Algorithm::RecursiveDoubling
+    } else {
+        Algorithm::SingleLeader {
+            inner: FlatAlg::RecursiveDoubling,
         }
     }
-    Err(IntegrityError {
-        kind: IntegrityErrorKind::RecoveryFailed,
-        attempts,
-        detail: format!(
-            "partition {j} re-reduction still exhausting its retry budget after {} passes",
-            policy.max_recovery_passes
-        ),
-    }
-    .into())
+}
+
+/// The ranks a `RankDead` reports dead, ascending: the first to die,
+/// plus the one "crashed" ledger entry of every other dead rank.
+fn dead_ranks(first: u32, pending_ops: &[PendingOp]) -> Vec<u32> {
+    let mut dead: Vec<u32> = pending_ops
+        .iter()
+        .filter(|op| op.what.starts_with("crashed"))
+        .map(|op| op.rank)
+        .chain([first])
+        .collect();
+    dead.sort_unstable();
+    dead.dedup();
+    dead
 }
 
 /// The self-verifying world that re-reduces partition `j` alone.
@@ -571,39 +743,6 @@ fn build_continuation(
     w
 }
 
-/// Gatekeeper every success path funnels through: the completed run must
-/// verify end-to-end before the caller sees a report. The fault-free
-/// baseline verified too, so the two hold the same canonical coverage.
-fn finish(
-    alg: Algorithm,
-    bytes: u64,
-    report: RunReport,
-    baselines: Baselines,
-    total_latency_us: f64,
-    restarts: u32,
-    recovery: Option<PartitionRecovery>,
-) -> Result<IntegrityReport, VerifiedError> {
-    if let Err(e) = report.verify_allreduce() {
-        return Err(IntegrityError {
-            kind: IntegrityErrorKind::VerifyMismatch,
-            attempts: 0,
-            detail: format!("end-to-end verification failed: {e}"),
-        }
-        .into());
-    }
-    Ok(IntegrityReport {
-        algorithm: alg.name(),
-        bytes,
-        report,
-        base_latency_us: baselines.base_latency_us,
-        clean_latency_us: baselines.clean_latency_us,
-        verify_overhead_us: baselines.clean_latency_us - baselines.base_latency_us,
-        total_latency_us,
-        restarts,
-        recovery,
-    })
-}
-
 /// Restart rounds and recovery passes must see fresh fault draws, or a
 /// re-run would hit the identical failure forever. Keep round 0 the
 /// original plan so a clean first attempt stays bit-identical to
@@ -633,7 +772,8 @@ fn append_verify(world: &mut WorldProgram, secs: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpml_fabric::presets::cluster_b;
+    use crate::run::{run, Scenario};
+    use dpml_fabric::presets::{cluster_a, cluster_b};
 
     fn dpml2() -> Algorithm {
         Algorithm::Dpml {
@@ -877,5 +1017,226 @@ mod tests {
             "flat algorithms never partition-recover"
         );
         assert!(rep.total_latency_us >= rep.report.latency_us());
+    }
+
+    fn verified(
+        preset: &Preset,
+        spec: &ClusterSpec,
+        alg: Algorithm,
+        bytes: u64,
+        plan: &FaultPlan,
+    ) -> Result<IntegrityReport, VerifiedError> {
+        run_allreduce_verified(preset, spec, alg, bytes, plan, IntegrityPolicy::default())
+    }
+
+    fn sharp_plan(sharp: SharpFaults) -> FaultPlan {
+        FaultPlan {
+            sharp,
+            ..FaultPlan::zero()
+        }
+    }
+
+    #[test]
+    fn sharp_denial_falls_back_and_verifies() {
+        let p = cluster_a();
+        let spec = p.spec(4, 4).unwrap();
+        let plan = sharp_plan(SharpFaults {
+            deny_groups: true,
+            ..Default::default()
+        });
+        let rep = verified(&p, &spec, Algorithm::SharpSocketLeader, 256, &plan).unwrap();
+        assert_eq!(rep.rungs(), [LadderRung::SharpFallback]);
+        assert_eq!(rep.report.stats.sharp_retries, 0);
+        assert_eq!(rep.report.stats.sharp_fallbacks, 1);
+        assert_eq!(
+            rep.report.stats.sharp_ops, 0,
+            "no SHArP op may run after denial"
+        );
+        assert_eq!(rep.algorithm, Algorithm::SharpSocketLeader.name());
+        assert_eq!(rep.completed_with, host_fallback(&spec).name());
+        rep.report.verify_allreduce().unwrap();
+        // The baselines ran the requested SHArP design with its faults
+        // scrubbed, so a denied design still has its checksum baseline.
+        let clean = run(
+            &Scenario::new(&p, &spec, Algorithm::SharpSocketLeader, 256),
+            &Exec::default(),
+        )
+        .unwrap();
+        assert_eq!(rep.base_latency_us.to_bits(), clean.latency_us.to_bits());
+        assert!(rep.verify_overhead_us > 0.0);
+        // Denial costs no time: the host schedule is all that ran.
+        assert_eq!(
+            rep.total_latency_us.to_bits(),
+            rep.report.latency_us().to_bits()
+        );
+    }
+
+    #[test]
+    fn sharp_timeouts_retry_then_succeed() {
+        let p = cluster_a();
+        let spec = p.spec(4, 4).unwrap();
+        let plan = sharp_plan(SharpFaults {
+            flaky_attempts: 2,
+            op_timeout: 1e-4,
+            ..Default::default()
+        });
+        let rep = verified(&p, &spec, Algorithm::SharpSocketLeader, 256, &plan).unwrap();
+        assert_eq!(rep.rungs(), [LadderRung::SharpRetry]);
+        assert_eq!(rep.completed_with, rep.algorithm);
+        assert_eq!(rep.report.stats.sharp_retries, 2);
+        assert_eq!(rep.report.stats.sharp_fallbacks, 0);
+        assert_eq!(rep.report.stats.sharp_ops, 1);
+        // Two failed attempts burn 100us each plus 10 + 20us backoff.
+        let penalty_us = 1e-4 * 1e6 + 10.0 + 1e-4 * 1e6 + 20.0;
+        assert_eq!(
+            rep.total_latency_us.to_bits(),
+            (penalty_us + rep.report.latency_us()).to_bits()
+        );
+        assert_eq!(
+            rep.report.latency_us().to_bits(),
+            rep.clean_latency_us.to_bits()
+        );
+    }
+
+    #[test]
+    fn exhausted_sharp_retries_fall_back() {
+        let p = cluster_a();
+        let spec = p.spec(4, 4).unwrap();
+        let plan = sharp_plan(SharpFaults {
+            flaky_attempts: 10,
+            op_timeout: 1e-4,
+            ..Default::default()
+        });
+        let rep = verified(&p, &spec, Algorithm::SharpSocketLeader, 256, &plan).unwrap();
+        assert_eq!(
+            rep.rungs(),
+            [LadderRung::SharpRetry, LadderRung::SharpFallback]
+        );
+        assert_eq!(rep.report.stats.sharp_retries, 2);
+        assert_eq!(rep.completed_with, host_fallback(&spec).name());
+        rep.report.verify_allreduce().unwrap();
+        // Three timeouts, two backoffs, then the host run.
+        let penalty_us = 1e-4 * 1e6 + 10.0 + 1e-4 * 1e6 + 20.0 + 1e-4 * 1e6;
+        assert_eq!(
+            rep.total_latency_us.to_bits(),
+            (penalty_us + rep.report.latency_us()).to_bits()
+        );
+    }
+
+    /// SHArP faults are never read by a host schedule.
+    #[test]
+    fn non_sharp_algorithms_pass_through() {
+        let p = cluster_b();
+        let spec = p.spec(2, 4).unwrap();
+        let plan = FaultPlan::canonical(7, 0.5);
+        let rep = verified(&p, &spec, Algorithm::Ring, 8 * 1024, &plan).unwrap();
+        assert!(!rep.rungs().contains(&LadderRung::SharpFallback));
+        assert_eq!(rep.report.stats.sharp_retries, 0);
+        assert_eq!(rep.completed_with, Algorithm::Ring.name());
+        let sharp_faulted = FaultPlan {
+            sharp: SharpFaults {
+                deny_groups: true,
+                flaky_attempts: 3,
+                op_timeout: 1e-4,
+            },
+            ..plan.clone()
+        };
+        let again = verified(&p, &spec, Algorithm::Ring, 8 * 1024, &sharp_faulted).unwrap();
+        assert_eq!(
+            rep.total_latency_us.to_bits(),
+            again.total_latency_us.to_bits()
+        );
+        assert_eq!(rep.report, again.report);
+    }
+
+    #[test]
+    fn zero_crash_plan_is_clean_and_bit_identical() {
+        let p = cluster_a();
+        let spec = p.spec(4, 4).unwrap();
+        let clean = run(
+            &Scenario::new(&p, &spec, dpml2(), 64 * 1024),
+            &Exec::default(),
+        )
+        .unwrap();
+        let rep = verified(&p, &spec, dpml2(), 64 * 1024, &FaultPlan::zero()).unwrap();
+        assert!(rep.rungs().is_empty());
+        assert!(rep.cold_restart.is_none());
+        assert_eq!(clean.latency_us.to_bits(), rep.base_latency_us.to_bits());
+        assert_eq!(
+            rep.total_latency_us.to_bits(),
+            rep.clean_latency_us.to_bits()
+        );
+    }
+
+    /// Every crash restarts, and the total is exactly detection plus the
+    /// clean run: at time zero, mid-run on a leader, and on a lost node.
+    #[test]
+    fn crashes_cold_restart_after_detection() {
+        let p = cluster_a();
+        let spec = p.spec(4, 4).unwrap();
+        let bytes = 1 << 18;
+        let clean_us = run(&Scenario::new(&p, &spec, dpml2(), bytes), &Exec::default())
+            .unwrap()
+            .latency_us;
+        let mid_s = 0.6 * clean_us * 1e-6;
+        let lost_node = ProcessFaults {
+            lost_nodes: vec![2],
+            ..ProcessFaults::default()
+        };
+        // Rank 6 = node 1, local 2: leader index 1 under PerNode(2).
+        let crash = |at| ProcessFaults::single(6, at);
+        for (what, process, crash_s, dead) in [
+            ("crash at time zero", crash(0.0), 0.0, vec![6]),
+            ("mid-run leader crash", crash(mid_s), mid_s, vec![6]),
+            ("whole-node loss", lost_node, 0.0, vec![8, 9, 10, 11]),
+        ] {
+            let detected_at_us = (crash_s + process.detection_timeout) * 1e6;
+            let plan = FaultPlan {
+                process,
+                ..FaultPlan::zero()
+            };
+            let rep = verified(&p, &spec, dpml2(), bytes, &plan).unwrap();
+            assert_eq!(rep.rungs(), [LadderRung::ColdRestart], "{what}");
+            let restart = rep.cold_restart.as_ref().unwrap();
+            assert_eq!(restart.dead_ranks, dead, "{what}");
+            assert_eq!(
+                restart.detected_at_us.to_bits(),
+                detected_at_us.to_bits(),
+                "{what}"
+            );
+            assert_eq!(
+                rep.report.latency_us().to_bits(),
+                rep.clean_latency_us.to_bits(),
+                "{what}: the restart is the clean run"
+            );
+            assert_eq!(
+                rep.total_latency_us.to_bits(),
+                (detected_at_us + rep.clean_latency_us).to_bits(),
+                "{what}"
+            );
+        }
+    }
+
+    /// A crash followed by a hostile wire: the cold restart runs inside
+    /// the integrity rungs, so the exhausted transfer ends as a
+    /// structured integrity error, never as a raw `RetryBudgetExhausted`.
+    #[test]
+    fn cold_restart_runs_inside_the_integrity_rungs() {
+        let p = cluster_b();
+        let spec = p.spec(2, 2).unwrap();
+        let plan = FaultPlan {
+            seed: 9176857046516258377,
+            process: ProcessFaults::single(0, 0.0),
+            data: DataFaults {
+                max_retransmits: 8,
+                ..DataFaults::wire(1.0, 0.0)
+            },
+            ..FaultPlan::zero()
+        };
+        let err = verified(&p, &spec, dpml2(), 1024, &plan).unwrap_err();
+        let VerifiedError::Integrity(e) = err else {
+            panic!("expected an integrity error, got {err:?}");
+        };
+        assert_eq!(e.kind, IntegrityErrorKind::RecoveryFailed);
     }
 }

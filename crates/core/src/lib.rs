@@ -26,10 +26,8 @@
 
 pub mod algorithms;
 pub mod checkpoint;
-pub mod failstop;
 pub mod integrity;
 pub mod profile;
-pub mod resilience;
 pub mod run;
 pub mod selector;
 pub mod tuner;
@@ -39,12 +37,10 @@ pub use checkpoint::{
     run_allreduce_checkpointed, ChunkControl, ScenarioCell, SweepCheckpoint, SweepEnd,
     CHECKPOINT_SCHEMA,
 };
-pub use failstop::{run_dpml_failstop, FailstopOutcome, RecoveryReport};
 pub use integrity::{
-    run_allreduce_verified, IntegrityError, IntegrityErrorKind, IntegrityPolicy, IntegrityReport,
-    LadderRung, PartitionRecovery, VerifiedError,
+    run_allreduce_verified, ColdRestart, IntegrityError, IntegrityErrorKind, IntegrityPolicy,
+    IntegrityReport, LadderRung, PartitionRecovery, VerifiedError,
 };
 pub use profile::{profile_allreduce, CostBreakdown, PhaseBreakdown, ProfileReport, ProfiledRun};
-pub use resilience::{run_allreduce_resilient, ResilientReport};
 pub use run::{run, run_batch, simulate, AllreduceReport, Exec, RunError, Scenario};
 pub use selector::Library;

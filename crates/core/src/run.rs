@@ -41,8 +41,8 @@ impl<'a> Scenario<'a> {
 /// no trace.
 ///
 /// The fault plan lives here, beside the attempt that indexes it, because
-/// the resilience and integrity ladders vary both from one try to the
-/// next while the scenario stays fixed.
+/// the recovery ladder varies both from one try to the next while the
+/// scenario stays fixed.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Exec<'a> {
     /// Abort with `EventBudgetExceeded` after this many events.
@@ -51,7 +51,8 @@ pub struct Exec<'a> {
     pub time_budget_s: Option<f64>,
     /// Inject this fault plan; `None` runs the engine unfaulted.
     pub faults: Option<&'a FaultPlan>,
-    /// Which retry attempt this run is (see
+    /// Which SHArP retry this run is: the recovery ladder counts its
+    /// SHArP retries here (see
     /// [`dpml_faults::SharpFaults::flaky_attempts`]).
     pub fault_attempt: u32,
     /// Record the execution timeline into `RunReport::trace`.

@@ -58,11 +58,11 @@ pub struct RunStats {
     /// Peak concurrent fluid flows.
     pub peak_flows: usize,
     /// SHArP attempts retried after an injected op timeout (filled by the
-    /// resilient runner in `dpml-core`, not the engine).
+    /// recovery ladder in `dpml-core`, not the engine).
     #[serde(default)]
     pub sharp_retries: u64,
     /// Completions that fell back from SHArP to a host-based schedule
-    /// (filled by the resilient runner in `dpml-core`).
+    /// (filled by the recovery ladder in `dpml-core`).
     #[serde(default)]
     pub sharp_fallbacks: u64,
     /// Wire retransmissions driven by injected drops/corruption (ack

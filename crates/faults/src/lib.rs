@@ -180,7 +180,7 @@ pub struct ProcessFault {
 /// Unlike the slowdown faults above, these are not absorbed by waiting —
 /// the engine surfaces a structured `RankDead` outcome, and for DPML
 /// `dpml-core` restarts the collective once the failure is detected (see
-/// `dpml-core::failstop`).
+/// `dpml-core::integrity`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProcessFaults {
     /// Individual rank crashes, each at its own virtual time.
@@ -189,7 +189,7 @@ pub struct ProcessFaults {
     /// `t = 0` and the node's shared memory is gone.
     pub lost_nodes: Vec<u32>,
     /// Virtual seconds survivors take to notice a peer's death (heartbeat
-    /// timeout). Accounted into `RecoveryReport::detected_at_us`.
+    /// timeout). Accounted into `ColdRestart::detected_at_us`.
     pub detection_timeout: f64,
 }
 

@@ -50,7 +50,7 @@ pub struct RetryPlan {
 impl RetryPlan {
     /// Jitter-free plan: `base · 2^min(k, cap)` for up to `max_retries`
     /// retries. This is the wire protocol's shape.
-    pub fn capped_exponential(base_delay: f64, cap_doublings: u32, max_retries: u32) -> Self {
+    pub const fn capped_exponential(base_delay: f64, cap_doublings: u32, max_retries: u32) -> Self {
         RetryPlan {
             max_retries,
             base_delay,

@@ -44,7 +44,7 @@ pub use dpml_workloads as workloads;
 /// Convenience prelude importing the most common types.
 pub mod prelude {
     pub use dpml_core::algorithms::Algorithm;
-    pub use dpml_core::resilience::{run_allreduce_resilient, ResilientReport};
+    pub use dpml_core::integrity::{run_allreduce_verified, IntegrityPolicy, IntegrityReport};
     pub use dpml_core::run::{run, AllreduceReport, Exec, Scenario};
     pub use dpml_fabric::presets::{cluster_a, cluster_b, cluster_c, cluster_d};
     pub use dpml_fabric::Fabric;

@@ -39,7 +39,6 @@ use dpml::chaos::{
 use dpml::core::algorithms::{Algorithm, FlatAlg};
 use dpml::core::integrity::{run_allreduce_verified, IntegrityPolicy, VerifiedError};
 use dpml::core::profile::profile_allreduce;
-use dpml::core::resilience::run_allreduce_resilient;
 use dpml::core::run::{run, run_batch, Exec, RunError, Scenario};
 use dpml::core::selector::Library;
 use dpml::core::tuner::{default_candidates, tune};
@@ -123,6 +122,15 @@ impl From<String> for CliError {
 impl From<&str> for CliError {
     fn from(msg: &str) -> Self {
         CliError::Usage(msg.into())
+    }
+}
+
+impl From<VerifiedError> for CliError {
+    fn from(e: VerifiedError) -> Self {
+        match e {
+            VerifiedError::Run(e) => e.into(),
+            VerifiedError::Integrity(e) => CliError::Integrity(e.to_string()),
+        }
     }
 }
 
@@ -583,8 +591,11 @@ fn cmd_faults(args: &[String]) -> Result<(), CliError> {
         };
     }
 
-    let clean = run_allreduce_resilient(&preset, &spec, alg, bytes, &FaultPlan::zero())?;
-    let faulted = run_allreduce_resilient(&preset, &spec, alg, bytes, &plan)?;
+    let verified = |plan: &FaultPlan| {
+        run_allreduce_verified(&preset, &spec, alg, bytes, plan, IntegrityPolicy::default())
+    };
+    let clean = verified(&FaultPlan::zero())?;
+    let faulted = verified(&plan)?;
 
     println!(
         "{} on {} ({} x {} = {} ranks), {} bytes, fault intensity {:.2}, seed {}:",
@@ -597,16 +608,17 @@ fn cmd_faults(args: &[String]) -> Result<(), CliError> {
         intensity,
         seed
     );
-    println!("  fault-free       {:>12.2} us", clean.latency_us);
+    println!("  fault-free       {:>12.2} us", clean.total_latency_us);
     println!(
         "  faulted          {:>12.2} us ({:.2}x, verified correct)",
-        faulted.latency_us,
-        faulted.latency_us / clean.latency_us
+        faulted.total_latency_us,
+        faulted.total_latency_us / clean.total_latency_us
     );
-    if faulted.sharp_retries > 0 {
-        println!("  sharp retries    {:>12}", faulted.sharp_retries);
+    let retries = faulted.report.stats.sharp_retries;
+    if retries > 0 {
+        println!("  sharp retries    {retries:>12}");
     }
-    if faulted.fell_back {
+    if faulted.completed_with != faulted.algorithm {
         println!("  fell back to     {:>12}", faulted.completed_with);
     }
     Ok(())

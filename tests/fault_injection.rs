@@ -1,12 +1,13 @@
 //! End-to-end fault injection through the public facade: a zero plan is
-//! bit-identical to the fault-free path, and the SHArP degradation ladder
-//! (denial → fallback, flaky → retry) completes verified collectives.
+//! bit-identical to the fault-free path, and the recovery ladder's SHArP
+//! rungs (denial → fallback, flaky → retry) complete verified collectives.
 
+use dpml::chaos::run_case;
 use dpml::core::algorithms::{Algorithm, FlatAlg};
-use dpml::core::resilience::{host_fallback_algorithm, run_allreduce_resilient};
+use dpml::core::integrity::{run_allreduce_verified, IntegrityPolicy, LadderRung};
 use dpml::core::run::{run, Exec, Scenario};
 use dpml::fabric::presets::{cluster_a, cluster_c};
-use dpml::faults::{DataFaults, FaultPlan, ProcessFaults, SharpFaults};
+use dpml::faults::{mutate, DataFaults, FaultPlan, Mutator, ProcessFaults, SharpFaults};
 
 #[test]
 fn zero_intensity_plan_is_bit_identical_across_algorithms() {
@@ -114,14 +115,27 @@ fn sharp_denial_degrades_to_verified_host_run() {
         },
         ..FaultPlan::zero()
     };
-    let rep = run_allreduce_resilient(&p, &spec, Algorithm::SharpSocketLeader, 256, &plan)
-        .expect("degraded run completes");
-    assert!(rep.fell_back);
-    assert_eq!(rep.completed_with, host_fallback_algorithm(&spec).name());
-    assert_eq!(rep.report.report.stats.sharp_ops, 0);
-    assert_eq!(rep.report.report.stats.sharp_fallbacks, 1);
+    let rep = run_allreduce_verified(
+        &p,
+        &spec,
+        Algorithm::SharpSocketLeader,
+        256,
+        &plan,
+        IntegrityPolicy::default(),
+    )
+    .expect("degraded run completes");
+    assert_eq!(rep.rungs(), [LadderRung::SharpFallback]);
+    assert_eq!(rep.algorithm, Algorithm::SharpSocketLeader.name());
+    assert_eq!(
+        rep.completed_with,
+        Algorithm::SingleLeader {
+            inner: FlatAlg::RecursiveDoubling
+        }
+        .name()
+    );
+    assert_eq!(rep.report.stats.sharp_ops, 0);
+    assert_eq!(rep.report.stats.sharp_fallbacks, 1);
     rep.report
-        .report
         .verify_allreduce()
         .expect("fallback run verifies");
 }
@@ -138,13 +152,23 @@ fn flaky_sharp_retries_and_accounts_time() {
         },
         ..FaultPlan::zero()
     };
-    let rep = run_allreduce_resilient(&p, &spec, Algorithm::SharpNodeLeader, 512, &plan)
-        .expect("flaky run completes");
-    assert!(!rep.fell_back);
-    assert_eq!(rep.sharp_retries, 1);
-    assert_eq!(rep.report.report.stats.sharp_retries, 1);
+    let rep = run_allreduce_verified(
+        &p,
+        &spec,
+        Algorithm::SharpNodeLeader,
+        512,
+        &plan,
+        IntegrityPolicy::default(),
+    )
+    .expect("flaky run completes");
+    assert_eq!(rep.rungs(), [LadderRung::SharpRetry]);
+    assert_eq!(rep.completed_with, rep.algorithm);
+    assert_eq!(rep.report.stats.sharp_retries, 1);
     // One failed attempt burns the 50us op timeout plus 10us backoff.
-    assert!(rep.latency_us >= rep.report.latency_us + 60.0 - 1e-9);
+    assert_eq!(
+        rep.total_latency_us.to_bits(),
+        (5e-5 * 1e6 + 10.0 + rep.report.latency_us()).to_bits()
+    );
 }
 
 #[test]
@@ -214,4 +238,38 @@ fn same_seed_same_timing_different_seed_differs() {
         c.latency_us.to_bits(),
         "different seed, different noise"
     );
+}
+
+/// Chaos-campaign-style draws (1–3 seeded mutations of the zero plan) on
+/// a SHArP design, DPML and a flat baseline. Every case runs through the
+/// one recovery ladder, so a host fallback or a cold restart followed by
+/// a wire fault ends in the integrity rungs: no outcome escapes as a raw
+/// `retry-exhausted`, and none is a correctness violation.
+#[test]
+fn campaign_draws_never_escape_as_retry_exhausted() {
+    let menu: Vec<dpml::chaos::Scenario> = [("a", "sharp-node"), ("b", "dpml:2"), ("b", "rd")]
+        .into_iter()
+        .flat_map(|(preset, alg)| {
+            [4096u64, 65536].map(|bytes| dpml::chaos::Scenario {
+                preset: preset.into(),
+                nodes: 2,
+                ppn: 2,
+                alg: alg.into(),
+                bytes,
+            })
+        })
+        .collect();
+    let mut m = Mutator::new(0xc4a0_5eed);
+    for draw in 0..300 {
+        let sc = &menu[m.below(menu.len())];
+        let mut plan = FaultPlan::zero();
+        plan.seed = m.next_u64();
+        for _ in 0..1 + m.below(3) {
+            plan = mutate(&plan, sc.nodes, sc.ppn, &mut m);
+        }
+        let out = run_case(sc, &plan);
+        let case = format!("draw {draw}: {} under {plan:?}", sc.id());
+        assert_ne!(out.class, "err:retry-exhausted", "{case}");
+        assert!(out.violation.is_none(), "{case}: {:?}", out.violation);
+    }
 }
